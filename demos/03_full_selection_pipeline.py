@@ -14,7 +14,6 @@ from egms import (
     gen_synthetic,
     greedy_sample_cluster,
     kmeans,
-    partition_clusters,
     resolve_ppls,
     serialize_selection_manifest,
 )
@@ -63,18 +62,11 @@ print(f"cluster {cid}: picked {res.selected.size} rows, "
 print("trace:", np.round(res.entropy_trace, 3))
 
 # %%
-# Clusters are packed into balanced groups for parallel workers; results
-# do not depend on the worker count because every cluster has its own
-# seeded generator.
-
-groups = partition_clusters(assignment, G=4)
-print("group loads:", [sum(sizes[c] for c in g) for g in groups.groups])
-
-# %%
 # The one-call pipeline produces a selection manifest with full
 # provenance: config echo, filtered-out ids, per-cluster budgets and
 # entropies, and one line per selected sample. Serialization is
-# byte-identical for identical inputs and seed.
+# byte-identical for identical inputs and seed, whatever the worker thread
+# count: every cluster has its own seeded generator.
 
 config = SelectionConfig(budget=200, clusters=10, candidate_size=100, sigma=0.5, seed=42, workers=4)
 manifest = exam_select(store, metas, config)

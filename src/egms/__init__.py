@@ -6,13 +6,7 @@ budgets, and greedy von Neumann entropy-gain sampling over Gaussian
 similarity matrices, plus baseline strategies and diversity metrics.
 """
 
-from .clustering import (
-    ClusterAssignment,
-    ClusterGroups,
-    centroids_to_store,
-    kmeans,
-    partition_clusters,
-)
+from .clustering import ClusterAssignment, centroids_to_store, kmeans
 from .datamodel import (
     ClusterRecord,
     EmbeddingStore,
@@ -66,7 +60,6 @@ __all__ = [
     "BenchmarkScores",
     "BudgetPlan",
     "ClusterAssignment",
-    "ClusterGroups",
     "ClusterRecord",
     "ClusterSampleResult",
     "DiversityReport",
@@ -102,7 +95,6 @@ __all__ = [
     "mmd_sample_cluster",
     "oracle_max_entropy_subset",
     "parse_selection_manifest",
-    "partition_clusters",
     "perplexity_from_nlls",
     "resolve_ppls",
     "serialize_selection_manifest",

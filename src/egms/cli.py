@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .clustering import kmeans, centroids_to_store
+from .clustering import centroids_to_store
 from .datamodel import (
     SelectionConfig,
     gen_synthetic,
@@ -22,9 +22,8 @@ from .datamodel import (
     write_selection_manifest,
 )
 from .errors import InputError, InternalInvariantError
-from .filtering import filter_extremes, resolve_ppls
 from .metrics import avg_rel, diversity_report, load_benchmark_scores
-from .sampler import STRATEGIES, baseline_select, exam_select, stderr_progress
+from .sampler import STRATEGIES, _exam_select, baseline_select, stderr_progress
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,13 +114,9 @@ def _cmd_select(args) -> int:
     store, metas = _load_inputs(args)
     config = _config_from(args)
     progress = None if args.quiet else stderr_progress
-    manifest = exam_select(store, metas, config, progress=progress)
+    manifest, assignment = _exam_select(store, metas, config, progress)
     write_selection_manifest(args.out, manifest)
     if args.dump_centroids:
-        used = store.l2_normalized() if config.normalize else store
-        ppls = resolve_ppls(metas)
-        fs = filter_extremes(ppls, config.tail_low, config.tail_high)
-        assignment = kmeans(used, fs.kept, config.clusters, config.seed)
         write_embedding_store(args.dump_centroids, centroids_to_store(assignment))
     print(f"selected {len(manifest.selected)} of {store.count} -> {args.out}")
     return 0

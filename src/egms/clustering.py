@@ -1,4 +1,4 @@
-"""K-means partitioning of the filtered set and worker-group packing.
+"""K-means partitioning of the filtered set.
 
 Lloyd iterations start from k-means++ seeding and stop when the largest
 centroid displacement falls below 1e-6 or after 100 iterations. Empty
@@ -6,9 +6,11 @@ clusters are repaired by reseeding the centroid onto the point currently
 farthest from its assigned centroid (never stealing the last member of
 another cluster). Inertia is asserted non-increasing across iterations.
 
-Cluster groups for parallel workers are packed greedily by descending
-member count onto the currently lightest group (longest-processing-time
-rule), so group loads differ by at most one cluster.
+The kept rows are translated so that the first of them sits at the origin
+before seeding and Lloyd. Assignment ranks centroids by the expanded form
+|x|^2 - 2x.c + |c|^2, which cancels badly far from the origin; subtracting
+a data row (rather than the mean) gives bitwise-identical translated data
+for any shift the input holds exactly, so the clustering ignores it.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ class ClusterAssignment:
     members: tuple[np.ndarray, ...]
     inertia: float
     inertia_history: np.ndarray
-
-
-@dataclass(frozen=True)
-class ClusterGroups:
-    """Disjoint cluster-id lists, one per worker."""
-
-    groups: tuple[tuple[int, ...], ...]
 
 
 def _assign_chunked(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,12 +89,6 @@ def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> np.ndarray:
     return centroids
 
 
-def _assign_to_own(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = x - centroids[labels]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    return labels, d2
-
-
 def _repair_empty(labels: np.ndarray, d2: np.ndarray, L: int) -> None:
     """Reseed each empty cluster with the globally worst-fit point.
 
@@ -136,7 +125,9 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
         raise InputError("kept indices must be distinct")
     if L < 1 or L > rows.size:
         raise InputError(f"need 1 <= L <= |kept|, got L={L}, |kept|={rows.size}")
-    x = store.data[rows]
+    x = store.data[rows]  # fancy indexing copies, so translating in place is safe
+    origin = x[0].copy()
+    x -= origin
     # stream tag 1 reserves this generator lineage for kmeans; the sampler
     # derives its per-cluster generators under other tags from the same seed
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 1]))
@@ -160,9 +151,10 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
             break
 
     # final labels were computed against the previous centroids; the final
-    # centroids are exactly the member means of those labels
-    _, d2 = _assign_to_own(x, labels, centroids)
-    inertia = float(d2.sum())
+    # centroids are exactly the member means of those labels; x is spent
+    # after this, so the residuals overwrite it instead of a new n x d array
+    x -= centroids[labels]
+    inertia = float(np.einsum("ij,ij->i", x, x).sum())
     members = tuple(np.sort(rows[labels == c]) for c in range(L))
     if any(m.size == 0 for m in members):
         raise InternalInvariantError("empty cluster at convergence")
@@ -170,7 +162,7 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
         L=L,
         rows=rows,
         labels=labels,
-        centroids=centroids,
+        centroids=centroids + origin,
         members=members,
         inertia=inertia,
         inertia_history=np.asarray(history),
@@ -180,18 +172,3 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
 def centroids_to_store(assignment: ClusterAssignment) -> EmbeddingStore:
     """Centroids as an embedding store, e.g. for a binary-format dump."""
     return EmbeddingStore(assignment.centroids)
-
-
-def partition_clusters(assignment: ClusterAssignment, G: int) -> ClusterGroups:
-    """Pack clusters into G groups balanced by member count (LPT rule)."""
-    if G < 1:
-        raise InputError("worker count G must be >= 1")
-    sizes = np.array([m.size for m in assignment.members], dtype=np.int64)
-    order = np.lexsort((np.arange(sizes.size), -sizes))  # size desc, id asc
-    groups: list[list[int]] = [[] for _ in range(G)]
-    loads = np.zeros(G, dtype=np.int64)
-    for cid in order:
-        g = int(np.argmin(loads))
-        groups[g].append(int(cid))
-        loads[g] += sizes[cid]
-    return ClusterGroups(groups=tuple(tuple(g) for g in groups))

@@ -18,6 +18,7 @@ all downstream kernel and eigenvalue math runs in float64.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ class SampleMeta:
             raise InputError(f"sample id must be non-empty without whitespace, got {self.id!r}")
         if self.nlls is not None:
             vals = tuple(float(v) for v in self.nlls)
-            if any(not np.isfinite(v) or v < 0 for v in vals):
+            if any(not math.isfinite(v) or v < 0 for v in vals):
                 raise InputError(f"sample {self.id}: nlls must be finite and >= 0")
             object.__setattr__(self, "nlls", vals)
         if self.ppl is not None:
@@ -111,8 +112,9 @@ class SelectionConfig:
     K-means cluster count, ``candidate_size`` the per-step random candidate
     pool, ``sigma`` the Gaussian kernel bandwidth, ``tail_low``/``tail_high``
     the perplexity tail fractions removed before selection, and ``workers``
-    the number of parallel cluster groups. ``normalize`` opts in to L2
-    normalization of embeddings before any distance computation.
+    the number of threads that sample clusters in parallel. ``normalize``
+    opts in to L2 normalization of embeddings before any distance
+    computation.
     """
 
     budget: int

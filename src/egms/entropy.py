@@ -115,9 +115,8 @@ def build_similarity(store: EmbeddingStore, rows, sigma: float) -> SimilaritySta
     return SimilarityState(matrix=_kernel_block(pts, pts, sigma), member_rows=rows)
 
 
-def _matrix_entropy(matrix: np.ndarray) -> float:
-    """Entropy of a unit-diagonal kernel matrix after trace normalization."""
-    rho = matrix / np.trace(matrix)
+def _density_entropies(rho: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy of each density matrix in a (..., n, n) stack."""
     try:
         lam = np.linalg.eigvalsh(rho)
     except np.linalg.LinAlgError as exc:
@@ -126,7 +125,12 @@ def _matrix_entropy(matrix: np.ndarray) -> float:
         raise InternalInvariantError("non-finite eigenvalue: corrupted similarity state")
     lam = np.where(lam < _EIG_CLAMP, 0.0, np.minimum(lam, 1.0))
     terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return float(-terms.sum())
+    return -terms.sum(axis=-1)
+
+
+def _matrix_entropy(matrix: np.ndarray) -> float:
+    """Entropy of a unit-diagonal kernel matrix after trace normalization."""
+    return float(_density_entropies(matrix / np.trace(matrix)))
 
 
 def von_neumann_entropy(state: SimilarityState) -> float:
@@ -186,13 +190,5 @@ def entropy_gains(
     stack[:, t, :t] = kern
     stack[:, :t, t] = kern
     stack[:, t, t] = 1.0
-    try:
-        lam = np.linalg.eigvalsh(stack / float(t + 1))
-    except np.linalg.LinAlgError as exc:
-        raise InternalInvariantError(f"eigendecomposition failed: {exc}") from exc
-    if not np.isfinite(lam).all():
-        raise InternalInvariantError("non-finite eigenvalue: corrupted similarity state")
-    lam = np.where(lam < _EIG_CLAMP, 0.0, np.minimum(lam, 1.0))
-    terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    entropies = -terms.sum(axis=1)
+    entropies = _density_entropies(stack / float(t + 1))
     return entropies - base_entropy, entropies

@@ -13,7 +13,7 @@ the testing yardstick for the greedy sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -124,17 +124,7 @@ def diversity_report(
     seeds = tuple((config.seed + i) % 2**64 for i in range(n_seeds))
     ents, rand_ents = [], []
     for s in seeds:
-        cfg = SelectionConfig(
-            budget=config.budget,
-            clusters=config.clusters,
-            candidate_size=config.candidate_size,
-            sigma=config.sigma,
-            tail_low=config.tail_low,
-            tail_high=config.tail_high,
-            seed=s,
-            workers=config.workers,
-            normalize=config.normalize,
-        )
+        cfg = replace(config, seed=s)
         ents.append(_run_strategy(store, metas, strategy, cfg))
         rand_ents.append(_run_strategy(store, metas, "random", cfg))
     ents_arr = np.asarray(ents)

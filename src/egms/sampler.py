@@ -10,8 +10,8 @@ positive gains.
 
 Per-cluster generators are seeded from (global seed, cluster id), so the
 result is byte-identical regardless of how clusters are spread over
-workers. Worker threads share the immutable embedding store and touch
-only their own clusters' state; results are merged by cluster id.
+worker threads. The threads share the immutable embedding store and touch
+only their own cluster's state; results are merged by cluster id.
 
 Baseline strategies for comparison live in :func:`baseline_select`.
 """
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clustering import ClusterAssignment, kmeans, partition_clusters
+from .clustering import ClusterAssignment, kmeans
 from .datamodel import (
     ClusterRecord,
     EmbeddingStore,
@@ -66,6 +66,10 @@ class ClusterSampleResult:
     selected: np.ndarray
     entropy_trace: np.ndarray
     initial_pair: tuple[int, ...]
+
+
+# (store, cluster id, sorted member rows, budget) -> the cluster's selection
+SampleOneFn = Callable[[EmbeddingStore, int, np.ndarray, int], ClusterSampleResult]
 
 
 def allocate_budgets(cluster_sizes, B: int) -> BudgetPlan:
@@ -156,12 +160,7 @@ def greedy_sample_cluster(
     members = np.sort(members)
 
     if budget >= members.size:
-        trace = np.empty(members.size, dtype=np.float64)
-        state = build_similarity(store, [int(members[0])], sigma)
-        trace[0] = von_neumann_entropy(state)
-        for i, row in enumerate(members[1:], start=1):
-            state = augment(state, store, int(row), sigma)
-            trace[i] = von_neumann_entropy(state)
+        trace = _entropy_trace(store, members, sigma)
         if progress is not None:
             for i, e in enumerate(trace):
                 progress(cluster_id, i, float(e))
@@ -213,6 +212,17 @@ def greedy_sample_cluster(
     )
 
 
+def _entropy_trace(store: EmbeddingStore, order: np.ndarray, sigma: float) -> np.ndarray:
+    """Entropy of each prefix of ``order``, growing the state one row at a time."""
+    trace = np.empty(order.size, dtype=np.float64)
+    state = build_similarity(store, [int(order[0])], sigma)
+    trace[0] = von_neumann_entropy(state)
+    for i, row in enumerate(order[1:], start=1):
+        state = augment(state, store, int(row), sigma)
+        trace[i] = von_neumann_entropy(state)
+    return trace
+
+
 def _cluster_rng(seed: int, cluster_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), _CLUSTER_STREAM, int(cluster_id)]))
 
@@ -243,33 +253,6 @@ def _prepare(store: EmbeddingStore, metas: list[SampleMeta], config: SelectionCo
     return store
 
 
-def _run_clustered(
-    config: SelectionConfig,
-    plan: BudgetPlan,
-    assignment: ClusterAssignment,
-    sample_one: Callable[[int, np.ndarray, int], ClusterSampleResult],
-) -> dict[int, ClusterSampleResult]:
-    """Run per-cluster sampling over worker groups; merge is by cluster id."""
-    groups = partition_clusters(assignment, config.workers)
-    budgets = dict(plan.per_cluster)
-    results: dict[int, ClusterSampleResult] = {}
-    lock = threading.Lock()
-
-    def run_group(cluster_ids: tuple[int, ...]) -> None:
-        for cid in cluster_ids:
-            if budgets[cid] < 1:
-                continue
-            res = sample_one(cid, assignment.members[cid], budgets[cid])
-            with lock:
-                results[cid] = res
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(run_group, g) for g in groups.groups]
-        for fut in futures:
-            fut.result()
-    return results
-
-
 def _manifest_from_cluster_results(
     config: SelectionConfig,
     strategy: str,
@@ -277,7 +260,6 @@ def _manifest_from_cluster_results(
     plan: BudgetPlan,
     results: dict[int, ClusterSampleResult],
     filtered_out_rows: np.ndarray,
-    bins: int | None = None,
 ) -> SelectionManifest:
     ids = [m.id for m in metas]
     selected, clusters_col, steps_col, trace = [], [], [], []
@@ -310,27 +292,52 @@ def _manifest_from_cluster_results(
         per_cluster=tuple(per_cluster),
         filtered_out=tuple(ids[r] for r in filtered_out_rows),
         pipeline_entropy_trace=tuple(trace),
-        bins=bins,
     )
 
 
-def exam_select(
+def _select_clustered(
     store: EmbeddingStore,
     metas: list[SampleMeta],
     config: SelectionConfig,
-    progress: ProgressFn | None = None,
-) -> SelectionManifest:
-    """Full pipeline: filter, cluster, allocate, greedy-sample, merge."""
+    strategy: str,
+    allocate: Callable[[list[int], int], BudgetPlan],
+    sample_one: SampleOneFn,
+    filtered: bool,
+) -> tuple[SelectionManifest, ClusterAssignment]:
+    """Filter (when ``filtered``), cluster, allocate, sample per cluster, merge.
+
+    Clusters with a budget are submitted largest first (then lowest id) to
+    ``config.workers`` threads; results are read once the pool has joined
+    and merged by cluster id, so the output does not depend on scheduling.
+    """
     store = _prepare(store, metas, config)
-    ppls = resolve_ppls(metas)
-    fs = filter_extremes(ppls, config.tail_low, config.tail_high)
-    if config.budget > fs.kept.size:
-        raise InputError(f"budget {config.budget} exceeds post-filter size {fs.kept.size}")
-    assignment = kmeans(store, fs.kept, config.clusters, config.seed)
-    plan = allocate_budgets([m.size for m in assignment.members], config.budget)
+    if filtered:
+        fs = filter_extremes(resolve_ppls(metas), config.tail_low, config.tail_high)
+        rows, population = fs.kept, "post-filter size"
+        filtered_out = np.concatenate([fs.removed_low, fs.removed_high])
+    else:
+        rows, population = np.arange(store.count, dtype=np.int64), "dataset size"
+        filtered_out = np.empty(0, dtype=np.int64)
+    if config.budget > rows.size:
+        raise InputError(f"budget {config.budget} exceeds {population} {rows.size}")
+    assignment = kmeans(store, rows, config.clusters, config.seed)
+    plan = allocate([m.size for m in assignment.members], config.budget)
+    budgets = dict(plan.per_cluster)
+    order = sorted(
+        (cid for cid, budget in budgets.items() if budget >= 1),
+        key=lambda cid: (-assignment.members[cid].size, cid),
+    )
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        futures = {cid: pool.submit(sample_one, store, cid, assignment.members[cid], budgets[cid]) for cid in order}
+    results = {cid: fut.result() for cid, fut in futures.items()}
+    manifest = _manifest_from_cluster_results(config, strategy, metas, plan, results, filtered_out)
+    return manifest, assignment
+
+
+def _greedy_sampler(config: SelectionConfig, progress: ProgressFn | None) -> SampleOneFn:
     progress = _locked(progress)
 
-    def sample_one(cid: int, members: np.ndarray, budget: int) -> ClusterSampleResult:
+    def sample_one(store: EmbeddingStore, cid: int, members: np.ndarray, budget: int) -> ClusterSampleResult:
         return greedy_sample_cluster(
             store,
             members,
@@ -342,9 +349,26 @@ def exam_select(
             progress=progress,
         )
 
-    results = _run_clustered(config, plan, assignment, sample_one)
-    filtered_rows = np.concatenate([fs.removed_low, fs.removed_high])
-    return _manifest_from_cluster_results(config, "exam", metas, plan, results, filtered_rows)
+    return sample_one
+
+
+def _exam_select(
+    store: EmbeddingStore, metas: list[SampleMeta], config: SelectionConfig, progress: ProgressFn | None
+) -> tuple[SelectionManifest, ClusterAssignment]:
+    """:func:`exam_select` that also returns the k-means assignment it used."""
+    return _select_clustered(
+        store, metas, config, "exam", allocate_budgets, _greedy_sampler(config, progress), filtered=True
+    )
+
+
+def exam_select(
+    store: EmbeddingStore,
+    metas: list[SampleMeta],
+    config: SelectionConfig,
+    progress: ProgressFn | None = None,
+) -> SelectionManifest:
+    """Full pipeline: filter, cluster, allocate, greedy-sample, merge."""
+    return _exam_select(store, metas, config, progress)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,31 +492,6 @@ def _average_budgets(cluster_sizes, B: int) -> BudgetPlan:
     )
 
 
-def _select_exam_average(
-    store: EmbeddingStore, metas, config: SelectionConfig, progress: ProgressFn | None
-) -> SelectionManifest:
-    store = _prepare(store, metas, config)
-    ppls = resolve_ppls(metas)
-    fs = filter_extremes(ppls, config.tail_low, config.tail_high)
-    if config.budget > fs.kept.size:
-        raise InputError(f"budget {config.budget} exceeds post-filter size {fs.kept.size}")
-    assignment = kmeans(store, fs.kept, config.clusters, config.seed)
-    plan = _average_budgets([m.size for m in assignment.members], config.budget)
-    progress = _locked(progress)
-
-    def sample_one(cid: int, members: np.ndarray, budget: int) -> ClusterSampleResult:
-        return greedy_sample_cluster(
-            store, members, budget, config.candidate_size, config.sigma,
-            _cluster_rng(config.seed, cid), cluster_id=cid, progress=progress,
-        )
-
-    results = _run_clustered(config, plan, assignment, sample_one)
-    filtered_rows = np.concatenate([fs.removed_low, fs.removed_high])
-    return _manifest_from_cluster_results(
-        config, "exam_average_allocation", metas, plan, results, filtered_rows
-    )
-
-
 def mmd_sample_cluster(
     store: EmbeddingStore,
     members,
@@ -517,7 +516,8 @@ def mmd_sample_cluster(
     else:
         pts = store.data[members]
         mu = np.zeros(members.size, dtype=np.float64)
-        chunk = max(1, 2_000_000 // max(1, members.size))
+        # rows per chunk bound the (rows, n, d) difference tensor of _sq_dists
+        chunk = max(1, 2_000_000 // (members.size * pts.shape[1]))
         for start in range(0, members.size, chunk):
             mu[start : start + chunk] = _kernel_block(pts[start : start + chunk], pts, sigma).mean(axis=1)
         s = np.zeros(members.size, dtype=np.float64)  # kernel sum to selected
@@ -538,35 +538,11 @@ def mmd_sample_cluster(
             order_list.append(pick)
         order = members[np.asarray(order_list, dtype=np.int64)]
 
-    trace = np.empty(order.size, dtype=np.float64)
-    state = build_similarity(store, [int(order[0])], sigma)
-    trace[0] = von_neumann_entropy(state)
-    for i, row in enumerate(order[1:], start=1):
-        state = augment(state, store, int(row), sigma)
-        trace[i] = von_neumann_entropy(state)
     return ClusterSampleResult(
         cluster_id=cluster_id,
         selected=np.asarray(order, dtype=np.int64),
-        entropy_trace=trace,
+        entropy_trace=_entropy_trace(store, order, sigma),
         initial_pair=tuple(int(r) for r in order[:2]),
-    )
-
-
-def _select_mmd(store: EmbeddingStore, metas, config: SelectionConfig) -> SelectionManifest:
-    store = _prepare(store, metas, config)
-    n = store.count
-    if config.budget > n:
-        raise InputError(f"budget {config.budget} exceeds dataset size {n}")
-    rows = np.arange(n, dtype=np.int64)
-    assignment = kmeans(store, rows, config.clusters, config.seed)
-    plan = allocate_budgets([m.size for m in assignment.members], config.budget)
-
-    def sample_one(cid: int, members: np.ndarray, budget: int) -> ClusterSampleResult:
-        return mmd_sample_cluster(store, members, budget, config.sigma, cluster_id=cid)
-
-    results = _run_clustered(config, plan, assignment, sample_one)
-    return _manifest_from_cluster_results(
-        config, "mmd_minimize", metas, plan, results, np.empty(0, dtype=np.int64)
     )
 
 
@@ -597,5 +573,15 @@ def baseline_select(
     if strategy == "ccs":
         return _select_ccs(store, metas, config, bins)
     if strategy == "exam_average_allocation":
-        return _select_exam_average(store, metas, config, progress)
-    return _select_mmd(store, metas, config)
+        return _select_clustered(
+            store, metas, config, strategy, _average_budgets, _greedy_sampler(config, progress), filtered=True
+        )[0]
+    return _select_clustered(
+        store,
+        metas,
+        config,
+        strategy,
+        allocate_budgets,
+        lambda store, cid, members, budget: mmd_sample_cluster(store, members, budget, config.sigma, cluster_id=cid),
+        filtered=False,
+    )[0]

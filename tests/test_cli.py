@@ -1,8 +1,16 @@
 """Command-line interface: subcommands, file plumbing, exit codes."""
 
+import numpy as np
 import pytest
 
-from egms import load_embedding_store, load_sample_manifest, load_selection_manifest
+from egms import (
+    filter_extremes,
+    kmeans,
+    load_embedding_store,
+    load_sample_manifest,
+    load_selection_manifest,
+    resolve_ppls,
+)
 from egms.cli import main
 
 
@@ -85,7 +93,18 @@ def test_select_deterministic_bytes(dataset, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_centroid_dump(dataset, tmp_path):
+def test_centroid_dump(dataset, tmp_path, monkeypatch):
+    import egms.cli
+    import egms.sampler
+
+    calls = []
+
+    def counted_kmeans(*args, **kwargs):
+        calls.append(args)
+        return kmeans(*args, **kwargs)
+
+    for module in (egms.sampler, egms.cli):
+        monkeypatch.setattr(module, "kmeans", counted_kmeans, raising=False)
     emb, man = dataset
     out = tmp_path / "sel.txt"
     cents = tmp_path / "centroids.bin"
@@ -98,8 +117,13 @@ def test_centroid_dump(dataset, tmp_path):
         ]
     )
     assert rc == 0
+    assert len(calls) == 1  # the dump reuses the pipeline's clustering
     dumped = load_embedding_store(cents)
     assert dumped.count == 4 and dumped.dim == 5
+    store = load_embedding_store(emb)
+    kept = filter_extremes(resolve_ppls(load_sample_manifest(man)), 0.05, 0.05).kept
+    direct = kmeans(store, kept, 4, 2).centroids
+    assert np.array_equal(dumped.data, direct.astype(np.float32).astype(np.float64))
 
 
 @pytest.mark.parametrize("strategy", ["random", "mid_score", "ccs", "exam_average_allocation", "mmd_minimize"])
@@ -181,7 +205,7 @@ def test_internal_invariant_exits_2(dataset, tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalInvariantError("synthetic corruption")
 
-    monkeypatch.setattr(egms.cli, "exam_select", boom)
+    monkeypatch.setattr(egms.cli, "_exam_select", boom)
     emb, man = dataset
     rc = main(
         [

@@ -1,6 +1,4 @@
-"""K-means partitioning and worker-group packing."""
-
-from itertools import product
+"""K-means partitioning."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from egms import (
     centroids_to_store,
     gen_synthetic,
     kmeans,
-    partition_clusters,
 )
 
 
@@ -88,72 +85,17 @@ class TestKmeans:
         with pytest.raises(InputError):
             kmeans(store, np.array([0, 0, 1]), 2, seed=0)
 
+    def test_far_from_origin_is_valid_input(self):
+        # the expanded distance |x|^2 - 2x.c + |c|^2 cancels this far out
+        # unless kmeans translates the data; it must not end in exit code 2
+        store, _ = gen_synthetic(3000, 16, 5, 0.01, seed=0)
+        shifted = EmbeddingStore(store.data + 1e5)
+        for L in (5, 20, 100):
+            a = kmeans(shifted, np.arange(3000), L, seed=0)
+            assert all(m.size > 0 for m in a.members)
+
     def test_centroid_dump_store(self):
         store, _ = gen_synthetic(50, 4, 2, 0.5, seed=3)
         a = kmeans(store, np.arange(50), 4, seed=1)
         dump = centroids_to_store(a)
         assert dump.count == 4 and dump.dim == 4
-
-
-def brute_force_best_two_groups(sizes):
-    """All ways to split clusters into 2 groups; minimal max load."""
-    best = None
-    n = len(sizes)
-    for picks in product([0, 1], repeat=n):
-        loads = [0, 0]
-        for cid, g in enumerate(picks):
-            loads[g] += sizes[cid]
-        cost = max(loads)
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
-class _FakeAssignment:
-    def __init__(self, sizes):
-        self.members = tuple(np.arange(s) for s in sizes)
-
-
-class TestPartitionClusters:
-    def test_lpt_example_is_optimal(self):
-        sizes = [40, 30, 20, 10]
-        groups = partition_clusters(_FakeAssignment(sizes), 2)
-        loads = sorted(sum(sizes[c] for c in g) for g in groups.groups)
-        assert loads == [50, 50]
-        assert max(loads) == brute_force_best_two_groups(sizes)
-
-    def test_single_group(self):
-        groups = partition_clusters(_FakeAssignment([5, 3, 9]), 1)
-        assert sorted(groups.groups[0]) == [0, 1, 2]
-
-    def test_more_groups_than_clusters(self):
-        groups = partition_clusters(_FakeAssignment([7, 2]), 5)
-        nonempty = [g for g in groups.groups if g]
-        assert sorted(len(g) for g in nonempty) == [1, 1]
-        assert len(groups.groups) == 5
-
-    def test_partition_property_randomized(self):
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            n = int(rng.integers(1, 30))
-            sizes = rng.integers(1, 100, size=n).tolist()
-            G = int(rng.integers(1, 10))
-            groups = partition_clusters(_FakeAssignment(sizes), G)
-            flat = [c for g in groups.groups for c in g]
-            assert sorted(flat) == list(range(n))
-
-    def test_balance_bound(self):
-        rng = np.random.default_rng(35)
-        for _ in range(50):
-            sizes = rng.integers(1, 50, size=int(rng.integers(2, 25))).tolist()
-            G = int(rng.integers(2, 6))
-            groups = partition_clusters(_FakeAssignment(sizes), G)
-            loads = [sum(sizes[c] for c in g) for g in groups.groups]
-            # LPT guarantee: gap between heaviest and lightest group is at
-            # most the largest cluster placed in the heaviest group
-            if max(loads) > 0:
-                assert max(loads) - min(loads) <= max(sizes)
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(InputError):
-            partition_clusters(_FakeAssignment([3]), 0)

@@ -116,8 +116,9 @@ class TestSampleManifest:
             SampleMeta(id="bad id")
 
     def test_negative_nll_rejected(self):
-        with pytest.raises(InputError, match="nlls"):
-            SampleMeta(id="a", nlls=(0.5, -0.1))
+        for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InputError, match="nlls"):
+                SampleMeta(id="a", nlls=(0.5, bad))
 
 
 class TestSelectionConfig:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egms import (
     EmbeddingStore,
@@ -14,9 +16,11 @@ from egms import (
     exam_select,
     gen_synthetic,
     greedy_sample_cluster,
+    load_embedding_store,
     mmd_sample_cluster,
     serialize_selection_manifest,
     von_neumann_entropy,
+    write_embedding_store,
 )
 
 
@@ -362,7 +366,72 @@ class TestBaselineSelect:
         from egms import STRATEGIES
 
         for strategy in STRATEGIES:
-            cfg = SelectionConfig(budget=25, clusters=4, candidate_size=10, seed=21, workers=3)
-            a = serialize_selection_manifest(baseline_select(store, metas, strategy, cfg))
-            b = serialize_selection_manifest(baseline_select(store, metas, strategy, cfg))
-            assert a == b, strategy
+            texts = []
+            for workers in (1, 3, 3):  # worker invariance and repeat determinism
+                cfg = SelectionConfig(budget=25, clusters=4, candidate_size=10, seed=21, workers=workers)
+                texts.append(serialize_selection_manifest(baseline_select(store, metas, strategy, cfg)))
+            assert texts[0] == texts[1] == texts[2], strategy
+
+
+def test_mmd_memory_bounded_on_a_large_cluster():
+    import tracemalloc
+
+    store = EmbeddingStore(np.random.default_rng(8).normal(size=(1600, 16)))
+    tracemalloc.start()
+    try:
+        res = mmd_sample_cluster(store, np.arange(1600), 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.selected.size == 4
+    assert peak < 64 * 2**20
+
+
+@st.composite
+def _grid_corpora(draw, max_k):
+    """Rows on a 2^-10 grid in [-4, 4), ppl per row, a config, and a shift ±2^k.
+
+    Shifted values are exact in float64 for k <= 30 and in float32 for
+    k <= 12 (at most 23 significant bits), so the data moves without rounding.
+    """
+    n = draw(st.integers(20, 80))
+    d = draw(st.integers(1, 4))
+    grid = draw(st.lists(st.integers(-4096, 4095), min_size=n * d, max_size=n * d))
+    ppls = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    kept = n - 2 * int(n * 0.05)
+    cfg = SelectionConfig(
+        budget=draw(st.integers(1, kept)),
+        clusters=draw(st.integers(1, 6)),
+        candidate_size=draw(st.integers(1, 12)),
+        sigma=draw(st.sampled_from([0.05, 0.5, 4.0])),
+        seed=draw(st.integers(0, 2**32)),
+        workers=2,
+    )
+    shift = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.integers(0, max_k))
+    data = np.asarray(grid, dtype=np.float64).reshape(n, d) / 1024.0
+    metas = [SampleMeta(id=f"g{i}", ppl=float(p)) for i, p in enumerate(ppls)]
+    return data, metas, cfg, shift
+
+
+class TestShiftInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(_grid_corpora(max_k=30))
+    def test_exam_select_ignores_a_constant_shift(self, corpus):
+        data, metas, cfg, shift = corpus
+        base = exam_select(EmbeddingStore(data), metas, cfg)
+        moved = exam_select(EmbeddingStore(data + shift), metas, cfg)
+        assert moved.selected == base.selected
+        assert serialize_selection_manifest(moved) == serialize_selection_manifest(base)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_grid_corpora(max_k=12))
+    def test_shift_survives_the_embedding_file(self, tmp_path_factory, corpus):
+        data, metas, cfg, shift = corpus
+        folder = tmp_path_factory.mktemp("shift")
+        selections = []
+        for name, values in (("base", data), ("moved", data + shift)):
+            write_embedding_store(folder / f"{name}.bin", EmbeddingStore(values))
+            loaded = load_embedding_store(folder / f"{name}.bin")
+            assert np.array_equal(loaded.data, values)
+            selections.append(exam_select(loaded, metas, cfg).selected)
+        assert selections[0] == selections[1]
