@@ -70,6 +70,14 @@ class EmbeddingStore:
         return EmbeddingStore(self.data / norms)
 
 
+def _check_sigma(sigma: float) -> None:
+    """Kernel bandwidth rule: finite, > 0, and 2*sigma^2 representable."""
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise InputError("sigma must be finite and > 0")
+    if 2.0 * sigma * sigma == 0.0:
+        raise InputError(f"sigma {sigma!r} is too small: 2*sigma^2 underflows to 0")
+
+
 @dataclass(frozen=True)
 class SampleMeta:
     """Per-sample identity plus optional difficulty signals.
@@ -88,8 +96,8 @@ class SampleMeta:
         if not self.id or any(c.isspace() for c in self.id):
             raise InputError(f"sample id must be non-empty without whitespace, got {self.id!r}")
         if self.nlls is not None:
-            vals = tuple(float(v) for v in self.nlls)
-            if any(not math.isfinite(v) or v < 0 for v in vals):
+            vals = tuple(map(float, self.nlls))
+            if not all(0.0 <= v < math.inf for v in vals):
                 raise InputError(f"sample {self.id}: nlls must be finite and >= 0")
             object.__setattr__(self, "nlls", vals)
         if self.ppl is not None:
@@ -134,8 +142,7 @@ class SelectionConfig:
             raise InputError("clusters must be >= 1")
         if self.candidate_size < 1:
             raise InputError("candidate_size must be >= 1")
-        if not (self.sigma > 0 and np.isfinite(self.sigma)):
-            raise InputError("sigma must be finite and > 0")
+        _check_sigma(self.sigma)
         for name in ("tail_low", "tail_high"):
             v = getattr(self, name)
             if not (0 <= v < 0.5):

@@ -23,16 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import EmbeddingStore
+from .datamodel import EmbeddingStore, _check_sigma
 from .errors import InputError, InternalInvariantError
 
 _EIG_CLAMP = 1e-12
+_CHUNK_ELEMENTS = 2_000_000  # cap on the difference tensor of _sq_dists
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (na, d) x (nb, d) -> (na, nb)."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Pairwise squared Euclidean distances, (na, d) x (nb, d) -> (na, nb).
+
+    Rows of ``a`` go in chunks so that no difference tensor holds more than
+    ``_CHUNK_ELEMENTS`` values; each entry is the same sum either way.
+    """
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, b.shape[0] * a.shape[1]))
+    for start in range(0, a.shape[0], chunk):
+        diff = a[start : start + chunk, None, :] - b[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + chunk])
+    return out
 
 
 def _kernel_block(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -85,8 +94,7 @@ class SimilarityState:
 
 def gaussian_similarity(u, v, sigma: float) -> float:
     """exp(-||u - v||^2 / (2 sigma^2)) for a single pair of vectors."""
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise InputError("sigma must be finite and > 0")
+    _check_sigma(sigma)
     ua = np.asarray(u, dtype=np.float64).reshape(1, -1)
     va = np.asarray(v, dtype=np.float64).reshape(1, -1)
     if ua.shape != va.shape:
@@ -105,8 +113,7 @@ def _check_rows(store: EmbeddingStore, rows: np.ndarray) -> None:
 
 def build_similarity(store: EmbeddingStore, rows, sigma: float) -> SimilarityState:
     """Full pairwise kernel matrix over the given store rows."""
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise InputError("sigma must be finite and > 0")
+    _check_sigma(sigma)
     rows = np.asarray(rows, dtype=np.int64).ravel()
     _check_rows(store, rows)
     if len(np.unique(rows)) != rows.size:
@@ -125,7 +132,8 @@ def _density_entropies(rho: np.ndarray) -> np.ndarray:
         raise InternalInvariantError("non-finite eigenvalue: corrupted similarity state")
     lam = np.where(lam < _EIG_CLAMP, 0.0, np.minimum(lam, 1.0))
     terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    # 0.0 - x, not -x: an all-zero sum gives +0.0, never -0.0
+    return 0.0 - terms.sum(axis=-1)
 
 
 def _matrix_entropy(matrix: np.ndarray) -> float:

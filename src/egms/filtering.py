@@ -29,10 +29,16 @@ class FilteredSet:
 def perplexity_from_nlls(nlls) -> float:
     """exp of the mean per-token negative log-likelihood."""
     arr = np.asarray(nlls, dtype=np.float64)
-    if arr.size == 0:
-        raise InputError("empty NLL sequence")
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise InputError("NLL entries must be finite and >= 0")
+    return _perplexity(arr)
+
+
+def _perplexity(nlls) -> float:
+    """:func:`perplexity_from_nlls` for NLLs already known finite and >= 0."""
+    arr = np.asarray(nlls, dtype=np.float64)
+    if arr.size == 0:
+        raise InputError("empty NLL sequence")
     ppl = float(np.exp(arr.mean()))
     if not np.isfinite(ppl):
         raise InputError("perplexity overflowed to infinity")
@@ -50,7 +56,7 @@ def resolve_ppls(metas: list[SampleMeta]) -> np.ndarray:
         if meta.ppl is not None:
             out[i] = meta.ppl
         elif meta.nlls is not None:
-            out[i] = perplexity_from_nlls(meta.nlls)
+            out[i] = _perplexity(meta.nlls)  # SampleMeta validated them
         else:
             raise InputError(f"sample {meta.id!r} (row {i}) has neither ppl nor nlls")
     return out

@@ -10,8 +10,13 @@ positive gains.
 
 Per-cluster generators are seeded from (global seed, cluster id), so the
 result is byte-identical regardless of how clusters are spread over
-worker threads. The threads share the immutable embedding store and touch
-only their own cluster's state; results are merged by cluster id.
+worker threads. The cluster samplers are pure functions of their inputs:
+each returns its selection and the entropy after every accepted sample.
+The threads share the immutable embedding store and touch only their own
+cluster's state. The pipeline collects results in submission order and is
+the only place that reports progress, replaying each finished cluster's
+entropy trace from the calling thread, so the progress stream is the same
+for every worker count.
 
 Baseline strategies for comparison live in :func:`baseline_select`.
 """
@@ -19,7 +24,6 @@ Baseline strategies for comparison live in :func:`baseline_select`.
 from __future__ import annotations
 
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -35,7 +39,7 @@ from .datamodel import (
     SelectionManifest,
     check_aligned,
 )
-from .entropy import augment, build_similarity, entropy_gains, von_neumann_entropy, _kernel_block
+from .entropy import _kernel_block, _matrix_entropy, augment, build_similarity, entropy_gains
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
 
@@ -60,12 +64,19 @@ class BudgetPlan:
 
 @dataclass(frozen=True, eq=False)
 class ClusterSampleResult:
-    """Selection produced inside one cluster, in acceptance order."""
+    """Selection produced inside one cluster, in acceptance order.
 
-    cluster_id: int
+    ``entropy_trace[t]`` is the entropy of ``selected[: t + 1]``. The
+    cluster id is not stored: the pipeline keys results by it.
+    """
+
     selected: np.ndarray
     entropy_trace: np.ndarray
-    initial_pair: tuple[int, ...]
+
+    @property
+    def initial_pair(self) -> tuple[int, ...]:
+        """The seed rows: the first two selected (one when budget is 1)."""
+        return tuple(int(r) for r in self.selected[:2])
 
 
 # (store, cluster id, sorted member rows, budget) -> the cluster's selection
@@ -140,8 +151,6 @@ def greedy_sample_cluster(
     m: int,
     sigma: float,
     rng: np.random.Generator,
-    cluster_id: int = 0,
-    progress: ProgressFn | None = None,
 ) -> ClusterSampleResult:
     """Greedy entropy-gain selection of ``budget`` rows inside one cluster.
 
@@ -160,30 +169,14 @@ def greedy_sample_cluster(
     members = np.sort(members)
 
     if budget >= members.size:
-        trace = _entropy_trace(store, members, sigma)
-        if progress is not None:
-            for i, e in enumerate(trace):
-                progress(cluster_id, i, float(e))
-        return ClusterSampleResult(
-            cluster_id=cluster_id,
-            selected=members.copy(),
-            entropy_trace=trace,
-            initial_pair=tuple(int(r) for r in members[:2]),
-        )
+        return _traced_result(store, members, sigma)
 
-    n_seed = 1 if budget == 1 else 2
-    seeds = rng.choice(members, size=n_seed, replace=False)
+    seeds = rng.choice(members, size=1 if budget == 1 else 2, replace=False)
+    state = build_similarity(store, seeds, sigma)
     selected = [int(s) for s in seeds]
-    trace = [0.0]
-    state = build_similarity(store, [selected[0]], sigma)
-    if n_seed == 2:
-        state = augment(state, store, selected[1], sigma)
-        trace.append(von_neumann_entropy(state))
-    if progress is not None:
-        for i, e in enumerate(trace):
-            progress(cluster_id, i, float(e))
+    trace = _entropy_trace(state.matrix).tolist()
 
-    mask = np.isin(members, np.asarray(selected, dtype=np.int64))
+    mask = np.isin(members, seeds)
     base_entropy = trace[-1]
     while len(selected) < budget:
         unselected = members[~mask]
@@ -201,26 +194,27 @@ def greedy_sample_cluster(
         trace.append(chosen_entropy)
         base_entropy = chosen_entropy
         mask[np.searchsorted(members, chosen)] = True
-        if progress is not None:
-            progress(cluster_id, len(selected) - 1, chosen_entropy)
 
     return ClusterSampleResult(
-        cluster_id=cluster_id,
-        selected=np.asarray(selected, dtype=np.int64),
-        entropy_trace=np.asarray(trace, dtype=np.float64),
-        initial_pair=tuple(selected[:n_seed]),
+        selected=np.asarray(selected, dtype=np.int64), entropy_trace=np.asarray(trace, dtype=np.float64)
     )
 
 
-def _entropy_trace(store: EmbeddingStore, order: np.ndarray, sigma: float) -> np.ndarray:
-    """Entropy of each prefix of ``order``, growing the state one row at a time."""
-    trace = np.empty(order.size, dtype=np.float64)
-    state = build_similarity(store, [int(order[0])], sigma)
-    trace[0] = von_neumann_entropy(state)
-    for i, row in enumerate(order[1:], start=1):
-        state = augment(state, store, int(row), sigma)
-        trace[i] = von_neumann_entropy(state)
-    return trace
+def _entropy_trace(matrix: np.ndarray) -> np.ndarray:
+    """Entropy of each leading principal block of a kernel matrix.
+
+    Entry t is the entropy of the set of the first t + 1 rows; the blocks
+    equal the matrices an augment chain over the same order would build.
+    """
+    return np.array([_matrix_entropy(matrix[:t, :t]) for t in range(1, matrix.shape[0] + 1)], dtype=np.float64)
+
+
+def _traced_result(store: EmbeddingStore, order: np.ndarray, sigma: float) -> ClusterSampleResult:
+    """A cluster's result for a fixed acceptance order."""
+    order = np.asarray(order, dtype=np.int64)
+    return ClusterSampleResult(
+        selected=order, entropy_trace=_entropy_trace(build_similarity(store, order, sigma).matrix)
+    )
 
 
 def _cluster_rng(seed: int, cluster_id: int) -> np.random.Generator:
@@ -230,20 +224,6 @@ def _cluster_rng(seed: int, cluster_id: int) -> np.random.Generator:
 def stderr_progress(cluster_id: int, step: int, entropy: float) -> None:
     """Machine-parsable progress line, one per accepted sample."""
     sys.stderr.write(f"progress cluster={cluster_id} step={step} entropy={entropy!r}\n")
-
-
-_progress_lock = threading.Lock()
-
-
-def _locked(progress: ProgressFn | None) -> ProgressFn | None:
-    if progress is None:
-        return None
-
-    def fn(cid: int, step: int, entropy: float) -> None:
-        with _progress_lock:
-            progress(cid, step, entropy)
-
-    return fn
 
 
 def _prepare(store: EmbeddingStore, metas: list[SampleMeta], config: SelectionConfig) -> EmbeddingStore:
@@ -303,12 +283,15 @@ def _select_clustered(
     allocate: Callable[[list[int], int], BudgetPlan],
     sample_one: SampleOneFn,
     filtered: bool,
+    progress: ProgressFn | None,
 ) -> tuple[SelectionManifest, ClusterAssignment]:
     """Filter (when ``filtered``), cluster, allocate, sample per cluster, merge.
 
     Clusters with a budget are submitted largest first (then lowest id) to
-    ``config.workers`` threads; results are read once the pool has joined
-    and merged by cluster id, so the output does not depend on scheduling.
+    ``config.workers`` threads. Results are collected in that order, and
+    each cluster's entropy trace goes to ``progress`` as
+    ``(cluster id, step, entropy)`` once its result is in; the manifest
+    and the progress stream do not depend on scheduling.
     """
     store = _prepare(store, metas, config)
     if filtered:
@@ -327,29 +310,22 @@ def _select_clustered(
         (cid for cid, budget in budgets.items() if budget >= 1),
         key=lambda cid: (-assignment.members[cid].size, cid),
     )
+    results = {}
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         futures = {cid: pool.submit(sample_one, store, cid, assignment.members[cid], budgets[cid]) for cid in order}
-    results = {cid: fut.result() for cid, fut in futures.items()}
+        for cid, fut in futures.items():
+            results[cid] = fut.result()
+            if progress is not None:
+                for step, entropy in enumerate(results[cid].entropy_trace):
+                    progress(cid, step, float(entropy))
     manifest = _manifest_from_cluster_results(config, strategy, metas, plan, results, filtered_out)
     return manifest, assignment
 
 
-def _greedy_sampler(config: SelectionConfig, progress: ProgressFn | None) -> SampleOneFn:
-    progress = _locked(progress)
-
-    def sample_one(store: EmbeddingStore, cid: int, members: np.ndarray, budget: int) -> ClusterSampleResult:
-        return greedy_sample_cluster(
-            store,
-            members,
-            budget,
-            config.candidate_size,
-            config.sigma,
-            _cluster_rng(config.seed, cid),
-            cluster_id=cid,
-            progress=progress,
-        )
-
-    return sample_one
+def _greedy_sampler(config: SelectionConfig) -> SampleOneFn:
+    return lambda store, cid, members, budget: greedy_sample_cluster(
+        store, members, budget, config.candidate_size, config.sigma, _cluster_rng(config.seed, cid)
+    )
 
 
 def _exam_select(
@@ -357,7 +333,7 @@ def _exam_select(
 ) -> tuple[SelectionManifest, ClusterAssignment]:
     """:func:`exam_select` that also returns the k-means assignment it used."""
     return _select_clustered(
-        store, metas, config, "exam", allocate_budgets, _greedy_sampler(config, progress), filtered=True
+        store, metas, config, "exam", allocate_budgets, _greedy_sampler(config), filtered=True, progress=progress
     )
 
 
@@ -497,7 +473,6 @@ def mmd_sample_cluster(
     members,
     budget: int,
     sigma: float,
-    cluster_id: int = 0,
 ) -> ClusterSampleResult:
     """Greedy subset minimizing the squared MMD between subset and cluster.
 
@@ -512,38 +487,30 @@ def mmd_sample_cluster(
     if budget < 1:
         raise InputError("cluster budget must be >= 1")
     if budget >= members.size:
-        order = members
-    else:
-        pts = store.data[members]
-        mu = np.zeros(members.size, dtype=np.float64)
-        # rows per chunk bound the (rows, n, d) difference tensor of _sq_dists
-        chunk = max(1, 2_000_000 // (members.size * pts.shape[1]))
-        for start in range(0, members.size, chunk):
-            mu[start : start + chunk] = _kernel_block(pts[start : start + chunk], pts, sigma).mean(axis=1)
-        s = np.zeros(members.size, dtype=np.float64)  # kernel sum to selected
-        chosen_mask = np.zeros(members.size, dtype=bool)
-        k_ss = 0.0  # kernel sum over selected x selected
-        mu_s = 0.0  # sum of mu over selected
-        order_list = []
-        for t in range(budget):
-            obj = (k_ss + 2.0 * s + 1.0) / (t + 1) ** 2 - 2.0 * (mu_s + mu) / (t + 1)
-            obj[chosen_mask] = np.inf
-            best = obj.min()
-            pick = int(np.flatnonzero(obj == best).min())
-            chosen_mask[pick] = True
-            k_vec = _kernel_block(pts[pick][None, :], pts, sigma)[0]
-            k_ss += 2.0 * s[pick] + 1.0
-            mu_s += mu[pick]
-            s += k_vec
-            order_list.append(pick)
-        order = members[np.asarray(order_list, dtype=np.int64)]
-
-    return ClusterSampleResult(
-        cluster_id=cluster_id,
-        selected=np.asarray(order, dtype=np.int64),
-        entropy_trace=_entropy_trace(store, order, sigma),
-        initial_pair=tuple(int(r) for r in order[:2]),
-    )
+        return _traced_result(store, members, sigma)
+    pts = store.data[members]
+    mu = np.zeros(members.size, dtype=np.float64)
+    # rows per chunk bound the (rows, n, d) difference tensor of _sq_dists
+    chunk = max(1, 2_000_000 // (members.size * pts.shape[1]))
+    for start in range(0, members.size, chunk):
+        mu[start : start + chunk] = _kernel_block(pts[start : start + chunk], pts, sigma).mean(axis=1)
+    s = np.zeros(members.size, dtype=np.float64)  # kernel sum to selected
+    chosen_mask = np.zeros(members.size, dtype=bool)
+    k_ss = 0.0  # kernel sum over selected x selected
+    mu_s = 0.0  # sum of mu over selected
+    order_list = []
+    for t in range(budget):
+        obj = (k_ss + 2.0 * s + 1.0) / (t + 1) ** 2 - 2.0 * (mu_s + mu) / (t + 1)
+        obj[chosen_mask] = np.inf
+        best = obj.min()
+        pick = int(np.flatnonzero(obj == best).min())
+        chosen_mask[pick] = True
+        k_vec = _kernel_block(pts[pick][None, :], pts, sigma)[0]
+        k_ss += 2.0 * s[pick] + 1.0
+        mu_s += mu[pick]
+        s += k_vec
+        order_list.append(pick)
+    return _traced_result(store, members[np.asarray(order_list, dtype=np.int64)], sigma)
 
 
 def baseline_select(
@@ -574,7 +541,8 @@ def baseline_select(
         return _select_ccs(store, metas, config, bins)
     if strategy == "exam_average_allocation":
         return _select_clustered(
-            store, metas, config, strategy, _average_budgets, _greedy_sampler(config, progress), filtered=True
+            store, metas, config, strategy, _average_budgets, _greedy_sampler(config),
+            filtered=True, progress=progress,
         )[0]
     return _select_clustered(
         store,
@@ -582,6 +550,7 @@ def baseline_select(
         config,
         strategy,
         allocate_budgets,
-        lambda store, cid, members, budget: mmd_sample_cluster(store, members, budget, config.sigma, cluster_id=cid),
+        lambda store, cid, members, budget: mmd_sample_cluster(store, members, budget, config.sigma),
         filtered=False,
+        progress=progress,
     )[0]

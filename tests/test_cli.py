@@ -192,6 +192,19 @@ def test_invalid_parameter_exits_1(dataset, tmp_path, capsys):
     assert rc == 1
 
 
+def test_sigma_whose_square_underflows_exits_1(dataset, tmp_path, capsys):
+    emb, man = dataset
+    rc = main(
+        [
+            "select",
+            "--embeddings", str(emb), "--manifest", str(man),
+            "--budget", "5", "--sigma", "1e-200", "--out", str(tmp_path / "o.txt"), "--quiet",
+        ]
+    )
+    assert rc == 1
+    assert "sigma" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["select", "--budget", "5"])  # missing required flags

@@ -143,6 +143,12 @@ class TestSelectionConfig:
         with pytest.raises(InputError):
             SelectionConfig(**kwargs)
 
+    def test_rejects_sigma_whose_square_underflows(self):
+        # 2*sigma^2 == 0 would turn every self-distance into 0/0 = NaN
+        with pytest.raises(InputError, match="sigma"):
+            SelectionConfig(budget=5, sigma=1e-200)
+        assert SelectionConfig(budget=5, sigma=1e-150).sigma == 1e-150
+
 
 class TestGenSynthetic:
     def test_zero_spread_collapses_to_blob_mean(self):

@@ -47,8 +47,9 @@ class TestGaussianSimilarity:
             gaussian_similarity([1.0], [1.0, 2.0], 0.5)
 
     def test_bad_sigma(self):
-        with pytest.raises(InputError):
-            gaussian_similarity([1.0], [2.0], 0.0)
+        for sigma in (0.0, 1e-200):  # 2 * 1e-200**2 underflows to 0
+            with pytest.raises(InputError, match="sigma"):
+                gaussian_similarity([1.0], [1.0], sigma)
 
     def test_bandwidth_monotonicity(self):
         rng = np.random.default_rng(5)
@@ -94,6 +95,35 @@ class TestBuildSimilarity:
         with pytest.raises(InputError):
             build_similarity(store, [0, 0], 0.5)
 
+    def test_sigma_whose_square_underflows(self, store):
+        with pytest.raises(InputError, match="sigma"):
+            build_similarity(store, [0, 1], 1e-200)
+        assert build_similarity(store, [0, 1], 1e-150).size == 2
+
+    def test_memory_bounded_on_a_large_selection(self):
+        import tracemalloc
+
+        from egms import EmbeddingStore
+
+        big = EmbeddingStore(np.random.default_rng(9).normal(size=(1000, 64)))
+        tracemalloc.start()
+        try:
+            st = build_similarity(big, np.arange(1000), 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.size == 1000
+        assert peak < 64 * 2**20
+
+    def test_chunked_distances_match_one_block(self, store):
+        from egms.entropy import _CHUNK_ELEMENTS, _sq_dists
+
+        rng = np.random.default_rng(13)
+        b = rng.normal(size=(300, 40))
+        a = rng.normal(size=(_CHUNK_ELEMENTS // (300 * 40) * 2 + 7, 40))
+        diff = a[:, None, :] - b[None, :, :]
+        assert np.array_equal(_sq_dists(a, b), np.einsum("ijk,ijk->ij", diff, diff))
+
 
 class TestVonNeumannEntropy:
     def test_identity_attains_log_n(self):
@@ -103,6 +133,11 @@ class TestVonNeumannEntropy:
     def test_all_ones_is_zero(self):
         st = SimilarityState(matrix=np.ones((3, 3)), member_rows=np.arange(3))
         assert von_neumann_entropy(st) == pytest.approx(0.0, abs=1e-9)
+
+    def test_single_row_is_positive_zero(self, store):
+        e = von_neumann_entropy(build_similarity(store, [7], 0.5))
+        assert e == 0.0
+        assert math.copysign(1.0, e) == 1.0
 
     def test_2x2_closed_form(self):
         st = SimilarityState(matrix=np.array([[1.0, 0.5], [0.5, 1.0]]), member_rows=np.arange(2))

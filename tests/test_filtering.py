@@ -45,6 +45,15 @@ class TestResolvePpls:
         assert out[0] == 5.0
         assert out[1] == pytest.approx(3.0)
 
+    def test_nll_only_matches_perplexity_from_nlls(self):
+        rng = np.random.default_rng(7)
+        metas = [SampleMeta(id=f"n{i}", nlls=tuple(rng.exponential(1.0, size=i % 9 + 1))) for i in range(50)]
+        assert resolve_ppls(metas).tolist() == [perplexity_from_nlls(m.nlls) for m in metas]
+
+    def test_empty_nlls_rejected(self):
+        with pytest.raises(InputError, match="empty NLL"):
+            resolve_ppls([SampleMeta(id="a", nlls=())])
+
     def test_fails_loudly_without_signal(self):
         with pytest.raises(InputError, match="neither ppl nor nlls"):
             resolve_ppls([SampleMeta(id="a", ppl=2.0), SampleMeta(id="nosignal")])

@@ -11,6 +11,7 @@ from egms import (
     SampleMeta,
     SelectionConfig,
     allocate_budgets,
+    augment,
     baseline_select,
     build_similarity,
     exam_select,
@@ -182,6 +183,22 @@ class TestGreedySampleCluster:
             )
             assert res.entropy_trace[t] == pytest.approx(scratch, abs=1e-9)
 
+    def test_entropy_trace_equals_augment_chain(self):
+        from egms.sampler import _entropy_trace
+
+        store, _ = gen_synthetic(200, 6, 3, 0.7, seed=6)
+        rng = np.random.default_rng(4)
+        for size in (1, 2, 5, 17, 40):
+            order = rng.choice(store.count, size=size, replace=False)
+            # reference: grow the state one row at a time
+            state = build_similarity(store, order[:1], 0.5)
+            chain = [von_neumann_entropy(state)]
+            for row in order[1:]:
+                state = augment(state, store, int(row), 0.5)
+                chain.append(von_neumann_entropy(state))
+            got = _entropy_trace(build_similarity(store, order, 0.5).matrix)
+            assert got.tobytes() == np.array(chain).tobytes()
+
     def test_errors(self):
         store, _ = gen_synthetic(10, 2, 1, 0.5, seed=0)
         rng = np.random.default_rng(0)
@@ -189,6 +206,11 @@ class TestGreedySampleCluster:
             greedy_sample_cluster(store, np.array([], dtype=int), 2, 5, 0.5, rng)
         with pytest.raises(InputError):
             greedy_sample_cluster(store, np.arange(5), 0, 5, 0.5, rng)
+
+
+def _manifest_records(manifest):
+    """(cluster, step, entropy) of each selected sample."""
+    return list(zip(manifest.selected_clusters, manifest.selected_steps, manifest.pipeline_entropy_trace))
 
 
 @pytest.fixture(scope="module")
@@ -255,11 +277,34 @@ class TestExamSelect:
 
     def test_progress_events_emitted(self, pipeline_data):
         store, metas = pipeline_data
-        events = []
-        cfg = SelectionConfig(budget=20, clusters=3, candidate_size=10, seed=2, workers=2)
-        exam_select(store, metas, cfg, progress=lambda c, s, e: events.append((c, s, e)))
-        assert len(events) == 20
-        assert {c for c, _, _ in events} == {0, 1, 2}
+        for strategy in ("exam", "exam_average_allocation"):
+            runs = []
+            for workers in (1, 2, 8):
+                events = []
+                cfg = SelectionConfig(budget=20, clusters=3, candidate_size=10, seed=2, workers=workers)
+                progress = lambda c, s, e: events.append((c, s, e))
+                if strategy == "exam":
+                    manifest = exam_select(store, metas, cfg, progress=progress)
+                else:
+                    manifest = baseline_select(store, metas, strategy, cfg, progress=progress)
+                assert len(events) == 20
+                assert {c for c, _, _ in events} == {0, 1, 2}
+                assert sorted(events) == sorted(_manifest_records(manifest))
+                runs.append(events)
+            # one cluster's events at a time, in submission order, whatever the thread count
+            assert runs[0] == runs[1] == runs[2], strategy
+
+    def test_singleton_cluster_entropy_is_positive_zero(self):
+        # an outlier forms its own cluster, which is exhausted at budget 1
+        rng = np.random.default_rng(12)
+        store = EmbeddingStore(np.vstack([rng.normal(size=(30, 3)), [[100.0, 0.0, 0.0]]]))
+        metas = [SampleMeta(id=f"p{i}", ppl=1.0 + i) for i in range(31)]
+        cfg = SelectionConfig(budget=5, clusters=2, candidate_size=10, tail_low=0.0, tail_high=0.0)
+        manifest = exam_select(store, metas, cfg)
+        assert any(len(r.selected_ids) == 1 and r.budget == 1 for r in manifest.per_cluster)
+        tokens = serialize_selection_manifest(manifest).split()
+        assert "0.0" in tokens
+        assert "-0.0" not in tokens
 
 
 class TestBaselineSelect:
@@ -319,6 +364,17 @@ class TestBaselineSelect:
         mu = _kernel_block(pts, pts, 1.0).mean(axis=1)
         assert res.selected[0] == np.argmax(mu)
         assert res.selected.size == 5
+
+    def test_mmd_progress_matches_manifest(self, pipeline_data):
+        store, metas = pipeline_data
+        for workers in (1, 3):
+            events = []
+            cfg = SelectionConfig(budget=25, clusters=4, seed=21, workers=workers)
+            manifest = baseline_select(
+                store, metas, "mmd_minimize", cfg, progress=lambda c, s, e: events.append((c, s, e))
+            )
+            assert sorted(events) == sorted(_manifest_records(manifest))
+            assert len(events) == 25
 
     def test_mmd_objective_decreases_vs_random(self):
         # greedy MMD^2 should not exceed the mean random-subset MMD^2
