@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egms import (
     EmbeddingStore,
@@ -10,6 +12,7 @@ from egms import (
     gen_synthetic,
     kmeans,
 )
+from egms.clustering import _BLOCK_ELEMENTS, _assign_chunked, _kmeanspp
 
 
 class TestKmeans:
@@ -99,3 +102,105 @@ class TestKmeans:
         a = kmeans(store, np.arange(50), 4, seed=1)
         dump = centroids_to_store(a)
         assert dump.count == 4 and dump.dim == 4
+
+
+def _kmeanspp_full_pass(x, L, rng):
+    """k-means++ that recomputes every row's distance to every new centre."""
+    n = x.shape[0]
+    centroids = np.empty((L, x.shape[1]), dtype=np.float64)
+    centroids[0] = x[int(rng.integers(n))]
+    diff = x - centroids[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for j in range(1, L):
+        total = d2.sum()
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+        centroids[j] = x[idx]
+        diff = x - centroids[j]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    return centroids
+
+
+@st.composite
+def _seeding_inputs(draw):
+    """Off-grid float64 rows (spread, blobs, near-midpoints, duplicates or one constant), L in [1, n].
+
+    Near-midpoint rows sit within 1e-6 relative of halfway between two
+    ends. Once both ends are seeds, the pruning bound for these rows holds
+    with almost no room to spare.
+    """
+    n = draw(st.integers(1, 120))
+    d = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["spread", "blobs", "midpoints", "duplicates", "constant"]))
+    if kind == "midpoints":
+        ends = gen.normal(size=(2, d))
+        # most rows on the ends, so that the first two seeds are likely the ends
+        t = 0.5 + gen.choice([-1.0, 1.0], size=n) * 10.0 ** gen.uniform(-12, -6, size=n)
+        t[: (3 * n) // 4] = gen.integers(2, size=(3 * n) // 4)
+        x = (ends[0] + t[:, None] * (ends[1] - ends[0])) * scale
+    elif kind == "spread":
+        x = gen.normal(size=(n, d)) * scale
+    elif kind == "blobs":
+        centres = gen.normal(size=(draw(st.integers(1, 8)), d)) * 20.0
+        x = (centres[gen.integers(centres.shape[0], size=n)] + gen.normal(size=(n, d))) * scale
+    elif kind == "duplicates":
+        base = gen.normal(size=(draw(st.integers(1, max(1, n // 2))), d)) * scale
+        x = base[gen.integers(base.shape[0], size=n)]
+    else:
+        x = np.full((n, d), gen.normal() * scale)
+    L = draw(st.integers(1, n))
+    return x, L, draw(st.integers(0, 2**32 - 1)), 2.0 ** draw(st.integers(0, 30))
+
+
+class _RecordingRng:
+    """Generator that keeps the probabilities of every weighted draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.weights = []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.weights.append(p.tobytes())
+        return self.rng.choice(n, p=p)
+
+
+class TestKmeansppPruning:
+    @settings(max_examples=80, deadline=None)
+    @given(_seeding_inputs())
+    def test_pruned_seeding_equals_a_full_pass_bit_for_bit(self, inputs):
+        x, L, seed, shift = inputs
+        for data in (x, x + shift):
+            ref_rng, rng = _RecordingRng(seed), _RecordingRng(seed)
+            expected = _kmeanspp_full_pass(data, L, ref_rng)
+            got = _kmeanspp(data, L, rng)
+            assert got.tobytes() == expected.tobytes()
+            # every round's d2 / total, so every d2, keeps its bits
+            assert rng.weights == ref_rng.weights
+            assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+
+
+class TestAssignChunked:
+    @pytest.mark.parametrize("L", [3, 4096])
+    @pytest.mark.parametrize("which", ["one", "below", "block", "above"])
+    def test_matches_explicit_difference_argmin(self, L, which):
+        block = _BLOCK_ELEMENTS // L
+        n = {"one": 1, "below": block // 2, "block": block, "above": block + 1}[which]
+        gen = np.random.default_rng(L + n)
+        x = gen.normal(size=(n, 4))
+        centroids = gen.normal(size=(L, 4))
+        diff = x[:, None, :] - centroids[None, :, :]
+        ref = np.einsum("ijk,ijk->ij", diff, diff)
+        top2 = np.partition(ref, 1, axis=1)[:, :2]
+        assert np.all(top2[:, 1] - top2[:, 0] > 1e-9)
+
+        labels, d2 = _assign_chunked(x, centroids)
+        assert np.array_equal(labels, ref.argmin(axis=1))
+        assert np.all(d2 >= 0)
+        assert np.allclose(d2, ref.min(axis=1), rtol=0, atol=1e-10)
+        cached_labels, cached_d2 = _assign_chunked(x, centroids, np.einsum("ij,ij->i", x, x))
+        assert np.array_equal(cached_labels, labels)
+        assert cached_d2.tobytes() == d2.tobytes()

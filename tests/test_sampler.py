@@ -22,7 +22,10 @@ from egms import (
     serialize_selection_manifest,
     von_neumann_entropy,
     write_embedding_store,
+    write_sample_manifest,
 )
+from egms.cli import main
+from egms.sampler import _cluster_rng, _exam_select
 
 
 class TestAllocateBudgets:
@@ -491,3 +494,77 @@ class TestShiftInvariance:
             assert np.array_equal(loaded.data, values)
             selections.append(exam_select(loaded, metas, cfg).selected)
         assert selections[0] == selections[1]
+
+
+def _all_ties_order(members, budget, m, rng):
+    """Greedy order when every gain ties: random seeds, then the lowest-index candidate."""
+    if budget >= members.size:
+        return members.tolist()
+    seeds = rng.choice(members, size=1 if budget == 1 else 2, replace=False)
+    selected = [int(s) for s in seeds]
+    mask = np.isin(members, seeds)
+    while len(selected) < budget:
+        unselected = members[~mask]
+        candidates = rng.choice(unselected, size=m, replace=False) if unselected.size > m else unselected
+        chosen = int(candidates.min())
+        selected.append(chosen)
+        mask[np.searchsorted(members, chosen)] = True
+    return selected
+
+
+@st.composite
+def _identical_rows(draw):
+    """n copies of one row on a 2^-10 grid (constant or not), a shift ±2^k, L up to |kept|."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        row = [draw(st.integers(-4096, 4095))] * d
+    else:
+        row = draw(st.lists(st.integers(-4096, 4095), min_size=d, max_size=d))
+    shift = draw(st.sampled_from([-1.0, 0.0, 1.0])) * 2.0 ** draw(st.integers(0, 12))
+    data = np.tile(np.asarray(row, dtype=np.float64) / 1024.0 + shift, (n, 1))
+    ppls = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    kept = n - 2 * int(n * 0.05)
+    cfg = SelectionConfig(
+        budget=draw(st.integers(1, kept)),
+        clusters=draw(st.integers(1, kept)),
+        candidate_size=draw(st.integers(1, 12)),
+        sigma=draw(st.sampled_from([0.05, 0.5, 4.0])),
+        seed=draw(st.integers(0, 2**32)),
+        workers=2,
+    )
+    metas = [SampleMeta(id=f"r{i}", ppl=float(p)) for i, p in enumerate(ppls)]
+    return data, metas, cfg
+
+
+class TestIdenticalRows:
+    @settings(max_examples=40, deadline=None)
+    @given(_identical_rows())
+    def test_every_gain_ties_to_the_lowest_index(self, tmp_path_factory, corpus):
+        data, metas, cfg = corpus
+        store = EmbeddingStore(data)
+        manifest, assignment = _exam_select(store, metas, cfg, None)
+        assert assignment.inertia == 0.0
+        assert all(m.size > 0 for m in assignment.members)
+        ids = [m.id for m in metas]
+        for rec in manifest.per_cluster:
+            if rec.budget == 0:
+                continue
+            members = assignment.members[rec.cluster_id]
+            expected = _all_ties_order(members, rec.budget, cfg.candidate_size, _cluster_rng(cfg.seed, rec.cluster_id))
+            assert rec.selected_ids == tuple(ids[r] for r in expected)
+
+        folder = tmp_path_factory.mktemp("identical")
+        write_embedding_store(folder / "e.bin", store)
+        write_sample_manifest(folder / "m.jsonl", metas)
+        rc = main(
+            [
+                "select",
+                "--embeddings", str(folder / "e.bin"), "--manifest", str(folder / "m.jsonl"),
+                "--budget", str(cfg.budget), "--clusters", str(cfg.clusters),
+                "--candidates", str(cfg.candidate_size), "--sigma", str(cfg.sigma),
+                "--seed", str(cfg.seed), "--workers", "2", "--out", str(folder / "sel.txt"), "--quiet",
+            ]
+        )
+        assert rc == 0
+        assert (folder / "sel.txt").read_text() == serialize_selection_manifest(manifest)
