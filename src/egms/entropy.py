@@ -8,9 +8,53 @@ entropy ``-sum(lam * ln(lam))`` measures the diversity of the set: it is
 dissimilar.
 
 Growing a state by one sample appends a kernel row/column instead of
-rebuilding the matrix; the eigendecomposition itself is recomputed from
-scratch at every gain evaluation, since per-cluster matrices stay small
-and correctness outranks the marginal speedup of rank-one updates.
+rebuilding the matrix. A candidate's entropy is always the full
+eigensolve of its own bordered matrix ``[[A, k], [k^T, 1]] / (t + 1)``
+(A the t x t state, k the candidate's kernel row), the same arithmetic
+whichever other candidates share the stack.
+
+:func:`best_entropy_gain` finds the greedy argmax without solving every
+candidate. With ``A = Q diag(lam) Q^T`` (one ``eigh`` per step) and
+``z = Q^T k`` (one GEMM for all candidates), each bordered matrix is
+orthogonally similar to the arrowhead ``H(z) = [[diag(lam), z], [z^T, 1]]``
+(Golub 1973, "Some modified matrix eigenvalue problems"). The bound:
+
+- ``f(z) = tr(rho log rho)`` with ``rho = H(z) / (t + 1)`` is convex in z,
+  because ``x log x`` is convex (so is its trace function) and ``H`` is
+  affine in z. It is even in each ``z_i``: flipping the sign of ``z_i`` is
+  a similarity by a diagonal sign matrix. Hence ``f(z) >= f(z with z_i
+  = 0)`` by convexity at the midpoint of ``z`` and its mirror image, and
+  zeroing any set of ``z_i`` can only raise the entropy ``-f``. Zeroing
+  keeps H positive semi-definite, since its Schur complement
+  ``1 - sum(z_i^2 / lam_i)`` (over ``lam_i > 0``) only grows.
+- Zeroing all but the g largest ``z_i^2`` decouples H: its spectrum is
+  the other ``lam_i`` plus that of a (g+1)x(g+1) arrowhead. That entropy
+  U is an upper bound on the candidate's entropy S, in O(g^3) per
+  candidate instead of O(t^3). The 2x2 case (g = 1) has closed-form
+  eigenvalues and bounds every candidate; candidates it cannot rule out
+  get the g = 4 bound.
+
+The largest-bound candidates are solved exactly first. A candidate is
+then ruled out when ``(U + margin) - base < best_gain``, and only the
+rest are solved (upper-bound pruning, as in the lazy greedy of Minoux
+1978, "Accelerated greedy algorithms for maximizing submodular set
+functions"). The argmax, its ``==`` ties and the lowest-row rule run on
+the solved candidates' own entropies, so the result is that of
+:func:`entropy_gains` bit for bit.
+
+The margin covers the gap between the computed S and U and the exact
+ones. Each of the three computations involved (the exact stack, the
+rotation into the arrowhead by ``eigh`` and the GEMM, and the small
+solves of U) moves each of its t+1 eigenvalues by rounding, and the
+1e-12 clamp moves each by up to 1e-12 more. For ``|a - b| <= 1/2``,
+``|a ln a - b ln b| <= -d ln d`` with ``d = |a - b|`` (the lemma behind
+Fannes' inequality). The clamp alone thus moves the entropy by up to
+2.8e-11 per eigenvalue, and a shift ``d <= 1.1e-11`` (rounding up to
+1e-11 plus the clamp) by under 2.8e-10. Three computations of t+1
+eigenvalues each stay below ``_MARGIN_PER_EIGENVALUE * (t + 1)`` =
+1e-9 (t+1) as long as rounding moves a density eigenvalue by under
+1e-11; backward-stable solves of matrices with norm <= 1 move it by a
+small multiple of ``(t + 1) * 2.2e-16``.
 
 All squared distances go through one routine (explicit differences summed
 over the feature axis) so that a pair of rows produces bit-identical
@@ -27,6 +71,9 @@ from .datamodel import EmbeddingStore, _check_sigma
 from .errors import InputError, InternalInvariantError
 
 _EIG_CLAMP = 1e-12
+_BOUND_POLES = 4  # g: z components the refined bound keeps
+_FIRST_BATCH = 2  # candidates solved exactly before any is ruled out
+_MARGIN_PER_EIGENVALUE = 1e-9  # bound slack per eigenvalue (module docstring)
 _CHUNK_ELEMENTS = 2_000_000  # cap on the difference tensor of _sq_dists
 
 
@@ -122,6 +169,12 @@ def build_similarity(store: EmbeddingStore, rows, sigma: float) -> SimilaritySta
     return SimilarityState(matrix=_kernel_block(pts, pts, sigma), member_rows=rows)
 
 
+def _xlogx(lam: np.ndarray) -> np.ndarray:
+    """``lam * ln(lam)`` per density eigenvalue, after the 1e-12 clamp (0 * ln 0 = 0)."""
+    lam = np.where(lam < _EIG_CLAMP, 0.0, np.minimum(lam, 1.0))
+    return np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+
+
 def _density_entropies(rho: np.ndarray) -> np.ndarray:
     """Von Neumann entropy of each density matrix in a (..., n, n) stack."""
     try:
@@ -130,10 +183,8 @@ def _density_entropies(rho: np.ndarray) -> np.ndarray:
         raise InternalInvariantError(f"eigendecomposition failed: {exc}") from exc
     if not np.isfinite(lam).all():
         raise InternalInvariantError("non-finite eigenvalue: corrupted similarity state")
-    lam = np.where(lam < _EIG_CLAMP, 0.0, np.minimum(lam, 1.0))
-    terms = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
     # 0.0 - x, not -x: an all-zero sum gives +0.0, never -0.0
-    return 0.0 - terms.sum(axis=-1)
+    return 0.0 - _xlogx(lam).sum(axis=-1)
 
 
 def _matrix_entropy(matrix: np.ndarray) -> float:
@@ -172,6 +223,33 @@ def entropy_gain(state: SimilarityState, store: EmbeddingStore, candidate_row: i
     return von_neumann_entropy(augment(state, store, candidate_row, sigma)) - von_neumann_entropy(state)
 
 
+def _candidate_kernel(
+    state: SimilarityState, store: EmbeddingStore, candidate_rows, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated candidate rows and their (m, t) kernel rows against the members."""
+    cands = np.asarray(candidate_rows, dtype=np.int64).ravel()
+    _check_rows(store, cands)
+    if np.isin(cands, state.member_rows).any():
+        raise InputError("candidate rows must not already be members")
+    return cands, _kernel_block(store.data[cands], store.data[state.member_rows], sigma)
+
+
+def _bordered_entropies(matrix: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Entropy of ``[[matrix, k], [k^T, 1]] / (t + 1)`` for each kernel row ``k``.
+
+    Every bordered matrix is solved on its own, so a candidate's entropy has
+    the same bits whichever other candidates share the stack.
+    """
+    m, t = kern.shape
+    stack = np.empty((m, t + 1, t + 1), dtype=np.float64)
+    stack[:, :t, :t] = matrix
+    stack[:, t, :t] = kern
+    stack[:, :t, t] = kern
+    stack[:, t, t] = 1.0
+    stack /= float(t + 1)
+    return _density_entropies(stack)
+
+
 def entropy_gains(
     state: SimilarityState,
     store: EmbeddingStore,
@@ -184,19 +262,94 @@ def entropy_gains(
     Returns ``(gains, augmented_entropies)``; the stacked eigensolve keeps
     per-candidate arithmetic identical to the single-candidate path.
     """
-    cands = np.asarray(candidate_rows, dtype=np.int64).ravel()
-    _check_rows(store, cands)
-    if np.isin(cands, state.member_rows).any():
-        raise InputError("candidate rows must not already be members")
+    _, kern = _candidate_kernel(state, store, candidate_rows, sigma)
     if base_entropy is None:
         base_entropy = von_neumann_entropy(state)
-    t = state.size
-    m = cands.size
-    kern = _kernel_block(store.data[cands], store.data[state.member_rows], sigma)
-    stack = np.empty((m, t + 1, t + 1), dtype=np.float64)
-    stack[:, :t, :t] = state.matrix
-    stack[:, t, :t] = kern
-    stack[:, :t, t] = kern
-    stack[:, t, t] = 1.0
-    entropies = _density_entropies(stack / float(t + 1))
+    entropies = _bordered_entropies(state.matrix, kern)
     return entropies - base_entropy, entropies
+
+
+def _pole_bounds(lam: np.ndarray, z: np.ndarray, total: float, g: int) -> np.ndarray:
+    """Entropy of each arrowhead ``[[diag(lam), z], [z^T, 1]] / n`` with all but its g largest z_i^2 zeroed.
+
+    Row j keeps the poles ``keep`` of its g largest z_i^2. The eigenvalues
+    of the zeroed matrix are lam outside ``keep`` plus those of the
+    (g+1)x(g+1) arrowhead on ``keep``, so the entropy is ``total`` (the
+    entropy of lam alone) with the kept poles' terms swapped for that
+    arrowhead's. g = 1 uses the closed-form 2x2 eigenvalues.
+    """
+    n = lam.size + 1
+    rows = np.arange(z.shape[0])[:, None]
+    z2 = z * z
+    if g == 1:
+        keep = z2.argmax(axis=1)[:, None]
+        a = lam[keep]
+        mid, half = 0.5 * (a + 1.0), 0.5 * (a - 1.0)
+        rad = np.sqrt(half * half + z2[rows, keep])
+        mu = np.concatenate([mid - rad, mid + rad], axis=1)
+    else:
+        keep = np.argpartition(z2, -g, axis=1)[:, -g:]
+        a = lam[keep]
+        head = np.zeros((z.shape[0], g + 1, g + 1), dtype=np.float64)
+        diag = np.arange(g)
+        head[:, diag, diag] = a
+        head[:, :g, g] = z[rows, keep]
+        head[:, g, :g] = head[:, :g, g]
+        head[:, g, g] = 1.0
+        mu = np.linalg.eigvalsh(head)
+    return total + _xlogx(a / n).sum(axis=1) - _xlogx(mu / n).sum(axis=1)
+
+
+def _beaten(bound: np.ndarray, margin: float, base_entropy: float, best_gain: float) -> np.ndarray:
+    """Where an entropy bound proves the candidate's gain rounds strictly below ``best_gain``.
+
+    ``(bound + margin) - base``, not ``bound - base + margin``: rounding the
+    subtraction is monotone, so this holds however large ``base_entropy``
+    is. A NaN bound compares false and rules nothing out.
+    """
+    return (bound + margin) - base_entropy < best_gain
+
+
+def best_entropy_gain(
+    state: SimilarityState,
+    store: EmbeddingStore,
+    candidate_rows: np.ndarray,
+    sigma: float,
+    base_entropy: float | None = None,
+) -> tuple[int, float]:
+    """The candidate with the largest entropy gain, and its augmented entropy.
+
+    Returns the row and entropy that :func:`entropy_gains` followed by the
+    largest gain, ties to the lowest row, would give, bit for bit. Only the
+    candidates that the upper bounds of the module docstring cannot rule
+    out are solved exactly: the ``_FIRST_BATCH`` with the highest 2x2
+    bound, then every other one whose 2x2 and then g-pole bound reach
+    ``best_gain - margin``.
+    """
+    cands, kern = _candidate_kernel(state, store, candidate_rows, sigma)
+    if base_entropy is None:
+        base_entropy = von_neumann_entropy(state)
+    n = state.size + 1
+    margin = _MARGIN_PER_EIGENVALUE * n
+    try:
+        lam, q = np.linalg.eigh(state.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise InternalInvariantError(f"eigendecomposition failed: {exc}") from exc
+    z = kern @ q
+    total = 0.0 - _xlogx(lam / n).sum()
+
+    entropies = np.full(cands.size, np.nan)
+    bound = _pole_bounds(lam, z, total, 1)
+    order = np.argsort(-bound, kind="stable")
+    first, rest = order[:_FIRST_BATCH], order[_FIRST_BATCH:]
+    entropies[first] = _bordered_entropies(state.matrix, kern[first])
+    best_gain = (entropies[first] - base_entropy).max()
+    rest = rest[~_beaten(bound[rest], margin, base_entropy, best_gain)]
+    if rest.size and state.size > _BOUND_POLES:  # else the g-pole bound is the full solve
+        rest = rest[~_beaten(_pole_bounds(lam, z[rest], total, _BOUND_POLES), margin, base_entropy, best_gain)]
+    if rest.size:
+        entropies[rest] = _bordered_entropies(state.matrix, kern[rest])
+    gains = entropies - base_entropy
+    tied = np.flatnonzero(gains == np.nanmax(gains))
+    pos = tied[np.argmin(cands[tied])]
+    return int(cands[pos]), float(entropies[pos])

@@ -2,11 +2,13 @@
 
 The pipeline: perplexity-tail filtering, K-means partitioning, cluster
 budgets proportional to cluster size, then independent greedy sampling
-inside each cluster. Each greedy step draws a fresh random candidate set,
-scores every candidate by its entropy gain against the current selection,
-and accepts the argmax (ties to the lowest row index). Negative gains are
+inside each cluster. Each greedy step draws a fresh random candidate set
+and accepts the candidate with the largest entropy gain against the
+current selection (ties to the lowest row index). Negative gains are
 accepted when they are the argmax; the rule is the maximum gain, not only
-positive gains.
+positive gains. The argmax is exact, but candidates that an entropy upper
+bound proves cannot win are never solved exactly (see
+:func:`egms.entropy.best_entropy_gain`).
 
 Per-cluster generators are seeded from (global seed, cluster id), so the
 result is byte-identical regardless of how clusters are spread over
@@ -39,7 +41,7 @@ from .datamodel import (
     SelectionManifest,
     check_aligned,
 )
-from .entropy import _kernel_block, _matrix_entropy, augment, build_similarity, entropy_gains
+from .entropy import _kernel_block, _matrix_entropy, augment, best_entropy_gain, build_similarity
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
 
@@ -156,8 +158,10 @@ def greedy_sample_cluster(
 
     Seeds with two random distinct members (one when budget is 1), then
     fills each remaining slot with the best of up to ``m`` randomly drawn
-    unselected candidates. A budget covering the whole cluster returns all
-    members in index order.
+    unselected candidates: the largest entropy gain, ties to the lowest
+    row, found by :func:`best_entropy_gain`, which solves exactly only the
+    candidates its upper bound cannot rule out. A budget covering the
+    whole cluster returns all members in index order.
     """
     members = np.asarray(members, dtype=np.int64).ravel()
     if members.size == 0:
@@ -184,11 +188,7 @@ def greedy_sample_cluster(
             candidates = rng.choice(unselected, size=m, replace=False)
         else:
             candidates = unselected
-        gains, entropies = entropy_gains(state, store, candidates, sigma, base_entropy=base_entropy)
-        best_gain = gains.max()
-        chosen_pos = np.flatnonzero(gains == best_gain)
-        chosen = int(candidates[chosen_pos].min())
-        chosen_entropy = float(entropies[chosen_pos[np.argmin(candidates[chosen_pos])]])
+        chosen, chosen_entropy = best_entropy_gain(state, store, candidates, sigma, base_entropy=base_entropy)
         state = augment(state, store, chosen, sigma)
         selected.append(chosen)
         trace.append(chosen_entropy)

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egms import (
+    EmbeddingStore,
     InputError,
+    InternalInvariantError,
     SimilarityState,
     augment,
     build_similarity,
@@ -15,6 +19,16 @@ from egms import (
     gaussian_similarity,
     gen_synthetic,
     von_neumann_entropy,
+)
+from egms.entropy import (
+    _BOUND_POLES,
+    _MARGIN_PER_EIGENVALUE,
+    _bordered_entropies,
+    _candidate_kernel,
+    _density_entropies,
+    _pole_bounds,
+    _xlogx,
+    best_entropy_gain,
 )
 
 
@@ -269,3 +283,144 @@ class TestEntropyGain:
         st = build_similarity(store, [0, 1], 0.5)
         with pytest.raises(InputError):
             entropy_gains(st, store, np.array([1, 5]), 0.5)
+
+
+def _full_argmax(state, store, cands, sigma, base_entropy):
+    """Reference greedy step: every candidate solved, largest gain, ties to the lowest row."""
+    gains, entropies = entropy_gains(state, store, cands, sigma, base_entropy=base_entropy)
+    tied = np.flatnonzero(gains == gains.max())
+    pos = tied[np.argmin(cands[tied])]
+    return int(cands[pos]), float(entropies[pos])
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _greedy_steps(draw):
+    """One greedy step: a store, members, candidates in random order, sigma and a base entropy.
+
+    Rows are blobs, exact duplicates, near-duplicates (1e-9 apart) or one
+    constant row, shifted by ±2^k. Base entropies include the state's own,
+    values near it, and large ones that make different entropies give equal
+    gains by rounding.
+    """
+    kind = draw(st.sampled_from(["blobs", "duplicates", "near_duplicates", "constant"]))
+    n = draw(st.integers(2, 90))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        data = np.full((n, d), rng.normal())
+    else:
+        centres = rng.normal(size=(draw(st.integers(1, 5)), d)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+        data = centres[rng.integers(len(centres), size=n)]
+        if kind == "blobs":
+            data = data + draw(st.sampled_from([0.01, 0.1, 0.5])) * rng.normal(size=(n, d))
+        elif kind == "near_duplicates":
+            data = data + 1e-9 * rng.normal(size=(n, d))
+    data = data + draw(st.sampled_from([-1.0, 0.0, 1.0])) * 2.0 ** draw(st.integers(0, 30))
+    sigma = draw(st.one_of(st.sampled_from([1e-150, 1e-3, 1e3, 1e150]), st.floats(0.02, 8.0)))
+    t = draw(st.integers(1, min(40, n - 1)))
+    m = draw(st.integers(1, n - t))
+    perm = rng.permutation(n)
+    store = EmbeddingStore(data)
+    state = build_similarity(store, perm[:t], sigma)
+    own = von_neumann_entropy(state)
+    base = draw(
+        st.one_of(
+            st.just(own),
+            st.floats(-1e-9, 1e-9).map(lambda e: own + e),
+            st.floats(-10.0, 10.0),
+            st.integers(8, 40).map(lambda k: own + 2.0**k),
+        )
+    )
+    return state, store, perm[t : t + m], sigma, base
+
+
+class TestBestEntropyGain:
+    @settings(max_examples=300, deadline=None)
+    @given(_greedy_steps())
+    def test_equals_the_full_argmax_bit_for_bit(self, step):
+        state, store, cands, sigma, base = step
+        row, entropy = best_entropy_gain(state, store, cands, sigma, base_entropy=base)
+        want_row, want_entropy = _full_argmax(state, store, cands, sigma, base)
+        assert row == want_row
+        assert _bits(entropy) == _bits(want_entropy)
+
+    def test_ties_by_rounding_go_to_the_lowest_row(self, store):
+        # at base 2^30 a gain's last bit is 2^-22, so candidates whose
+        # entropies differ in lower bits tie on gain
+        rng = np.random.default_rng(53)
+        seen_rounding_tie = False
+        for _ in range(20):
+            rows = rng.choice(store.count, size=int(rng.integers(2, 30)), replace=False)
+            state = build_similarity(store, rows, 0.5)
+            cands = rng.permutation(np.setdiff1d(np.arange(store.count), rows))[:100]
+            base = von_neumann_entropy(state) + 2.0**30
+            gains, entropies = entropy_gains(state, store, cands, 0.5, base_entropy=base)
+            tied = gains == gains.max()
+            seen_rounding_tie |= np.unique(entropies[tied]).size > 1
+            row, entropy = best_entropy_gain(state, store, cands, 0.5, base_entropy=base)
+            want_row, want_entropy = _full_argmax(state, store, cands, 0.5, base)
+            assert row == want_row
+            assert _bits(entropy) == _bits(want_entropy)
+        assert seen_rounding_tie
+
+    @settings(max_examples=200, deadline=None)
+    @given(_greedy_steps())
+    def test_bounds_are_sound(self, step):
+        state, store, cands, sigma, _ = step
+        n = state.size + 1
+        _, kern = _candidate_kernel(state, store, cands, sigma)
+        exact = _bordered_entropies(state.matrix, kern)
+        lam, q = np.linalg.eigh(state.matrix)
+        z = kern @ q
+        total = 0.0 - _xlogx(lam / n).sum()
+        margin = _MARGIN_PER_EIGENVALUE * n
+        for g in range(1, min(_BOUND_POLES, state.size) + 1):
+            assert (_pole_bounds(lam, z, total, g) >= exact - margin).all()
+
+    def test_default_base_is_the_state_entropy(self, store):
+        state = build_similarity(store, [4, 9, 60], 0.5)
+        cands = np.arange(100, 140)
+        assert best_entropy_gain(state, store, cands, 0.5) == best_entropy_gain(
+            state, store, cands, 0.5, base_entropy=von_neumann_entropy(state)
+        )
+
+    def test_bad_candidates(self, store):
+        state = build_similarity(store, [0, 1], 0.5)
+        with pytest.raises(InputError):
+            best_entropy_gain(state, store, np.array([1, 5]), 0.5)
+        with pytest.raises(InputError):
+            best_entropy_gain(state, store, np.array([store.count]), 0.5)
+
+    def test_corrupted_state_is_an_internal_error(self, store):
+        state = build_similarity(store, [0, 1, 2], 0.5)
+        bad = state.matrix.copy()
+        bad[0, 1] = bad[1, 0] = np.nan
+        object.__setattr__(state, "matrix", bad)
+        with pytest.raises(InternalInvariantError):
+            best_entropy_gain(state, store, np.arange(10, 20), 0.5)
+
+
+def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
+    """The premise of solving only some candidates: eigvalsh bits do not depend on the batch."""
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        t = int(rng.integers(1, 60))
+        rows = rng.choice(store.count, size=t, replace=False)
+        sigma = float(rng.uniform(0.1, 3.0))
+        state = build_similarity(store, rows, sigma)
+        _, kern = _candidate_kernel(state, store, np.setdiff1d(np.arange(store.count), rows)[:100], sigma)
+        stack = np.empty((kern.shape[0], t + 1, t + 1))
+        stack[:, :t, :t] = state.matrix
+        stack[:, t, :t] = kern
+        stack[:, :t, t] = kern
+        stack[:, t, t] = 1.0
+        stack /= float(t + 1)
+        whole = _density_entropies(stack)
+        for size in (1, 2, int(rng.integers(3, kern.shape[0] + 1))):
+            idx = rng.choice(kern.shape[0], size=min(size, kern.shape[0]), replace=False)
+            assert _density_entropies(stack[idx]).tobytes() == whole[idx].tobytes()
+        assert _bordered_entropies(state.matrix, kern).tobytes() == whole.tobytes()

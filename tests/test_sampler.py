@@ -537,34 +537,97 @@ def _identical_rows(draw):
     return data, metas, cfg
 
 
+def _assert_all_ties_replay(tmp_path_factory, store, metas, cfg):
+    """``_exam_select`` and ``egms select`` agree, exit 0, and every cluster follows the all-ties replay."""
+    manifest, assignment = _exam_select(store, metas, cfg, None)
+    assert all(m.size > 0 for m in assignment.members)
+    ids = [m.id for m in metas]
+    for rec in manifest.per_cluster:
+        if rec.budget == 0:
+            continue
+        members = assignment.members[rec.cluster_id]
+        expected = _all_ties_order(members, rec.budget, cfg.candidate_size, _cluster_rng(cfg.seed, rec.cluster_id))
+        assert rec.selected_ids == tuple(ids[r] for r in expected)
+
+    folder = tmp_path_factory.mktemp("ties")
+    write_embedding_store(folder / "e.bin", store)
+    write_sample_manifest(folder / "m.jsonl", metas)
+    rc = main(
+        [
+            "select",
+            "--embeddings", str(folder / "e.bin"), "--manifest", str(folder / "m.jsonl"),
+            "--budget", str(cfg.budget), "--clusters", str(cfg.clusters),
+            "--candidates", str(cfg.candidate_size), "--sigma", str(cfg.sigma),
+            "--seed", str(cfg.seed), "--workers", "2", "--out", str(folder / "sel.txt"), "--quiet",
+        ]
+    )
+    assert rc == 0
+    assert (folder / "sel.txt").read_text() == serialize_selection_manifest(manifest)
+    return assignment
+
+
 class TestIdenticalRows:
     @settings(max_examples=40, deadline=None)
     @given(_identical_rows())
     def test_every_gain_ties_to_the_lowest_index(self, tmp_path_factory, corpus):
         data, metas, cfg = corpus
-        store = EmbeddingStore(data)
-        manifest, assignment = _exam_select(store, metas, cfg, None)
+        assignment = _assert_all_ties_replay(tmp_path_factory, EmbeddingStore(data), metas, cfg)
         assert assignment.inertia == 0.0
-        assert all(m.size > 0 for m in assignment.members)
-        ids = [m.id for m in metas]
-        for rec in manifest.per_cluster:
-            if rec.budget == 0:
-                continue
-            members = assignment.members[rec.cluster_id]
-            expected = _all_ties_order(members, rec.budget, cfg.candidate_size, _cluster_rng(cfg.seed, rec.cluster_id))
-            assert rec.selected_ids == tuple(ids[r] for r in expected)
 
-        folder = tmp_path_factory.mktemp("identical")
-        write_embedding_store(folder / "e.bin", store)
-        write_sample_manifest(folder / "m.jsonl", metas)
-        rc = main(
-            [
-                "select",
-                "--embeddings", str(folder / "e.bin"), "--manifest", str(folder / "m.jsonl"),
-                "--budget", str(cfg.budget), "--clusters", str(cfg.clusters),
-                "--candidates", str(cfg.candidate_size), "--sigma", str(cfg.sigma),
-                "--seed", str(cfg.seed), "--workers", "2", "--out", str(folder / "sel.txt"), "--quiet",
-            ]
+
+@st.composite
+def _distinct_rows(draw, sigmas):
+    """n distinct rows on a 2^-10 grid in [-4, 4), a shift ±2^k, and a sigma from ``sigmas``.
+
+    Distinct grid rows are at least 2^-10 apart and at most 2^4 sqrt(d)
+    apart, so every sigma in ``_SIGMA_TO_ZERO`` makes every off-diagonal
+    kernel entry exactly 0 and every one in ``_SIGMA_TO_INFINITY`` makes it
+    exactly 1.
+    """
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(-4096, 4095)] * d), min_size=n, max_size=n, unique=True
         )
-        assert rc == 0
-        assert (folder / "sel.txt").read_text() == serialize_selection_manifest(manifest)
+    )
+    shift = draw(st.sampled_from([-1.0, 0.0, 1.0])) * 2.0 ** draw(st.integers(0, 12))
+    data = np.asarray(rows, dtype=np.float64) / 1024.0 + shift
+    ppls = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    kept = n - 2 * int(n * 0.05)
+    cfg = SelectionConfig(
+        budget=draw(st.integers(1, kept)),
+        clusters=draw(st.integers(1, kept)),
+        candidate_size=draw(st.integers(1, 12)),
+        sigma=draw(st.sampled_from(sigmas)),
+        seed=draw(st.integers(0, 2**32)),
+        workers=2,
+    )
+    metas = [SampleMeta(id=f"r{i}", ppl=float(p)) for i, p in enumerate(ppls)]
+    return data, metas, cfg
+
+
+_SIGMA_TO_ZERO = (1e-150, 1e-60, 1e-20, 1e-6)  # 2 sigma^2 stays above 0, as _check_sigma requires
+_SIGMA_TO_INFINITY = (1e10, 1e50, 1e150, 1e300)  # finite; 2 sigma^2 may overflow to inf
+
+
+class TestExtremeSigma:
+    """Every candidate's bordered matrix is the same, so every gain ties and every bound ties with the best."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_distinct_rows(_SIGMA_TO_ZERO))
+    def test_sigma_to_zero_ties_to_the_lowest_index(self, tmp_path_factory, corpus):
+        data, metas, cfg = corpus
+        store = EmbeddingStore(data)
+        kernel = build_similarity(store, np.arange(store.count), cfg.sigma).matrix
+        assert np.array_equal(kernel, np.eye(store.count))
+        _assert_all_ties_replay(tmp_path_factory, store, metas, cfg)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_distinct_rows(_SIGMA_TO_INFINITY))
+    def test_sigma_to_infinity_ties_to_the_lowest_index(self, tmp_path_factory, corpus):
+        data, metas, cfg = corpus
+        store = EmbeddingStore(data)
+        kernel = build_similarity(store, np.arange(store.count), cfg.sigma).matrix
+        assert np.array_equal(kernel, np.ones((store.count, store.count)))
+        _assert_all_ties_replay(tmp_path_factory, store, metas, cfg)
