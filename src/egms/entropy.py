@@ -42,6 +42,15 @@ functions"). The argmax, its ``==`` ties and the lowest-row rule run on
 the solved candidates' own entropies, so the result is that of
 :func:`entropy_gains` bit for bit.
 
+A near-identity step skips the bounds. When ``(t + 1)`` times the largest
+candidate kernel entry is below ``_NEAR_IDENTITY``, all entropies and
+bounds lie within a sliver of each other and few if any candidates are
+ruled out (none at the acceptance scale smoke, where kernel entries are
+about 1e-54), so every candidate is solved in one stack, with no ``eigh``
+or GEMM. That is exact whatever the threshold: the guard only chooses
+which candidates are solved, and each one's entropy has the same bits in
+any stack.
+
 The margin covers the gap between the computed S and U and the exact
 ones. Each of the three computations involved (the exact stack, the
 rotation into the arrowhead by ``eigh`` and the GEMM, and the small
@@ -74,6 +83,7 @@ _EIG_CLAMP = 1e-12
 _BOUND_POLES = 4  # g: z components the refined bound keeps
 _FIRST_BATCH = 2  # candidates solved exactly before any is ruled out
 _MARGIN_PER_EIGENVALUE = 1e-9  # bound slack per eigenvalue (module docstring)
+_NEAR_IDENTITY = 1e-3  # (t + 1) * max kernel entry below which no bound is tried
 _CHUNK_ELEMENTS = 2_000_000  # cap on the difference tensor of _sq_dists
 
 
@@ -310,6 +320,46 @@ def _beaten(bound: np.ndarray, margin: float, base_entropy: float, best_gain: fl
     return (bound + margin) - base_entropy < best_gain
 
 
+def _best_bordered(
+    matrix: np.ndarray, kern: np.ndarray, cands: np.ndarray, base_entropy: float
+) -> tuple[int, float]:
+    """Position in ``kern`` of the largest gain over ``matrix``, and its augmented entropy.
+
+    Ties go to the lowest of ``cands`` (any key ordered like the rows).
+    Only the candidates that the near-identity guard and the bounds of the
+    module docstring do not rule out are solved: the ``_FIRST_BATCH`` with
+    the highest 2x2 bound, then every other one whose 2x2 and then g-pole
+    bound reach ``best_gain - margin``.
+    """
+    n = matrix.shape[0] + 1
+    if n * kern.max(initial=0.0) < _NEAR_IDENTITY:
+        entropies = _bordered_entropies(matrix, kern)
+    else:
+        margin = _MARGIN_PER_EIGENVALUE * n
+        try:
+            lam, q = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise InternalInvariantError(f"eigendecomposition failed: {exc}") from exc
+        z = kern @ q
+        total = 0.0 - _xlogx(lam / n).sum()
+
+        entropies = np.full(kern.shape[0], np.nan)
+        bound = _pole_bounds(lam, z, total, 1)
+        order = np.argsort(-bound, kind="stable")
+        first, rest = order[:_FIRST_BATCH], order[_FIRST_BATCH:]
+        entropies[first] = _bordered_entropies(matrix, kern[first])
+        best_gain = (entropies[first] - base_entropy).max()
+        rest = rest[~_beaten(bound[rest], margin, base_entropy, best_gain)]
+        if rest.size and n - 1 > _BOUND_POLES:  # else the g-pole bound is the full solve
+            rest = rest[~_beaten(_pole_bounds(lam, z[rest], total, _BOUND_POLES), margin, base_entropy, best_gain)]
+        if rest.size:
+            entropies[rest] = _bordered_entropies(matrix, kern[rest])
+    gains = entropies - base_entropy
+    tied = np.flatnonzero(gains == np.nanmax(gains))
+    pos = tied[np.argmin(cands[tied])]
+    return int(pos), float(entropies[pos])
+
+
 def best_entropy_gain(
     state: SimilarityState,
     store: EmbeddingStore,
@@ -320,36 +370,11 @@ def best_entropy_gain(
     """The candidate with the largest entropy gain, and its augmented entropy.
 
     Returns the row and entropy that :func:`entropy_gains` followed by the
-    largest gain, ties to the lowest row, would give, bit for bit. Only the
-    candidates that the upper bounds of the module docstring cannot rule
-    out are solved exactly: the ``_FIRST_BATCH`` with the highest 2x2
-    bound, then every other one whose 2x2 and then g-pole bound reach
-    ``best_gain - margin``.
+    largest gain, ties to the lowest row, would give, bit for bit, solving
+    exactly only the candidates its bounds cannot rule out.
     """
     cands, kern = _candidate_kernel(state, store, candidate_rows, sigma)
     if base_entropy is None:
         base_entropy = von_neumann_entropy(state)
-    n = state.size + 1
-    margin = _MARGIN_PER_EIGENVALUE * n
-    try:
-        lam, q = np.linalg.eigh(state.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise InternalInvariantError(f"eigendecomposition failed: {exc}") from exc
-    z = kern @ q
-    total = 0.0 - _xlogx(lam / n).sum()
-
-    entropies = np.full(cands.size, np.nan)
-    bound = _pole_bounds(lam, z, total, 1)
-    order = np.argsort(-bound, kind="stable")
-    first, rest = order[:_FIRST_BATCH], order[_FIRST_BATCH:]
-    entropies[first] = _bordered_entropies(state.matrix, kern[first])
-    best_gain = (entropies[first] - base_entropy).max()
-    rest = rest[~_beaten(bound[rest], margin, base_entropy, best_gain)]
-    if rest.size and state.size > _BOUND_POLES:  # else the g-pole bound is the full solve
-        rest = rest[~_beaten(_pole_bounds(lam, z[rest], total, _BOUND_POLES), margin, base_entropy, best_gain)]
-    if rest.size:
-        entropies[rest] = _bordered_entropies(state.matrix, kern[rest])
-    gains = entropies - base_entropy
-    tied = np.flatnonzero(gains == np.nanmax(gains))
-    pos = tied[np.argmin(cands[tied])]
-    return int(cands[pos]), float(entropies[pos])
+    pos, entropy = _best_bordered(state.matrix, kern, cands, base_entropy)
+    return int(cands[pos]), entropy

@@ -8,7 +8,8 @@ current selection (ties to the lowest row index). Negative gains are
 accepted when they are the argmax; the rule is the maximum gain, not only
 positive gains. The argmax is exact, but candidates that an entropy upper
 bound proves cannot win are never solved exactly (see
-:func:`egms.entropy.best_entropy_gain`).
+:func:`egms.entropy.best_entropy_gain`). Each kernel entry is computed
+once per cluster, in n_c x budget x 8 bytes of kernel columns.
 
 Per-cluster generators are seeded from (global seed, cluster id), so the
 result is byte-identical regardless of how clusters are spread over
@@ -41,7 +42,7 @@ from .datamodel import (
     SelectionManifest,
     check_aligned,
 )
-from .entropy import _kernel_block, _matrix_entropy, augment, best_entropy_gain, build_similarity
+from .entropy import _best_bordered, _kernel_block, _matrix_entropy, build_similarity
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
 
@@ -159,9 +160,14 @@ def greedy_sample_cluster(
     Seeds with two random distinct members (one when budget is 1), then
     fills each remaining slot with the best of up to ``m`` randomly drawn
     unselected candidates: the largest entropy gain, ties to the lowest
-    row, found by :func:`best_entropy_gain`, which solves exactly only the
-    candidates its upper bound cannot rule out. A budget covering the
-    whole cluster returns all members in index order.
+    row, found by :func:`egms.entropy._best_bordered`, which solves exactly
+    only the candidates its upper bound cannot rule out. A budget covering
+    the whole cluster returns all members in index order.
+
+    Each kernel entry is computed once: an accepted sample fills one column
+    of an (n_c, budget) array against all n_c members, a candidate's kernel
+    row is a gather from it, and the state grows in a budget x budget
+    buffer: (n_c + budget) * budget * 8 bytes per live cluster.
     """
     members = np.asarray(members, dtype=np.int64).ravel()
     if members.size == 0:
@@ -175,29 +181,34 @@ def greedy_sample_cluster(
     if budget >= members.size:
         return _traced_result(store, members, sigma)
 
-    seeds = rng.choice(members, size=1 if budget == 1 else 2, replace=False)
-    state = build_similarity(store, seeds, sigma)
-    selected = [int(s) for s in seeds]
-    trace = _entropy_trace(state.matrix).tolist()
+    # positions into the sorted members: the same draws as from the rows,
+    # and the lowest position is the lowest row
+    positions = np.arange(members.size)
+    seeds = rng.choice(positions, size=1 if budget == 1 else 2, replace=False)
+    pts = store.data[members]
+    cols = np.empty((members.size, budget), dtype=np.float64)
+    state = np.empty((budget, budget), dtype=np.float64)
+    cols[:, : seeds.size] = _kernel_block(pts, pts[seeds], sigma)
+    state[: seeds.size, : seeds.size] = cols[seeds, : seeds.size]
+    trace = _entropy_trace(state[: seeds.size, : seeds.size]).tolist()
 
-    mask = np.isin(members, seeds)
-    base_entropy = trace[-1]
-    while len(selected) < budget:
-        unselected = members[~mask]
-        if unselected.size > m:
-            candidates = rng.choice(unselected, size=m, replace=False)
-        else:
-            candidates = unselected
-        chosen, chosen_entropy = best_entropy_gain(state, store, candidates, sigma, base_entropy=base_entropy)
-        state = augment(state, store, chosen, sigma)
-        selected.append(chosen)
-        trace.append(chosen_entropy)
-        base_entropy = chosen_entropy
-        mask[np.searchsorted(members, chosen)] = True
+    picks = seeds.tolist()
+    mask = np.zeros(members.size, dtype=bool)
+    mask[seeds] = True
+    for t in range(seeds.size, budget):
+        unselected = positions[~mask]
+        cands = rng.choice(unselected, size=m, replace=False) if unselected.size > m else unselected
+        kern = cols[cands, :t]
+        pos, entropy = _best_bordered(state[:t, :t], kern, cands, trace[-1])
+        p = int(cands[pos])
+        state[t, :t] = state[:t, t] = kern[pos]
+        state[t, t] = 1.0
+        cols[:, t] = _kernel_block(pts, pts[p][None, :], sigma)[:, 0]
+        mask[p] = True
+        picks.append(p)
+        trace.append(entropy)
 
-    return ClusterSampleResult(
-        selected=np.asarray(selected, dtype=np.int64), entropy_trace=np.asarray(trace, dtype=np.float64)
-    )
+    return ClusterSampleResult(selected=members[picks], entropy_trace=np.asarray(trace, dtype=np.float64))
 
 
 def _entropy_trace(matrix: np.ndarray) -> np.ndarray:

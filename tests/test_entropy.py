@@ -301,17 +301,26 @@ def _bits(x):
 def _greedy_steps(draw):
     """One greedy step: a store, members, candidates in random order, sigma and a base entropy.
 
-    Rows are blobs, exact duplicates, near-duplicates (1e-9 apart) or one
-    constant row, shifted by ±2^k. Base entropies include the state's own,
-    values near it, and large ones that make different entropies give equal
-    gains by rounding.
+    Rows are blobs, exact duplicates, near-duplicates (1e-9 apart), one
+    constant row, or near-identity rows, shifted by ±2^k. Near-identity
+    rows are distinct, with sigma set so that the largest kernel entry is
+    e^-c: tiny sigma for close rows or far-apart rows for a moderate one,
+    on both sides of the guard that solves every candidate at once. Base
+    entropies include the state's own, values near it, and large ones that
+    make different entropies give equal gains by rounding.
     """
-    kind = draw(st.sampled_from(["blobs", "duplicates", "near_duplicates", "constant"]))
+    kind = draw(st.sampled_from(["blobs", "duplicates", "near_duplicates", "constant", "near_identity"]))
     n = draw(st.integers(2, 90))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = draw(st.one_of(st.sampled_from([1e-150, 1e-3, 1e3, 1e150]), st.floats(0.02, 8.0)))
     if kind == "constant":
         data = np.full((n, d), rng.normal())
+    elif kind == "near_identity":
+        data = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-6, 1.0, 1e3]))
+        diff = data[:, None, :] - data[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)[~np.eye(n, dtype=bool)]
+        sigma = float(np.sqrt(d2.min() / (2.0 * draw(st.floats(4.0, 60.0)))))
     else:
         centres = rng.normal(size=(draw(st.integers(1, 5)), d)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
         data = centres[rng.integers(len(centres), size=n)]
@@ -320,7 +329,6 @@ def _greedy_steps(draw):
         elif kind == "near_duplicates":
             data = data + 1e-9 * rng.normal(size=(n, d))
     data = data + draw(st.sampled_from([-1.0, 0.0, 1.0])) * 2.0 ** draw(st.integers(0, 30))
-    sigma = draw(st.one_of(st.sampled_from([1e-150, 1e-3, 1e3, 1e150]), st.floats(0.02, 8.0)))
     t = draw(st.integers(1, min(40, n - 1)))
     m = draw(st.integers(1, n - t))
     perm = rng.permutation(n)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from egms import (
     EmbeddingStore,
     InputError,
+    InternalInvariantError,
     SampleMeta,
     SelectionConfig,
     allocate_budgets,
@@ -25,6 +26,7 @@ from egms import (
     write_sample_manifest,
 )
 from egms.cli import main
+from egms.entropy import best_entropy_gain
 from egms.sampler import _cluster_rng, _exam_select
 
 
@@ -209,6 +211,60 @@ class TestGreedySampleCluster:
             greedy_sample_cluster(store, np.array([], dtype=int), 2, 5, 0.5, rng)
         with pytest.raises(InputError):
             greedy_sample_cluster(store, np.arange(5), 0, 5, 0.5, rng)
+
+
+def _per_step_reference(store, members, budget, m, sigma, rng):
+    """The greedy loop with a fresh state per step: best_entropy_gain against the state, then augment."""
+    members = np.sort(members)
+    seeds = rng.choice(members, size=1 if budget == 1 else 2, replace=False)
+    selected = [int(s) for s in seeds]
+    trace = [von_neumann_entropy(build_similarity(store, seeds[: k + 1], sigma)) for k in range(seeds.size)]
+    state = build_similarity(store, seeds, sigma)
+    mask = np.isin(members, seeds)
+    while len(selected) < budget:
+        unselected = members[~mask]
+        candidates = rng.choice(unselected, size=m, replace=False) if unselected.size > m else unselected
+        chosen, entropy = best_entropy_gain(state, store, candidates, sigma, base_entropy=trace[-1])
+        state = augment(state, store, chosen, sigma)
+        selected.append(chosen)
+        trace.append(entropy)
+        mask[np.searchsorted(members, chosen)] = True
+    return np.asarray(selected, dtype=np.int64), np.asarray(trace, dtype=np.float64)
+
+
+@st.composite
+def _cluster_runs(draw):
+    """A store, a member subset, a budget below its size, a pool size, sigma and a seed.
+
+    Rows are blobs or blobs with exact duplicates, shifted by ±2^k. Budgets
+    include 1, 2 and n_c - 1; pool sizes above the unselected count make
+    the whole remainder the pool.
+    """
+    n = draw(st.integers(2, 50))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.normal(size=(draw(st.integers(1, 4)), d)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    data = centres[rng.integers(len(centres), size=n)]
+    if draw(st.booleans()):
+        data = data + draw(st.sampled_from([0.01, 0.1, 0.5])) * rng.normal(size=(n, d))
+    data = data + draw(st.sampled_from([-1.0, 0.0, 1.0])) * 2.0 ** draw(st.integers(0, 30))
+    members = rng.choice(n, size=draw(st.integers(2, n)), replace=False)
+    budget = draw(st.one_of(st.sampled_from([1, 2, members.size - 1]), st.integers(1, members.size - 1)))
+    budget = min(budget, members.size - 1)
+    sigma = draw(st.one_of(st.sampled_from([1e-150, 1e-3, 1e3, 1e150]), st.floats(0.02, 8.0)))
+    m = draw(st.integers(1, members.size + 5))
+    return EmbeddingStore(data), members, budget, m, sigma, draw(st.integers(0, 2**32 - 1))
+
+
+class TestKernelColumns:
+    @settings(max_examples=80, deadline=None)
+    @given(_cluster_runs())
+    def test_equals_the_per_step_reference_bit_for_bit(self, run):
+        store, members, budget, m, sigma, seed = run
+        res = greedy_sample_cluster(store, members, budget, m, sigma, np.random.default_rng(seed))
+        selected, trace = _per_step_reference(store, members, budget, m, sigma, np.random.default_rng(seed))
+        assert res.selected.tolist() == selected.tolist()
+        assert res.entropy_trace.tobytes() == trace.tobytes()
 
 
 def _manifest_records(manifest):
@@ -631,3 +687,17 @@ class TestExtremeSigma:
         kernel = build_similarity(store, np.arange(store.count), cfg.sigma).matrix
         assert np.array_equal(kernel, np.ones((store.count, store.count)))
         _assert_all_ties_replay(tmp_path_factory, store, metas, cfg)
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInvariantError, reason="k-means inertia rises on far-apart tight blobs")
+def test_far_apart_tight_blobs_select_without_an_internal_error():
+    # 3e7 separation/spread: the expanded-form distances of k-means
+    # assignment cancel, and a Lloyd step reads as raising the inertia
+    rng = np.random.default_rng(0)
+    centres = np.zeros((2, 8))
+    centres[1, 0] = 3e4
+    data = centres[np.repeat([0, 1], 1000)] + 1e-3 * rng.normal(size=(2000, 8))
+    store = EmbeddingStore(data.astype(np.float32).astype(np.float64))
+    metas = [SampleMeta(id=f"b{i}", ppl=float(p)) for i, p in enumerate(rng.uniform(1.0, 50.0, 2000))]
+    manifest, _ = _exam_select(store, metas, SelectionConfig(budget=100, clusters=10, seed=0), None)
+    assert len(manifest.selected) == 100
