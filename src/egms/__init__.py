@@ -29,7 +29,6 @@ from .entropy import (
     augment,
     build_similarity,
     entropy_gain,
-    entropy_gains,
     gaussian_similarity,
     von_neumann_entropy,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "check_aligned",
     "diversity_report",
     "entropy_gain",
-    "entropy_gains",
     "exam_select",
     "filter_extremes",
     "gaussian_similarity",

@@ -190,7 +190,6 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     xn = np.einsum("ij,ij->i", x, x)
 
     history = []
-    labels = np.empty(rows.size, dtype=np.int64)
     prev = np.inf
     for _ in range(MAX_ITER):
         labels, d2 = _assign_chunked(x, centroids, xn)
@@ -201,7 +200,8 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
         prev = inertia
         history.append(inertia)
         new_centroids = _means_by_label(x, labels, L)
-        shift = float(np.sqrt(np.einsum("ij,ij->i", new_centroids - centroids, new_centroids - centroids)).max())
+        delta = new_centroids - centroids
+        shift = float(np.sqrt(np.einsum("ij,ij->i", delta, delta)).max())
         centroids = new_centroids
         if shift < SHIFT_TOL:
             break

@@ -170,7 +170,9 @@ class SelectionManifest:
     ``selected`` / ``selected_clusters`` / ``selected_steps`` are parallel
     sequences; ``pipeline_entropy_trace`` (when present) aligns with them
     and holds the set entropy after each accepted sample. Serialization is
-    byte-identical for identical inputs and seed.
+    byte-identical for identical inputs and seed at a fixed BLAS thread
+    count; once a cluster's selection reaches about 150 samples, the
+    eigensolvers' rounding can depend on that count.
     """
 
     config: SelectionConfig
@@ -243,7 +245,7 @@ def load_embedding_store(path) -> EmbeddingStore:
         row = flat // dim
         offset = _HEADER.size + flat * 4
         raise InputError(f"non-finite value in row {row} (byte offset {offset})")
-    return EmbeddingStore(values.astype(np.float64))
+    return EmbeddingStore(values)  # the constructor widens to float64 in one copy
 
 
 # ---------------------------------------------------------------------------

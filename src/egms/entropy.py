@@ -13,7 +13,7 @@ eigensolve of its own bordered matrix ``[[A, k], [k^T, 1]] / (t + 1)``
 (A the t x t state, k the candidate's kernel row), the same arithmetic
 whichever other candidates share the stack.
 
-:func:`best_entropy_gain` finds the greedy argmax without solving every
+:func:`_best_bordered` finds the greedy argmax without solving every
 candidate. With ``A = Q diag(lam) Q^T`` (one ``eigh`` per step) and
 ``z = Q^T k`` (one GEMM for all candidates), each bordered matrix is
 orthogonally similar to the arrowhead ``H(z) = [[diag(lam), z], [z^T, 1]]``
@@ -39,8 +39,8 @@ then ruled out when ``(U + margin) - base < best_gain``, and only the
 rest are solved (upper-bound pruning, as in the lazy greedy of Minoux
 1978, "Accelerated greedy algorithms for maximizing submodular set
 functions"). The argmax, its ``==`` ties and the lowest-row rule run on
-the solved candidates' own entropies, so the result is that of
-:func:`entropy_gains` bit for bit.
+the solved candidates' own entropies, so the result is that of solving
+every candidate, bit for bit.
 
 A near-identity step skips the bounds. When ``(t + 1)`` times the largest
 candidate kernel entry is below ``_NEAR_IDENTITY``, all entropies and
@@ -161,18 +161,14 @@ def gaussian_similarity(u, v, sigma: float) -> float:
     return float(_kernel_block(ua, va, sigma)[0, 0])
 
 
-def _check_rows(store: EmbeddingStore, rows: np.ndarray) -> None:
-    if rows.size == 0:
-        raise InputError("rows must be nonempty")
-    if rows.min() < 0 or rows.max() >= store.count:
-        raise InputError(f"row index out of range [0, {store.count})")
-
-
 def build_similarity(store: EmbeddingStore, rows, sigma: float) -> SimilarityState:
     """Full pairwise kernel matrix over the given store rows."""
     _check_sigma(sigma)
     rows = np.asarray(rows, dtype=np.int64).ravel()
-    _check_rows(store, rows)
+    if rows.size == 0:
+        raise InputError("rows must be nonempty")
+    if rows.min() < 0 or rows.max() >= store.count:
+        raise InputError(f"row index out of range [0, {store.count})")
     if len(np.unique(rows)) != rows.size:
         raise InputError("rows must be distinct")
     pts = store.data[rows]
@@ -182,7 +178,7 @@ def build_similarity(store: EmbeddingStore, rows, sigma: float) -> SimilaritySta
 def _xlogx(lam: np.ndarray) -> np.ndarray:
     """``lam * ln(lam)`` per density eigenvalue, after the 1e-12 clamp (0 * ln 0 = 0)."""
     lam = np.where(lam < _EIG_CLAMP, 0.0, np.minimum(lam, 1.0))
-    return np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+    return lam * np.log(np.where(lam > 0.0, lam, 1.0))  # a zero gives 0 * ln 1 = +0.0
 
 
 def _density_entropies(rho: np.ndarray) -> np.ndarray:
@@ -233,17 +229,6 @@ def entropy_gain(state: SimilarityState, store: EmbeddingStore, candidate_row: i
     return von_neumann_entropy(augment(state, store, candidate_row, sigma)) - von_neumann_entropy(state)
 
 
-def _candidate_kernel(
-    state: SimilarityState, store: EmbeddingStore, candidate_rows, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validated candidate rows and their (m, t) kernel rows against the members."""
-    cands = np.asarray(candidate_rows, dtype=np.int64).ravel()
-    _check_rows(store, cands)
-    if np.isin(cands, state.member_rows).any():
-        raise InputError("candidate rows must not already be members")
-    return cands, _kernel_block(store.data[cands], store.data[state.member_rows], sigma)
-
-
 def _bordered_entropies(matrix: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Entropy of ``[[matrix, k], [k^T, 1]] / (t + 1)`` for each kernel row ``k``.
 
@@ -258,25 +243,6 @@ def _bordered_entropies(matrix: np.ndarray, kern: np.ndarray) -> np.ndarray:
     stack[:, t, t] = 1.0
     stack /= float(t + 1)
     return _density_entropies(stack)
-
-
-def entropy_gains(
-    state: SimilarityState,
-    store: EmbeddingStore,
-    candidate_rows: np.ndarray,
-    sigma: float,
-    base_entropy: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`entropy_gain` over a candidate set.
-
-    Returns ``(gains, augmented_entropies)``; the stacked eigensolve keeps
-    per-candidate arithmetic identical to the single-candidate path.
-    """
-    _, kern = _candidate_kernel(state, store, candidate_rows, sigma)
-    if base_entropy is None:
-        base_entropy = von_neumann_entropy(state)
-    entropies = _bordered_entropies(state.matrix, kern)
-    return entropies - base_entropy, entropies
 
 
 def _pole_bounds(lam: np.ndarray, z: np.ndarray, total: float, g: int) -> np.ndarray:
@@ -358,23 +324,3 @@ def _best_bordered(
     tied = np.flatnonzero(gains == np.nanmax(gains))
     pos = tied[np.argmin(cands[tied])]
     return int(pos), float(entropies[pos])
-
-
-def best_entropy_gain(
-    state: SimilarityState,
-    store: EmbeddingStore,
-    candidate_rows: np.ndarray,
-    sigma: float,
-    base_entropy: float | None = None,
-) -> tuple[int, float]:
-    """The candidate with the largest entropy gain, and its augmented entropy.
-
-    Returns the row and entropy that :func:`entropy_gains` followed by the
-    largest gain, ties to the lowest row, would give, bit for bit, solving
-    exactly only the candidates its bounds cannot rule out.
-    """
-    cands, kern = _candidate_kernel(state, store, candidate_rows, sigma)
-    if base_entropy is None:
-        base_entropy = von_neumann_entropy(state)
-    pos, entropy = _best_bordered(state.matrix, kern, cands, base_entropy)
-    return int(cands[pos]), entropy

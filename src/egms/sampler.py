@@ -8,7 +8,7 @@ current selection (ties to the lowest row index). Negative gains are
 accepted when they are the argmax; the rule is the maximum gain, not only
 positive gains. The argmax is exact, but candidates that an entropy upper
 bound proves cannot win are never solved exactly (see
-:func:`egms.entropy.best_entropy_gain`). Each kernel entry is computed
+:func:`egms.entropy._best_bordered`). Each kernel entry is computed
 once per cluster, in n_c x budget x 8 bytes of kernel columns.
 
 Per-cluster generators are seeded from (global seed, cluster id), so the
@@ -398,18 +398,13 @@ def _global_manifest(
 
 
 def _select_random(store: EmbeddingStore, metas, config: SelectionConfig) -> SelectionManifest:
-    n = store.count
-    if config.budget > n:
-        raise InputError(f"budget {config.budget} exceeds dataset size {n}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, _GLOBAL_STREAM]))
-    rows = rng.choice(n, size=config.budget, replace=False)
+    rows = rng.choice(store.count, size=config.budget, replace=False)
     return _global_manifest(config, "random", metas, rows)
 
 
 def _select_mid_score(store: EmbeddingStore, metas, config: SelectionConfig) -> SelectionManifest:
     n = store.count
-    if config.budget > n:
-        raise InputError(f"budget {config.budget} exceeds dataset size {n}")
     scores = _score_vector(metas)
     ranks_of_rows = np.lexsort((np.arange(n), scores))  # row index per ascending rank
     median_rank = (n - 1) / 2.0
@@ -420,8 +415,6 @@ def _select_mid_score(store: EmbeddingStore, metas, config: SelectionConfig) -> 
 
 def _select_ccs(store: EmbeddingStore, metas, config: SelectionConfig, bins: int) -> SelectionManifest:
     n = store.count
-    if config.budget > n:
-        raise InputError(f"budget {config.budget} exceeds dataset size {n}")
     if bins < 1:
         raise InputError("ccs bin count must be >= 1")
     scores = _score_vector(metas)
@@ -544,6 +537,8 @@ def baseline_select(
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     check_aligned(store, metas)
+    if strategy in ("random", "mid_score", "ccs") and config.budget > store.count:
+        raise InputError(f"budget {config.budget} exceeds dataset size {store.count}")
     if strategy == "random":
         return _select_random(store, metas, config)
     if strategy == "mid_score":

@@ -15,20 +15,20 @@ from egms import (
     augment,
     build_similarity,
     entropy_gain,
-    entropy_gains,
     gaussian_similarity,
     gen_synthetic,
     von_neumann_entropy,
 )
 from egms.entropy import (
     _BOUND_POLES,
+    _EIG_CLAMP,
     _MARGIN_PER_EIGENVALUE,
+    _best_bordered,
     _bordered_entropies,
-    _candidate_kernel,
     _density_entropies,
+    _kernel_block,
     _pole_bounds,
     _xlogx,
-    best_entropy_gain,
 )
 
 
@@ -268,26 +268,21 @@ class TestEntropyGain:
             scratch = von_neumann_entropy(build_similarity(store, np.append(rows, cand), 0.5))
             assert abs(gain - (scratch - von_neumann_entropy(st))) <= 1e-9
 
-    def test_batch_matches_singular(self, store):
-        rng = np.random.default_rng(47)
-        rows = rng.choice(store.count, size=8, replace=False)
-        st = build_similarity(store, rows, 0.5)
-        cands = np.setdiff1d(rng.choice(store.count, size=40, replace=False), rows)
-        gains, entropies = entropy_gains(st, store, cands, 0.5)
-        base = von_neumann_entropy(st)
-        for i, c in enumerate(cands):
-            assert gains[i] == pytest.approx(entropy_gain(st, store, int(c), 0.5), abs=1e-12)
-            assert entropies[i] == pytest.approx(base + gains[i], abs=1e-9)
 
-    def test_batch_rejects_member_candidates(self, store):
-        st = build_similarity(store, [0, 1], 0.5)
-        with pytest.raises(InputError):
-            entropy_gains(st, store, np.array([1, 5]), 0.5)
+def _kern(state, store, cands, sigma):
+    """(m, t) kernel rows of the candidates against the members."""
+    return _kernel_block(store.data[cands], store.data[state.member_rows], sigma)
+
+
+def _augmented_entropies(state, store, cands, sigma):
+    """Each candidate's entropy from its own augmented state, one eigensolve per candidate."""
+    return np.array([von_neumann_entropy(augment(state, store, int(c), sigma)) for c in cands])
 
 
 def _full_argmax(state, store, cands, sigma, base_entropy):
     """Reference greedy step: every candidate solved, largest gain, ties to the lowest row."""
-    gains, entropies = entropy_gains(state, store, cands, sigma, base_entropy=base_entropy)
+    entropies = _augmented_entropies(state, store, cands, sigma)
+    gains = entropies - base_entropy
     tied = np.flatnonzero(gains == gains.max())
     pos = tied[np.argmin(cands[tied])]
     return int(cands[pos]), float(entropies[pos])
@@ -295,6 +290,12 @@ def _full_argmax(state, store, cands, sigma, base_entropy):
 
 def _bits(x):
     return np.float64(x).tobytes()
+
+
+def _best_row(state, store, cands, sigma, base_entropy):
+    """``_best_bordered`` mapped back from a position in ``cands`` to a store row."""
+    pos, entropy = _best_bordered(state.matrix, _kern(state, store, cands, sigma), cands, base_entropy)
+    return int(cands[pos]), entropy
 
 
 @st.composite
@@ -351,7 +352,7 @@ class TestBestEntropyGain:
     @given(_greedy_steps())
     def test_equals_the_full_argmax_bit_for_bit(self, step):
         state, store, cands, sigma, base = step
-        row, entropy = best_entropy_gain(state, store, cands, sigma, base_entropy=base)
+        row, entropy = _best_row(state, store, cands, sigma, base)
         want_row, want_entropy = _full_argmax(state, store, cands, sigma, base)
         assert row == want_row
         assert _bits(entropy) == _bits(want_entropy)
@@ -366,10 +367,11 @@ class TestBestEntropyGain:
             state = build_similarity(store, rows, 0.5)
             cands = rng.permutation(np.setdiff1d(np.arange(store.count), rows))[:100]
             base = von_neumann_entropy(state) + 2.0**30
-            gains, entropies = entropy_gains(state, store, cands, 0.5, base_entropy=base)
+            entropies = _augmented_entropies(state, store, cands, 0.5)
+            gains = entropies - base
             tied = gains == gains.max()
             seen_rounding_tie |= np.unique(entropies[tied]).size > 1
-            row, entropy = best_entropy_gain(state, store, cands, 0.5, base_entropy=base)
+            row, entropy = _best_row(state, store, cands, 0.5, base)
             want_row, want_entropy = _full_argmax(state, store, cands, 0.5, base)
             assert row == want_row
             assert _bits(entropy) == _bits(want_entropy)
@@ -380,7 +382,7 @@ class TestBestEntropyGain:
     def test_bounds_are_sound(self, step):
         state, store, cands, sigma, _ = step
         n = state.size + 1
-        _, kern = _candidate_kernel(state, store, cands, sigma)
+        kern = _kern(state, store, cands, sigma)
         exact = _bordered_entropies(state.matrix, kern)
         lam, q = np.linalg.eigh(state.matrix)
         z = kern @ q
@@ -389,27 +391,15 @@ class TestBestEntropyGain:
         for g in range(1, min(_BOUND_POLES, state.size) + 1):
             assert (_pole_bounds(lam, z, total, g) >= exact - margin).all()
 
-    def test_default_base_is_the_state_entropy(self, store):
-        state = build_similarity(store, [4, 9, 60], 0.5)
-        cands = np.arange(100, 140)
-        assert best_entropy_gain(state, store, cands, 0.5) == best_entropy_gain(
-            state, store, cands, 0.5, base_entropy=von_neumann_entropy(state)
-        )
-
-    def test_bad_candidates(self, store):
-        state = build_similarity(store, [0, 1], 0.5)
-        with pytest.raises(InputError):
-            best_entropy_gain(state, store, np.array([1, 5]), 0.5)
-        with pytest.raises(InputError):
-            best_entropy_gain(state, store, np.array([store.count]), 0.5)
-
     def test_corrupted_state_is_an_internal_error(self, store):
         state = build_similarity(store, [0, 1, 2], 0.5)
         bad = state.matrix.copy()
         bad[0, 1] = bad[1, 0] = np.nan
-        object.__setattr__(state, "matrix", bad)
-        with pytest.raises(InternalInvariantError):
-            best_entropy_gain(state, store, np.arange(10, 20), 0.5)
+        cands = np.arange(10, 20)
+        kern = _kern(state, store, cands, 0.5)
+        for k in (kern, np.zeros_like(kern)):  # bounded step, then near-identity step
+            with pytest.raises(InternalInvariantError):
+                _best_bordered(bad, k, cands, von_neumann_entropy(state))
 
 
 def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
@@ -420,7 +410,7 @@ def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
         rows = rng.choice(store.count, size=t, replace=False)
         sigma = float(rng.uniform(0.1, 3.0))
         state = build_similarity(store, rows, sigma)
-        _, kern = _candidate_kernel(state, store, np.setdiff1d(np.arange(store.count), rows)[:100], sigma)
+        kern = _kern(state, store, np.setdiff1d(np.arange(store.count), rows)[:100], sigma)
         stack = np.empty((kern.shape[0], t + 1, t + 1))
         stack[:, :t, :t] = state.matrix
         stack[:, t, :t] = kern
@@ -432,3 +422,22 @@ def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
             idx = rng.choice(kern.shape[0], size=min(size, kern.shape[0]), replace=False)
             assert _density_entropies(stack[idx]).tobytes() == whole[idx].tobytes()
         assert _bordered_entropies(state.matrix, kern).tobytes() == whole.tobytes()
+
+
+def test_xlogx_keeps_the_bits_of_the_guarded_form():
+    """Dropping the outer ``where``: after the clamp a zero gives 0 * ln 1 = +0.0."""
+
+    def guarded(lam):
+        lam = np.where(lam < _EIG_CLAMP, 0.0, np.minimum(lam, 1.0))
+        return np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
+
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array(
+        [0.0, -0.0, _EIG_CLAMP, np.nextafter(_EIG_CLAMP, 0.0), np.nextafter(_EIG_CLAMP, 1.0),
+         1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), tiny, -tiny, 1e-310, -1e-310, -1e-9]
+    )
+    rng = np.random.default_rng(61)
+    lam = np.concatenate(
+        [edges, rng.uniform(-1e-9, 1.5, 5 * 10**5), 10.0 ** rng.uniform(-320.0, 0.5, 5 * 10**5)]
+    )
+    assert _xlogx(lam).tobytes() == guarded(lam).tobytes()

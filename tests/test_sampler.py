@@ -26,7 +26,7 @@ from egms import (
     write_sample_manifest,
 )
 from egms.cli import main
-from egms.entropy import best_entropy_gain
+from egms.entropy import _best_bordered, _kernel_block
 from egms.sampler import _cluster_rng, _exam_select
 
 
@@ -214,7 +214,7 @@ class TestGreedySampleCluster:
 
 
 def _per_step_reference(store, members, budget, m, sigma, rng):
-    """The greedy loop with a fresh state per step: best_entropy_gain against the state, then augment."""
+    """The greedy loop with a fresh state per step: kernel rows recomputed against the state, then augment."""
     members = np.sort(members)
     seeds = rng.choice(members, size=1 if budget == 1 else 2, replace=False)
     selected = [int(s) for s in seeds]
@@ -224,7 +224,9 @@ def _per_step_reference(store, members, budget, m, sigma, rng):
     while len(selected) < budget:
         unselected = members[~mask]
         candidates = rng.choice(unselected, size=m, replace=False) if unselected.size > m else unselected
-        chosen, entropy = best_entropy_gain(state, store, candidates, sigma, base_entropy=trace[-1])
+        kern = _kernel_block(store.data[candidates], store.data[state.member_rows], sigma)
+        pos, entropy = _best_bordered(state.matrix, kern, candidates, trace[-1])
+        chosen = int(candidates[pos])
         state = augment(state, store, chosen, sigma)
         selected.append(chosen)
         trace.append(entropy)
@@ -372,6 +374,13 @@ class TestBaselineSelect:
         cfg = SelectionConfig(budget=600, clusters=5, seed=0)
         manifest = baseline_select(store, metas, "random", cfg)
         assert sorted(manifest.selected) == sorted(m.id for m in metas)
+
+    def test_budget_over_dataset_size_rejected(self, pipeline_data):
+        store, metas = pipeline_data
+        cfg = SelectionConfig(budget=601, clusters=5, seed=0)
+        for strategy in ("random", "mid_score", "ccs"):  # ahead of the ccs bin check
+            with pytest.raises(InputError, match="budget 601 exceeds dataset size 600"):
+                baseline_select(store, metas, strategy, cfg, bins=0)
 
     def test_mid_score_picks_rank_median(self):
         store = EmbeddingStore(np.random.default_rng(0).normal(size=(100, 3)))
