@@ -23,7 +23,7 @@ from .datamodel import (
 )
 from .errors import InputError, InternalInvariantError
 from .metrics import avg_rel, diversity_report, load_benchmark_scores
-from .sampler import STRATEGIES, _exam_select, baseline_select, stderr_progress
+from .sampler import STRATEGIES, _select, stderr_progress
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,12 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_sel)
     p_sel.add_argument("--out", required=True, help="selection manifest output path")
     p_sel.add_argument("--dump-centroids", default=None, help="optional centroid dump (embedding format)")
+    p_sel.set_defaults(strategy="exam", bins=50)
 
     p_base = sub.add_parser("baseline", help="run a baseline selection strategy")
     p_base.add_argument("--strategy", required=True, choices=STRATEGIES)
     _add_config_args(p_base)
     p_base.add_argument("--bins", type=int, default=50, help="score bins for ccs")
     p_base.add_argument("--out", required=True)
+    p_base.set_defaults(dump_centroids=None)
 
     p_diag = sub.add_parser("diagnose", help="entropy diagnostics vs the random reference")
     p_diag.add_argument("--strategy", required=True, choices=("exam",) + STRATEGIES)
@@ -111,24 +113,16 @@ def _load_inputs(args):
 
 
 def _cmd_select(args) -> int:
+    """``select`` and ``baseline``: run a strategy and write its manifest."""
     store, metas = _load_inputs(args)
     config = _config_from(args)
     progress = None if args.quiet else stderr_progress
-    manifest, assignment = _exam_select(store, metas, config, progress)
+    manifest, assignment = _select(store, metas, args.strategy, config, args.bins, progress)
     write_selection_manifest(args.out, manifest)
     if args.dump_centroids:
         write_embedding_store(args.dump_centroids, centroids_to_store(assignment))
-    print(f"selected {len(manifest.selected)} of {store.count} -> {args.out}")
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    store, metas = _load_inputs(args)
-    config = _config_from(args)
-    progress = None if args.quiet else stderr_progress
-    manifest = baseline_select(store, metas, args.strategy, config, bins=args.bins, progress=progress)
-    write_selection_manifest(args.out, manifest)
-    print(f"selected {len(manifest.selected)} of {store.count} ({args.strategy}) -> {args.out}")
+    named = f" ({args.strategy})" if args.command == "baseline" else ""
+    print(f"selected {len(manifest.selected)} of {store.count}{named} -> {args.out}")
     return 0
 
 
@@ -166,7 +160,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "select": _cmd_select,
-        "baseline": _cmd_baseline,
+        "baseline": _cmd_select,
         "diagnose": _cmd_diagnose,
         "metrics": _cmd_metrics,
         "gen-synthetic": _cmd_gen,

@@ -9,7 +9,8 @@ File formats owned by this module:
   ``ppl`` (optional positive real), ``score`` (optional real).
 * Selection manifest: line-structured text with a header block (config
   echo, seed, filtered-out ids, per-cluster summary) followed by one
-  record per selected sample: ``id cluster step entropy``.
+  record per selected sample, ``id cluster step entropy``, grouped by
+  cluster in summary order; the records must agree with the summary.
 
 Values are stored as float32 on disk and widened to float64 in memory;
 all downstream kernel and eigenvalue math runs in float64.
@@ -21,6 +22,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -155,47 +157,69 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class ClusterRecord:
-    """Per-cluster provenance inside a SelectionManifest."""
+    """One cluster's selection in acceptance order: the only stored copy of it.
+
+    ``entropy_trace[t]``, when the strategy records entropy, is the set
+    entropy of ``selected_ids[: t + 1]``; it is None otherwise and for a
+    cluster that selected nothing. ``final_entropy`` is its last entry.
+    """
 
     cluster_id: int
     budget: int
     selected_ids: tuple[str, ...]
-    final_entropy: float | None
+    entropy_trace: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.entropy_trace is not None and len(self.entropy_trace) != len(self.selected_ids):
+            raise InputError(f"cluster {self.cluster_id}: entropy trace must align with selected ids")
+
+    @property
+    def final_entropy(self) -> float | None:
+        return self.entropy_trace[-1] if self.entropy_trace else None
 
 
 @dataclass(frozen=True)
 class SelectionManifest:
-    """Ordered selection with full provenance.
+    """Ordered selection with full provenance, stored as per-cluster records.
 
-    ``selected`` / ``selected_clusters`` / ``selected_steps`` are parallel
-    sequences; ``pipeline_entropy_trace`` (when present) aligns with them
-    and holds the set entropy after each accepted sample. Serialization is
-    byte-identical for identical inputs and seed at a fixed BLAS thread
-    count; once a cluster's selection reaches about 150 samples, the
-    eigensolvers' rounding can depend on that count.
+    The flat views ``selected`` / ``selected_clusters`` / ``selected_steps``
+    / ``pipeline_entropy_trace`` read the records in ``per_cluster`` order;
+    steps restart at 0 in each cluster, and the trace is None when no
+    record holds one. Serialization is byte-identical for identical inputs
+    and seed at a fixed BLAS thread count; once a cluster's selection
+    reaches about 150 samples, the eigensolvers' rounding can depend on
+    that count.
     """
 
     config: SelectionConfig
     strategy: str
-    selected: tuple[str, ...]
-    selected_clusters: tuple[int, ...]
-    selected_steps: tuple[int, ...]
     per_cluster: tuple[ClusterRecord, ...]
     filtered_out: tuple[str, ...]
-    pipeline_entropy_trace: tuple[float, ...] | None = None
     bins: int | None = None
 
     def __post_init__(self):
-        n = len(self.selected)
-        if len(set(self.selected)) != n:
+        if len(set(self.selected)) != len(self.selected):
             raise InputError("selected ids are not unique")
-        if len(self.selected_clusters) != n or len(self.selected_steps) != n:
-            raise InputError("selected id/cluster/step sequences must align")
-        if self.pipeline_entropy_trace is not None and len(self.pipeline_entropy_trace) != n:
-            raise InputError("pipeline_entropy_trace must align with selected")
-        spent = sum(len(rec.selected_ids) for rec in self.per_cluster)
-        if spent != n:
-            raise InputError(f"per-cluster selections sum to {spent}, expected {n}")
+        if len({rec.entropy_trace is None for rec in self.per_cluster if rec.selected_ids}) > 1:
+            raise InputError("entropy traces must be recorded for every cluster or for none")
+
+    @cached_property
+    def selected(self) -> tuple[str, ...]:
+        return tuple(sid for rec in self.per_cluster for sid in rec.selected_ids)
+
+    @cached_property
+    def selected_clusters(self) -> tuple[int, ...]:
+        return tuple(rec.cluster_id for rec in self.per_cluster for _ in rec.selected_ids)
+
+    @cached_property
+    def selected_steps(self) -> tuple[int, ...]:
+        return tuple(step for rec in self.per_cluster for step in range(len(rec.selected_ids)))
+
+    @cached_property
+    def pipeline_entropy_trace(self) -> tuple[float, ...] | None:
+        if all(rec.entropy_trace is None for rec in self.per_cluster):
+            return None
+        return tuple(e for rec in self.per_cluster for e in rec.entropy_trace or ())
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +391,10 @@ def serialize_selection_manifest(manifest: SelectionManifest) -> str:
             )
         )
     lines.append(f"records {len(manifest.selected)}")
-    trace = manifest.pipeline_entropy_trace
-    for i, sid in enumerate(manifest.selected):
-        ent = _fmt_float(trace[i]) if trace is not None else "-"
-        lines.append(f"{sid} {manifest.selected_clusters[i]} {manifest.selected_steps[i]} {ent}")
+    for rec in manifest.per_cluster:
+        trace = rec.entropy_trace or (None,) * len(rec.selected_ids)
+        for step, (sid, entropy) in enumerate(zip(rec.selected_ids, trace)):
+            lines.append(f"{sid} {rec.cluster_id} {step} {_fmt_float(entropy)}")
     return "\n".join(lines) + "\n"
 
 
@@ -383,92 +407,116 @@ def _parse_float(tok: str) -> float | None:
     return None if tok == "-" else float(tok)
 
 
+# header keys, each with the parser of its value
+_HEADER_FIELDS = {
+    "strategy": str, "budget": int, "clusters": int, "candidates": int, "sigma": float,
+    "tail_low": float, "tail_high": float, "seed": int, "normalize": int, "bins": int,
+}
+
+
 def parse_selection_manifest(text: str) -> SelectionManifest:
-    """Inverse of :func:`serialize_selection_manifest`."""
+    """Inverse of :func:`serialize_selection_manifest`.
+
+    The cluster lines define the records; the records section must repeat
+    them id for id and step for step, and end each cluster on its final
+    entropy. A malformed or disagreeing line is an InputError naming it.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != _MANIFEST_HEAD:
         raise InputError("not a selection manifest: bad header line")
-    pos = 1
-    fields: dict[str, str] = {}
-    simple = {
-        "strategy", "budget", "clusters", "candidates", "sigma",
-        "tail_low", "tail_high", "seed", "normalize", "bins",
-    }
-    while pos < len(lines):
-        key = lines[pos].split(" ", 1)[0]
-        if key not in simple:
-            break
-        fields[key] = lines[pos].split(" ", 1)[1]
-        pos += 1
-    try:
-        config = SelectionConfig(
-            budget=int(fields["budget"]),
-            clusters=int(fields["clusters"]),
-            candidate_size=int(fields["candidates"]),
-            sigma=float(fields["sigma"]),
-            tail_low=float(fields["tail_low"]),
-            tail_high=float(fields["tail_high"]),
-            seed=int(fields["seed"]),
-            normalize=bool(int(fields["normalize"])),
-        )
-    except KeyError as exc:
-        raise InputError(f"selection manifest missing header field {exc}") from exc
+    pos = 0  # index of the line being parsed
 
-    def expect(tag: str) -> list[str]:
+    def malformed(why) -> InputError:
+        return InputError(f"selection manifest line {pos + 1}: {why}")
+
+    def take(tag: str) -> list[str]:
         nonlocal pos
+        pos += 1
         if pos >= len(lines) or not lines[pos].startswith(tag + " "):
-            raise InputError(f"selection manifest missing {tag} section at line {pos + 1}")
-        toks = lines[pos].split(" ")
-        pos += 1
-        return toks
+            raise malformed(f"expected the {tag} section")
+        return lines[pos].split(" ")
 
-    toks = expect("filtered_out")
-    filtered_out = tuple(toks[2 : 2 + int(toks[1])])
-    n_clusters = int(expect("per_cluster")[1])
-    per_cluster = []
-    for _ in range(n_clusters):
-        toks = expect("cluster")
-        per_cluster.append(
-            ClusterRecord(
-                cluster_id=int(toks[1]),
-                budget=int(toks[3]),
-                final_entropy=_parse_float(toks[5]),
-                selected_ids=tuple(toks[7:]),
+    fields: dict = {}
+    try:
+        while pos + 1 < len(lines) and lines[pos + 1].split(" ", 1)[0] in _HEADER_FIELDS:
+            pos += 1
+            key, value = lines[pos].split(" ", 1)
+            fields[key] = _HEADER_FIELDS[key](value)
+        try:
+            strategy = fields["strategy"]
+            config = SelectionConfig(
+                budget=fields["budget"],
+                clusters=fields["clusters"],
+                candidate_size=fields["candidates"],
+                sigma=fields["sigma"],
+                tail_low=fields["tail_low"],
+                tail_high=fields["tail_high"],
+                seed=fields["seed"],
+                normalize=bool(fields["normalize"]),
             )
-        )
-    n_records = int(expect("records")[1])
-    selected, clusters_col, steps_col, trace = [], [], [], []
-    any_entropy = False
-    for i in range(n_records):
-        if pos >= len(lines):
-            raise InputError(f"selection manifest truncated at record {i}")
-        sid, cl, step, ent = lines[pos].split(" ")
-        pos += 1
-        selected.append(sid)
-        clusters_col.append(int(cl))
-        steps_col.append(int(step))
-        val = _parse_float(ent)
-        trace.append(val)
-        any_entropy = any_entropy or val is not None
+        except KeyError as exc:
+            raise InputError(f"selection manifest missing header field {exc}") from exc
+
+        toks = take("filtered_out")
+        filtered_out = tuple(toks[2:])
+        if len(filtered_out) != int(toks[1]):
+            raise malformed(f"{len(filtered_out)} ids, expected {toks[1]}")
+        clusters = []
+        for _ in range(int(take("per_cluster")[1])):
+            toks = take("cluster")
+            if toks[2:7:2] != ["budget", "entropy", "ids"]:
+                raise malformed("expected 'cluster ID budget N entropy E ids ...'")
+            clusters.append((int(toks[1]), int(toks[3]), _parse_float(toks[5]), tuple(toks[7:])))
+        n_records = int(take("records")[1])
+        n_ids = sum(len(ids) for *_, ids in clusters)
+        if n_records != n_ids:
+            raise malformed(f"{n_records} records, but the cluster lines hold {n_ids} ids")
+        per_cluster = []
+        for cid, budget, final, ids in clusters:
+            trace = []
+            for step, sid in enumerate(ids):
+                pos += 1
+                if pos >= len(lines):
+                    raise malformed("missing; the records section is truncated")
+                rid, rcl, rstep, ent = lines[pos].split(" ")
+                if (rid, int(rcl), int(rstep)) != (sid, cid, step):
+                    raise malformed(f"the cluster lines give '{sid} {cid} {step}' here")
+                trace.append(_parse_float(ent))
+            if len({e is None for e in trace}) > 1:
+                raise malformed(f"cluster {cid} mixes '-' and numeric record entropies")
+            rec = ClusterRecord(cid, budget, ids, None if not trace or None in trace else tuple(trace))
+            if rec.final_entropy != final:
+                raise malformed(f"cluster {cid} ends on entropy {_fmt_float(rec.final_entropy)}, "
+                                f"but its cluster line says {_fmt_float(final)}")
+            per_cluster.append(rec)
+        if pos + 1 < len(lines):
+            pos += 1
+            raise malformed("unexpected line after the records")
+    except InputError:
+        raise
+    except (ValueError, IndexError) as exc:
+        raise malformed(f"{lines[pos]!r}: {exc}") from exc
     return SelectionManifest(
         config=config,
-        strategy=fields["strategy"],
-        selected=tuple(selected),
-        selected_clusters=tuple(clusters_col),
-        selected_steps=tuple(steps_col),
+        strategy=strategy,
         per_cluster=tuple(per_cluster),
         filtered_out=filtered_out,
-        pipeline_entropy_trace=tuple(trace) if any_entropy else None,
-        bins=int(fields["bins"]) if "bins" in fields else None,
+        bins=fields.get("bins"),
     )
 
 
 def load_selection_manifest(path) -> SelectionManifest:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_selection_manifest(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read selection manifest {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"selection manifest {path} line {line} is not UTF-8: {exc.reason}") from exc
+    return parse_selection_manifest(text)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig
 from .entropy import _matrix_entropy, build_similarity, von_neumann_entropy
 from .errors import InputError
-from .sampler import baseline_select, exam_select
+from .sampler import _select
 
 _ORACLE_LIMIT = 20
 
@@ -103,10 +103,7 @@ def _subset_entropy(store: EmbeddingStore, metas: list[SampleMeta], manifest, si
 
 
 def _run_strategy(store, metas, strategy: str, config: SelectionConfig) -> float:
-    if strategy == "exam":
-        manifest = exam_select(store, metas, config)
-    else:
-        manifest = baseline_select(store, metas, strategy, config)
+    manifest, _ = _select(store, metas, strategy, config)
     used = store.l2_normalized() if config.normalize else store
     return _subset_entropy(used, metas, manifest, config.sigma)
 

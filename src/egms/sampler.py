@@ -21,7 +21,8 @@ the only place that reports progress, replaying each finished cluster's
 entropy trace from the calling thread, so the progress stream is the same
 for every worker count.
 
-Baseline strategies for comparison live in :func:`baseline_select`.
+Every strategy, the pipeline's ``exam`` and the comparison baselines of
+:data:`STRATEGIES`, runs through one dispatch, :func:`_select`.
 """
 
 from __future__ import annotations
@@ -147,6 +148,19 @@ def allocate_budgets(cluster_sizes, B: int) -> BudgetPlan:
     )
 
 
+def _cluster_members(members, budget: int) -> np.ndarray:
+    """The sorted member rows, after the checks both cluster samplers share."""
+    members = np.asarray(members, dtype=np.int64).ravel()
+    if members.size == 0:
+        raise InputError("cluster members list is empty")
+    rows = np.unique(members)
+    if rows.size != members.size:
+        raise InputError("cluster members must be distinct")
+    if budget < 1:
+        raise InputError("cluster budget must be >= 1")
+    return rows
+
+
 def greedy_sample_cluster(
     store: EmbeddingStore,
     members,
@@ -169,15 +183,7 @@ def greedy_sample_cluster(
     row is a gather from it, and the state grows in a budget x budget
     buffer: (n_c + budget) * budget * 8 bytes per live cluster.
     """
-    members = np.asarray(members, dtype=np.int64).ravel()
-    if members.size == 0:
-        raise InputError("cluster members list is empty")
-    if len(np.unique(members)) != members.size:
-        raise InputError("cluster members must be distinct")
-    if budget < 1:
-        raise InputError("cluster budget must be >= 1")
-    members = np.sort(members)
-
+    members = _cluster_members(members, budget)
     if budget >= members.size:
         return _traced_result(store, members, sigma)
 
@@ -237,13 +243,6 @@ def stderr_progress(cluster_id: int, step: int, entropy: float) -> None:
     sys.stderr.write(f"progress cluster={cluster_id} step={step} entropy={entropy!r}\n")
 
 
-def _prepare(store: EmbeddingStore, metas: list[SampleMeta], config: SelectionConfig) -> EmbeddingStore:
-    check_aligned(store, metas)
-    if config.normalize:
-        store = store.l2_normalized()
-    return store
-
-
 def _manifest_from_cluster_results(
     config: SelectionConfig,
     strategy: str,
@@ -253,36 +252,17 @@ def _manifest_from_cluster_results(
     filtered_out_rows: np.ndarray,
 ) -> SelectionManifest:
     ids = [m.id for m in metas]
-    selected, clusters_col, steps_col, trace = [], [], [], []
-    per_cluster = []
-    for cid, budget in plan.per_cluster:
-        if cid not in results:
-            per_cluster.append(ClusterRecord(cluster_id=cid, budget=budget, selected_ids=(), final_entropy=None))
-            continue
-        res = results[cid]
-        rec_ids = tuple(ids[r] for r in res.selected)
-        per_cluster.append(
-            ClusterRecord(
-                cluster_id=cid,
-                budget=budget,
-                selected_ids=rec_ids,
-                final_entropy=float(res.entropy_trace[-1]),
-            )
-        )
-        for step, row in enumerate(res.selected):
-            selected.append(ids[row])
-            clusters_col.append(cid)
-            steps_col.append(step)
-            trace.append(float(res.entropy_trace[step]))
+    per_cluster = tuple(
+        ClusterRecord(cid, budget, tuple(ids[r] for r in res.selected), tuple(res.entropy_trace.tolist()))
+        if (res := results.get(cid)) is not None
+        else ClusterRecord(cid, budget, ())
+        for cid, budget in plan.per_cluster
+    )
     return SelectionManifest(
         config=config,
         strategy=strategy,
-        selected=tuple(selected),
-        selected_clusters=tuple(clusters_col),
-        selected_steps=tuple(steps_col),
-        per_cluster=tuple(per_cluster),
+        per_cluster=per_cluster,
         filtered_out=tuple(ids[r] for r in filtered_out_rows),
-        pipeline_entropy_trace=tuple(trace),
     )
 
 
@@ -304,7 +284,8 @@ def _select_clustered(
     ``(cluster id, step, entropy)`` once its result is in; the manifest
     and the progress stream do not depend on scheduling.
     """
-    store = _prepare(store, metas, config)
+    if config.normalize:
+        store = store.l2_normalized()
     if filtered:
         fs = filter_extremes(resolve_ppls(metas), config.tail_low, config.tail_high)
         rows, population = fs.kept, "post-filter size"
@@ -339,15 +320,6 @@ def _greedy_sampler(config: SelectionConfig) -> SampleOneFn:
     )
 
 
-def _exam_select(
-    store: EmbeddingStore, metas: list[SampleMeta], config: SelectionConfig, progress: ProgressFn | None
-) -> tuple[SelectionManifest, ClusterAssignment]:
-    """:func:`exam_select` that also returns the k-means assignment it used."""
-    return _select_clustered(
-        store, metas, config, "exam", allocate_budgets, _greedy_sampler(config), filtered=True, progress=progress
-    )
-
-
 def exam_select(
     store: EmbeddingStore,
     metas: list[SampleMeta],
@@ -355,7 +327,7 @@ def exam_select(
     progress: ProgressFn | None = None,
 ) -> SelectionManifest:
     """Full pipeline: filter, cluster, allocate, greedy-sample, merge."""
-    return _exam_select(store, metas, config, progress)[0]
+    return _select(store, metas, "exam", config, progress=progress)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,48 +345,22 @@ def _score_vector(metas: list[SampleMeta]) -> np.ndarray:
         raise InputError(f"strategy needs a score or ppl for every sample: {exc}") from exc
 
 
-def _global_manifest(
-    config: SelectionConfig,
-    strategy: str,
-    metas: list[SampleMeta],
-    selected_rows: np.ndarray,
-    bins: int | None = None,
-) -> SelectionManifest:
-    ids = [m.id for m in metas]
-    selected = tuple(ids[r] for r in selected_rows)
-    return SelectionManifest(
-        config=config,
-        strategy=strategy,
-        selected=selected,
-        selected_clusters=(-1,) * len(selected),
-        selected_steps=tuple(range(len(selected))),
-        per_cluster=(
-            ClusterRecord(cluster_id=-1, budget=config.budget, selected_ids=selected, final_entropy=None),
-        ),
-        filtered_out=(),
-        pipeline_entropy_trace=None,
-        bins=bins,
-    )
-
-
-def _select_random(store: EmbeddingStore, metas, config: SelectionConfig) -> SelectionManifest:
+def _random_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, _GLOBAL_STREAM]))
-    rows = rng.choice(store.count, size=config.budget, replace=False)
-    return _global_manifest(config, "random", metas, rows)
+    return rng.choice(len(metas), size=config.budget, replace=False)
 
 
-def _select_mid_score(store: EmbeddingStore, metas, config: SelectionConfig) -> SelectionManifest:
-    n = store.count
+def _mid_score_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
+    n = len(metas)
     scores = _score_vector(metas)
     ranks_of_rows = np.lexsort((np.arange(n), scores))  # row index per ascending rank
     median_rank = (n - 1) / 2.0
     rank_order = np.lexsort((np.arange(n), np.abs(np.arange(n) - median_rank)))
-    rows = ranks_of_rows[rank_order[: config.budget]]
-    return _global_manifest(config, "mid_score", metas, rows)
+    return ranks_of_rows[rank_order[: config.budget]]
 
 
-def _select_ccs(store: EmbeddingStore, metas, config: SelectionConfig, bins: int) -> SelectionManifest:
-    n = store.count
+def _ccs_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
+    n = len(metas)
     if bins < 1:
         raise InputError("ccs bin count must be >= 1")
     scores = _score_vector(metas)
@@ -442,7 +388,7 @@ def _select_ccs(store: EmbeddingStore, metas, config: SelectionConfig, bins: int
     for b in range(bins):
         if take[b] > 0:
             rows.extend(int(r) for r in rng.choice(members[b], size=int(take[b]), replace=False))
-    return _global_manifest(config, "ccs", metas, np.asarray(rows, dtype=np.int64), bins=bins)
+    return np.asarray(rows, dtype=np.int64)
 
 
 def _average_budgets(cluster_sizes, B: int) -> BudgetPlan:
@@ -485,11 +431,7 @@ def mmd_sample_cluster(
     entropy trace is recorded for provenance just like the other
     cluster samplers.
     """
-    members = np.sort(np.asarray(members, dtype=np.int64).ravel())
-    if members.size == 0:
-        raise InputError("cluster members list is empty")
-    if budget < 1:
-        raise InputError("cluster budget must be >= 1")
+    members = _cluster_members(members, budget)
     if budget >= members.size:
         return _traced_result(store, members, sigma)
     pts = store.data[members]
@@ -536,27 +478,41 @@ def baseline_select(
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    return _select(store, metas, strategy, config, bins, progress)[0]
+
+
+# strategies that draw from the whole dataset: (metas, config, bins) -> selected rows
+_GLOBAL_ROWS = {"random": _random_rows, "mid_score": _mid_score_rows, "ccs": _ccs_rows}
+
+
+def _select(
+    store: EmbeddingStore,
+    metas: list[SampleMeta],
+    strategy: str,
+    config: SelectionConfig,
+    bins: int = 50,
+    progress: ProgressFn | None = None,
+) -> tuple[SelectionManifest, ClusterAssignment | None]:
+    """The one strategy dispatch: ``"exam"`` (see :func:`exam_select`) or a
+    baseline of :data:`STRATEGIES` (see :func:`baseline_select`).
+
+    Returns the manifest and the k-means assignment of a clustered
+    strategy (None for the others).
+    """
+    if strategy != "exam" and strategy not in STRATEGIES:
+        raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
     check_aligned(store, metas)
-    if strategy in ("random", "mid_score", "ccs") and config.budget > store.count:
-        raise InputError(f"budget {config.budget} exceeds dataset size {store.count}")
-    if strategy == "random":
-        return _select_random(store, metas, config)
-    if strategy == "mid_score":
-        return _select_mid_score(store, metas, config)
-    if strategy == "ccs":
-        return _select_ccs(store, metas, config, bins)
-    if strategy == "exam_average_allocation":
-        return _select_clustered(
-            store, metas, config, strategy, _average_budgets, _greedy_sampler(config),
-            filtered=True, progress=progress,
-        )[0]
+    if strategy in _GLOBAL_ROWS:
+        if config.budget > store.count:
+            raise InputError(f"budget {config.budget} exceeds dataset size {store.count}")
+        rows = _GLOBAL_ROWS[strategy](metas, config, bins)
+        record = ClusterRecord(-1, config.budget, tuple(metas[r].id for r in rows))
+        return SelectionManifest(config, strategy, (record,), (), bins if strategy == "ccs" else None), None
+    allocate = _average_budgets if strategy == "exam_average_allocation" else allocate_budgets
+    if strategy == "mmd_minimize":
+        sample_one = lambda store, cid, members, budget: mmd_sample_cluster(store, members, budget, config.sigma)
+    else:
+        sample_one = _greedy_sampler(config)
     return _select_clustered(
-        store,
-        metas,
-        config,
-        strategy,
-        allocate_budgets,
-        lambda store, cid, members, budget: mmd_sample_cluster(store, members, budget, config.sigma),
-        filtered=False,
-        progress=progress,
-    )[0]
+        store, metas, config, strategy, allocate, sample_one, filtered=strategy != "mmd_minimize", progress=progress
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from egms import (
+    STRATEGIES,
     EmbeddingStore,
     InputError,
     SampleMeta,
@@ -12,9 +13,14 @@ from egms import (
     kmeans,
     load_embedding_store,
     load_sample_manifest,
+    load_selection_manifest,
+    parse_selection_manifest,
+    serialize_selection_manifest,
     write_embedding_store,
     write_sample_manifest,
+    write_selection_manifest,
 )
+from egms.sampler import _select
 
 
 class TestEmbeddingFile:
@@ -200,3 +206,138 @@ class TestGenSynthetic:
             gen_synthetic(2, 3, 5, 0.5, seed=0)  # n < k_blobs
         with pytest.raises(InputError):
             gen_synthetic(5, 0, 1, 0.5, seed=0)
+
+
+@pytest.fixture(scope="module")
+def selection_corpus():
+    return gen_synthetic(200, 4, 3, 0.5, seed=12)
+
+
+def _selection_text(corpus):
+    """An ``exam`` manifest of 20 samples over 4 clusters."""
+    store, metas = corpus
+    cfg = SelectionConfig(budget=20, clusters=4, candidate_size=8, seed=3)
+    return serialize_selection_manifest(_select(store, metas, "exam", cfg)[0])
+
+
+def _edit_line(text, index, edit):
+    """``text`` with its line at ``index`` (0-based) replaced by ``edit(line)``."""
+    lines = text.splitlines()
+    lines[index] = edit(lines[index])
+    return "\n".join(lines) + "\n"
+
+
+def _line_index(text, prefix):
+    return next(i for i, line in enumerate(text.splitlines()) if line.startswith(prefix))
+
+
+class TestSelectionManifestFile:
+    @pytest.mark.parametrize("strategy", ("exam",) + STRATEGIES)
+    def test_round_trip(self, selection_corpus, strategy, tmp_path):
+        store, metas = selection_corpus
+        cfg = SelectionConfig(budget=20, clusters=4, candidate_size=8, seed=3)
+        manifest = _select(store, metas, strategy, cfg, bins=7)[0]
+        text = serialize_selection_manifest(manifest)
+        parsed = parse_selection_manifest(text)
+        assert serialize_selection_manifest(parsed) == text
+        assert parsed.per_cluster == manifest.per_cluster
+        assert parsed.bins == (7 if strategy == "ccs" else None)
+        assert (parsed.selected, parsed.selected_clusters, parsed.selected_steps) == (
+            manifest.selected, manifest.selected_clusters, manifest.selected_steps
+        )
+        assert parsed.pipeline_entropy_trace == manifest.pipeline_entropy_trace
+        write_selection_manifest(tmp_path / "sel.txt", manifest)
+        assert load_selection_manifest(tmp_path / "sel.txt") == parsed
+
+    @pytest.mark.parametrize("strategy", ["exam", "exam_average_allocation", "mmd_minimize"])
+    def test_round_trip_with_budget_zero_clusters(self, selection_corpus, strategy):
+        store, metas = selection_corpus
+        manifest = _select(store, metas, strategy, SelectionConfig(budget=3, clusters=8, candidate_size=8, seed=3))[0]
+        empty = [rec for rec in manifest.per_cluster if rec.budget == 0]
+        assert empty and all(rec.selected_ids == () and rec.final_entropy is None for rec in empty)
+        text = serialize_selection_manifest(manifest)
+        parsed = parse_selection_manifest(text)
+        assert serialize_selection_manifest(parsed) == text
+        assert parsed.per_cluster == manifest.per_cluster
+
+    def test_records_follow_the_cluster_lines(self, selection_corpus):
+        manifest = parse_selection_manifest(_selection_text(selection_corpus))
+        assert len(manifest.selected) == 20
+        for rec in manifest.per_cluster:
+            assert rec.final_entropy == (rec.entropy_trace[-1] if rec.selected_ids else None)
+        starts = [i for i, step in enumerate(manifest.selected_steps) if step == 0]
+        assert [manifest.selected_clusters[i] for i in starts] == [
+            rec.cluster_id for rec in manifest.per_cluster if rec.selected_ids
+        ]
+
+    def test_ids_swapped_between_clusters_rejected(self, selection_corpus):
+        text = _selection_text(selection_corpus)
+        lines = text.splitlines()
+        first = _line_index(text, "records ") + 1
+        other = next(i for i in range(first, len(lines)) if lines[i].split()[1] != lines[first].split()[1])
+        a, b = lines[first].split(" "), lines[other].split(" ")
+        a[0], b[0] = b[0], a[0]
+        lines[first], lines[other] = " ".join(a), " ".join(b)
+        with pytest.raises(InputError, match=f"line {first + 1}:"):
+            parse_selection_manifest("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("what", ["step", "final entropy", "record count", "trailing line"])
+    def test_records_that_disagree_with_the_cluster_lines_rejected(self, selection_corpus, what):
+        text = _selection_text(selection_corpus)
+        first = _line_index(text, "records ") + 1
+        cluster = _line_index(text, "cluster ")
+
+        def restep(line):
+            sid, cid, _, ent = line.split(" ")
+            return f"{sid} {cid} 7 {ent}"
+
+        def reentropy(line):
+            toks = line.split(" ")
+            toks[5] = "0.125"
+            return " ".join(toks)
+
+        corrupt = {
+            "step": lambda: _edit_line(text, first, restep),
+            "final entropy": lambda: _edit_line(text, cluster, reentropy),
+            "record count": lambda: _edit_line(text, first - 1, lambda line: "records 19"),
+            "trailing line": lambda: text + "s999999 0 0 -\n",
+        }[what]()
+        with pytest.raises(InputError, match="selection manifest line"):
+            parse_selection_manifest(corrupt)
+
+    def test_non_integer_header_value_names_the_line(self, selection_corpus):
+        text = _edit_line(_selection_text(selection_corpus), 2, lambda line: "budget x")
+        with pytest.raises(InputError, match="line 3: 'budget x'"):
+            parse_selection_manifest(text)
+
+    def test_header_key_without_value_names_the_line(self, selection_corpus):
+        text = _edit_line(_selection_text(selection_corpus), 2, lambda line: "budget")
+        with pytest.raises(InputError, match="line 3: 'budget'"):
+            parse_selection_manifest(text)
+
+    def test_record_with_three_tokens_names_the_line(self, selection_corpus):
+        text = _selection_text(selection_corpus)
+        first = _line_index(text, "records ") + 1
+        corrupt = _edit_line(text, first, lambda line: line.rsplit(" ", 1)[0])
+        with pytest.raises(InputError, match=f"line {first + 1}:"):
+            parse_selection_manifest(corrupt)
+
+    def test_cluster_line_without_entropy_names_the_line(self, selection_corpus):
+        text = _selection_text(selection_corpus)
+        cluster = _line_index(text, "cluster ")
+
+        def drop_entropy(line):
+            toks = line.split(" ")
+            return " ".join(toks[:4] + toks[6:])
+
+        with pytest.raises(InputError, match=f"line {cluster + 1}:"):
+            parse_selection_manifest(_edit_line(text, cluster, drop_entropy))
+
+    def test_non_utf8_file_names_the_line(self, selection_corpus, tmp_path):
+        text = _selection_text(selection_corpus)
+        first = _line_index(text, "records ") + 1
+        raw = _edit_line(text, first, lambda line: "\udcff" + line).encode("utf-8", "surrogateescape")
+        path = tmp_path / "sel.txt"
+        path.write_bytes(raw)
+        with pytest.raises(InputError, match=f"line {first + 1} is not UTF-8"):
+            load_selection_manifest(path)

@@ -145,3 +145,8 @@ class TestDiversityReport:
         store, metas = data
         with pytest.raises(InputError):
             diversity_report(store, metas, "exam", SelectionConfig(budget=5), 0)
+
+    def test_rejects_unknown_strategy(self, data):
+        store, metas = data
+        with pytest.raises(InputError, match="unknown strategy 'bogus'"):
+            diversity_report(store, metas, "bogus", SelectionConfig(budget=5, clusters=2), 1)

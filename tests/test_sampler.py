@@ -27,7 +27,7 @@ from egms import (
 )
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
-from egms.sampler import _cluster_rng, _exam_select
+from egms.sampler import _cluster_rng, _select
 
 
 class TestAllocateBudgets:
@@ -485,6 +485,19 @@ class TestBaselineSelect:
         with pytest.raises(InputError, match="unknown strategy"):
             baseline_select(store, metas, "coinflip", SelectionConfig(budget=5))
 
+    def test_exam_is_not_a_baseline(self, pipeline_data):
+        store, metas = pipeline_data
+        with pytest.raises(InputError, match="unknown strategy 'exam'"):
+            baseline_select(store, metas, "exam", SelectionConfig(budget=5))
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_duplicate_members_rejected_by_both_cluster_samplers(self, budget):
+        store = EmbeddingStore(np.random.default_rng(7).normal(size=(10, 2)))
+        with pytest.raises(InputError, match="cluster members must be distinct"):
+            mmd_sample_cluster(store, [5, 5, 6], budget, 0.5)
+        with pytest.raises(InputError, match="cluster members must be distinct"):
+            greedy_sample_cluster(store, [5, 5, 6], budget, 4, 0.5, np.random.default_rng(0))
+
     def test_baselines_deterministic(self, pipeline_data):
         store, metas = pipeline_data
         from egms import STRATEGIES
@@ -603,8 +616,8 @@ def _identical_rows(draw):
 
 
 def _assert_all_ties_replay(tmp_path_factory, store, metas, cfg):
-    """``_exam_select`` and ``egms select`` agree, exit 0, and every cluster follows the all-ties replay."""
-    manifest, assignment = _exam_select(store, metas, cfg, None)
+    """``_select`` and ``egms select`` agree, exit 0, and every cluster follows the all-ties replay."""
+    manifest, assignment = _select(store, metas, "exam", cfg)
     assert all(m.size > 0 for m in assignment.members)
     ids = [m.id for m in metas]
     for rec in manifest.per_cluster:
@@ -708,5 +721,5 @@ def test_far_apart_tight_blobs_select_without_an_internal_error():
     data = centres[np.repeat([0, 1], 1000)] + 1e-3 * rng.normal(size=(2000, 8))
     store = EmbeddingStore(data.astype(np.float32).astype(np.float64))
     metas = [SampleMeta(id=f"b{i}", ppl=float(p)) for i, p in enumerate(rng.uniform(1.0, 50.0, 2000))]
-    manifest, _ = _exam_select(store, metas, SelectionConfig(budget=100, clusters=10, seed=0), None)
+    manifest, _ = _select(store, metas, "exam", SelectionConfig(budget=100, clusters=10, seed=0))
     assert len(manifest.selected) == 100
