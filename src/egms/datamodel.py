@@ -159,7 +159,7 @@ class SelectionConfig:
 class ClusterRecord:
     """One cluster's selection in acceptance order: the only stored copy of it.
 
-    ``entropy_trace[t]``, when the strategy records entropy, is the set
+    It holds at most ``budget`` ids. ``entropy_trace[t]``, when the strategy records entropy, is the set
     entropy of ``selected_ids[: t + 1]``; it is None otherwise and for a
     cluster that selected nothing. ``final_entropy`` is its last entry.
     """
@@ -170,6 +170,8 @@ class ClusterRecord:
     entropy_trace: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if len(self.selected_ids) > self.budget:
+            raise InputError(f"cluster {self.cluster_id}: {len(self.selected_ids)} ids exceed budget {self.budget}")
         if self.entropy_trace is not None and len(self.entropy_trace) != len(self.selected_ids):
             raise InputError(f"cluster {self.cluster_id}: entropy trace must align with selected ids")
 
@@ -185,10 +187,11 @@ class SelectionManifest:
     The flat views ``selected`` / ``selected_clusters`` / ``selected_steps``
     / ``pipeline_entropy_trace`` read the records in ``per_cluster`` order;
     steps restart at 0 in each cluster, and the trace is None when no
-    record holds one. Serialization is byte-identical for identical inputs
-    and seed at a fixed BLAS thread count; once a cluster's selection
-    reaches about 150 samples, the eigensolvers' rounding can depend on
-    that count.
+    record holds one. Cluster ids are unique, the cluster budgets sum to
+    ``config.budget`` and ``bins``, when set, is >= 1. Serialization is
+    byte-identical for identical inputs and seed at a fixed BLAS thread
+    count; once a cluster's selection reaches about 150 samples, the
+    eigensolvers' rounding can depend on that count.
     """
 
     config: SelectionConfig
@@ -198,6 +201,12 @@ class SelectionManifest:
     bins: int | None = None
 
     def __post_init__(self):
+        if len({rec.cluster_id for rec in self.per_cluster}) != len(self.per_cluster):
+            raise InputError("cluster ids are not unique")
+        if sum(rec.budget for rec in self.per_cluster) != self.config.budget:
+            raise InputError(f"cluster budgets do not sum to the budget {self.config.budget}")
+        if self.bins is not None and self.bins < 1:
+            raise InputError("bins must be >= 1")
         if len(set(self.selected)) != len(self.selected):
             raise InputError("selected ids are not unique")
         if len({rec.entropy_trace is None for rec in self.per_cluster if rec.selected_ids}) > 1:
@@ -407,10 +416,16 @@ def _parse_float(tok: str) -> float | None:
     return None if tok == "-" else float(tok)
 
 
+def _parse_flag(tok: str) -> bool:
+    if tok not in ("0", "1"):
+        raise ValueError("expected 0 or 1")
+    return tok == "1"
+
+
 # header keys, each with the parser of its value
 _HEADER_FIELDS = {
     "strategy": str, "budget": int, "clusters": int, "candidates": int, "sigma": float,
-    "tail_low": float, "tail_high": float, "seed": int, "normalize": int, "bins": int,
+    "tail_low": float, "tail_high": float, "seed": int, "normalize": _parse_flag, "bins": int,
 }
 
 
@@ -452,7 +467,7 @@ def parse_selection_manifest(text: str) -> SelectionManifest:
                 tail_low=fields["tail_low"],
                 tail_high=fields["tail_high"],
                 seed=fields["seed"],
-                normalize=bool(fields["normalize"]),
+                normalize=fields["normalize"],
             )
         except KeyError as exc:
             raise InputError(f"selection manifest missing header field {exc}") from exc

@@ -16,13 +16,13 @@ result is byte-identical regardless of how clusters are spread over
 worker threads. The cluster samplers are pure functions of their inputs:
 each returns its selection and the entropy after every accepted sample.
 The threads share the immutable embedding store and touch only their own
-cluster's state. The pipeline collects results in submission order and is
-the only place that reports progress, replaying each finished cluster's
-entropy trace from the calling thread, so the progress stream is the same
-for every worker count.
+cluster's state.
 
-Every strategy, the pipeline's ``exam`` and the comparison baselines of
-:data:`STRATEGIES`, runs through one dispatch, :func:`_select`.
+One driver, :func:`_select`, runs every strategy: the pipeline's ``exam``
+and the comparison baselines of :data:`STRATEGIES`. It collects cluster
+results in submission order and is the only place that reports progress,
+replaying each finished cluster's entropy trace from the calling thread,
+so the progress stream is the same for every worker count.
 """
 
 from __future__ import annotations
@@ -59,11 +59,14 @@ ProgressFn = Callable[[int, int, float], None]
 
 @dataclass(frozen=True)
 class BudgetPlan:
-    """Per-cluster budgets summing exactly to the requested total."""
+    """``(cluster id, budget)`` pairs in cluster-id order; the budgets sum
+    exactly to the requested total and never exceed a cluster's size."""
 
     per_cluster: tuple[tuple[int, int], ...]
-    total_requested: int
-    total_allocated: int
+
+    @property
+    def total_allocated(self) -> int:
+        return sum(b for _, b in self.per_cluster)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +84,6 @@ class ClusterSampleResult:
     def initial_pair(self) -> tuple[int, ...]:
         """The seed rows: the first two selected (one when budget is 1)."""
         return tuple(int(r) for r in self.selected[:2])
-
-
-# (store, cluster id, sorted member rows, budget) -> the cluster's selection
-SampleOneFn = Callable[[EmbeddingStore, int, np.ndarray, int], ClusterSampleResult]
 
 
 def allocate_budgets(cluster_sizes, B: int) -> BudgetPlan:
@@ -127,25 +126,26 @@ def allocate_budgets(cluster_sizes, B: int) -> BudgetPlan:
                 raise InternalInvariantError("budget reconciliation cannot reach the total")
             alloc[eligible] -= 1
             surplus -= eligible.size
-    elif alloc.sum() < B:
-        # one unit per cluster per round, largest fractional parts first,
-        # capped by remaining capacity
-        order = np.lexsort((np.arange(sizes.size), -frac))
-        deficit = int(B - alloc.sum())
-        while deficit > 0:
-            eligible = order[alloc[order] < sizes[order]][:deficit]
-            if eligible.size == 0:
-                raise InternalInvariantError("budget reconciliation cannot reach the total")
-            alloc[eligible] += 1
-            deficit -= eligible.size
+    else:
+        # deficit: largest fractional parts first
+        _fill_round_robin(alloc, sizes, np.lexsort((np.arange(sizes.size), -frac)), B)
 
     if alloc.sum() != B or (alloc > sizes).any() or (alloc < 0).any():
         raise InternalInvariantError("budget plan violates its invariants")
-    return BudgetPlan(
-        per_cluster=tuple((int(c), int(b)) for c, b in enumerate(alloc)),
-        total_requested=int(B),
-        total_allocated=int(alloc.sum()),
-    )
+    return BudgetPlan(tuple(enumerate(alloc.tolist())))
+
+
+def _fill_round_robin(alloc: np.ndarray, sizes: np.ndarray, order: np.ndarray, total: int) -> None:
+    """Raise ``alloc`` in place until it sums to ``total``. Each round adds
+    one unit to each group of ``order`` below its size, in that order,
+    and stops once the total is reached."""
+    deficit = total - int(alloc.sum())
+    while deficit > 0:
+        eligible = order[alloc[order] < sizes[order]][:deficit]
+        if eligible.size == 0:
+            raise InternalInvariantError("round-robin fill cannot reach the total")
+        alloc[eligible] += 1
+        deficit -= eligible.size
 
 
 def _cluster_members(members, budget: int) -> np.ndarray:
@@ -243,83 +243,6 @@ def stderr_progress(cluster_id: int, step: int, entropy: float) -> None:
     sys.stderr.write(f"progress cluster={cluster_id} step={step} entropy={entropy!r}\n")
 
 
-def _manifest_from_cluster_results(
-    config: SelectionConfig,
-    strategy: str,
-    metas: list[SampleMeta],
-    plan: BudgetPlan,
-    results: dict[int, ClusterSampleResult],
-    filtered_out_rows: np.ndarray,
-) -> SelectionManifest:
-    ids = [m.id for m in metas]
-    per_cluster = tuple(
-        ClusterRecord(cid, budget, tuple(ids[r] for r in res.selected), tuple(res.entropy_trace.tolist()))
-        if (res := results.get(cid)) is not None
-        else ClusterRecord(cid, budget, ())
-        for cid, budget in plan.per_cluster
-    )
-    return SelectionManifest(
-        config=config,
-        strategy=strategy,
-        per_cluster=per_cluster,
-        filtered_out=tuple(ids[r] for r in filtered_out_rows),
-    )
-
-
-def _select_clustered(
-    store: EmbeddingStore,
-    metas: list[SampleMeta],
-    config: SelectionConfig,
-    strategy: str,
-    allocate: Callable[[list[int], int], BudgetPlan],
-    sample_one: SampleOneFn,
-    filtered: bool,
-    progress: ProgressFn | None,
-) -> tuple[SelectionManifest, ClusterAssignment]:
-    """Filter (when ``filtered``), cluster, allocate, sample per cluster, merge.
-
-    Clusters with a budget are submitted largest first (then lowest id) to
-    ``config.workers`` threads. Results are collected in that order, and
-    each cluster's entropy trace goes to ``progress`` as
-    ``(cluster id, step, entropy)`` once its result is in; the manifest
-    and the progress stream do not depend on scheduling.
-    """
-    if config.normalize:
-        store = store.l2_normalized()
-    if filtered:
-        fs = filter_extremes(resolve_ppls(metas), config.tail_low, config.tail_high)
-        rows, population = fs.kept, "post-filter size"
-        filtered_out = np.concatenate([fs.removed_low, fs.removed_high])
-    else:
-        rows, population = np.arange(store.count, dtype=np.int64), "dataset size"
-        filtered_out = np.empty(0, dtype=np.int64)
-    if config.budget > rows.size:
-        raise InputError(f"budget {config.budget} exceeds {population} {rows.size}")
-    assignment = kmeans(store, rows, config.clusters, config.seed)
-    plan = allocate([m.size for m in assignment.members], config.budget)
-    budgets = dict(plan.per_cluster)
-    order = sorted(
-        (cid for cid, budget in budgets.items() if budget >= 1),
-        key=lambda cid: (-assignment.members[cid].size, cid),
-    )
-    results = {}
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = {cid: pool.submit(sample_one, store, cid, assignment.members[cid], budgets[cid]) for cid in order}
-        for cid, fut in futures.items():
-            results[cid] = fut.result()
-            if progress is not None:
-                for step, entropy in enumerate(results[cid].entropy_trace):
-                    progress(cid, step, float(entropy))
-    manifest = _manifest_from_cluster_results(config, strategy, metas, plan, results, filtered_out)
-    return manifest, assignment
-
-
-def _greedy_sampler(config: SelectionConfig) -> SampleOneFn:
-    return lambda store, cid, members, budget: greedy_sample_cluster(
-        store, members, budget, config.candidate_size, config.sigma, _cluster_rng(config.seed, cid)
-    )
-
-
 def exam_select(
     store: EmbeddingStore,
     metas: list[SampleMeta],
@@ -373,16 +296,7 @@ def _ccs_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
     sizes = np.array([m.size for m in members], dtype=np.int64)
     take = np.minimum(config.budget // bins, sizes)
     # deficit from empty or small bins goes round-robin to bins with capacity
-    while take.sum() < config.budget:
-        advanced = False
-        for b in range(bins):
-            if take.sum() >= config.budget:
-                break
-            if take[b] < sizes[b]:
-                take[b] += 1
-                advanced = True
-        if not advanced:
-            raise InternalInvariantError("ccs cannot fill the budget")
+    _fill_round_robin(take, sizes, np.arange(bins), config.budget)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, _GLOBAL_STREAM]))
     rows = []
     for b in range(bins):
@@ -402,20 +316,13 @@ def _average_budgets(cluster_sizes, B: int) -> BudgetPlan:
     for idx in order[:remainder]:
         if alloc[idx] < sizes[idx]:
             alloc[idx] += 1
+    # a clamped shortfall goes unit by unit to the largest cluster with room
     while alloc.sum() < B:
-        moved = False
-        for idx in order:
-            if alloc[idx] < sizes[idx]:
-                alloc[idx] += 1
-                moved = True
-                break
-        if not moved:
-            raise InputError(f"budget {B} exceeds population {int(sizes.sum())}")
-    return BudgetPlan(
-        per_cluster=tuple((int(c), int(b)) for c, b in enumerate(alloc)),
-        total_requested=int(B),
-        total_allocated=int(alloc.sum()),
-    )
+        room = order[alloc[order] < sizes[order]]
+        if room.size == 0:
+            raise InternalInvariantError("average allocation cannot reach the total")
+        alloc[room[0]] += 1
+    return BudgetPlan(tuple(enumerate(alloc.tolist())))
 
 
 def mmd_sample_cluster(
@@ -436,7 +343,8 @@ def mmd_sample_cluster(
         return _traced_result(store, members, sigma)
     pts = store.data[members]
     mu = np.zeros(members.size, dtype=np.float64)
-    # rows per chunk bound the (rows, n, d) difference tensor of _sq_dists
+    # rows per chunk bound each (rows, n_c) kernel block to 2e6 / d values;
+    # _sq_dists bounds its own difference tensor
     chunk = max(1, 2_000_000 // (members.size * pts.shape[1]))
     for start in range(0, members.size, chunk):
         mu[start : start + chunk] = _kernel_block(pts[start : start + chunk], pts, sigma).mean(axis=1)
@@ -493,8 +401,19 @@ def _select(
     bins: int = 50,
     progress: ProgressFn | None = None,
 ) -> tuple[SelectionManifest, ClusterAssignment | None]:
-    """The one strategy dispatch: ``"exam"`` (see :func:`exam_select`) or a
+    """The one pipeline driver: ``"exam"`` (see :func:`exam_select`) or a
     baseline of :data:`STRATEGIES` (see :func:`baseline_select`).
+
+    ``random``, ``mid_score`` and ``ccs`` draw from the whole dataset into
+    one record with cluster id -1. The other strategies filter the
+    perplexity tails (all but ``mmd_minimize``), run k-means on the kept
+    rows, allocate budgets (an equal split for ``exam_average_allocation``,
+    else proportional) and sample each cluster with a budget (by MMD for
+    ``mmd_minimize``, else greedily by entropy gain). Clusters are submitted
+    largest first (then lowest id) to ``config.workers`` threads. Results
+    are collected in that order, and each cluster's entropy trace goes to
+    ``progress`` as ``(cluster id, step, entropy)`` once its result is in;
+    the manifest and the progress stream do not depend on scheduling.
 
     Returns the manifest and the k-means assignment of a clustered
     strategy (None for the others).
@@ -502,17 +421,47 @@ def _select(
     if strategy != "exam" and strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
     check_aligned(store, metas)
+    ids = [m.id for m in metas]
     if strategy in _GLOBAL_ROWS:
         if config.budget > store.count:
             raise InputError(f"budget {config.budget} exceeds dataset size {store.count}")
         rows = _GLOBAL_ROWS[strategy](metas, config, bins)
-        record = ClusterRecord(-1, config.budget, tuple(metas[r].id for r in rows))
+        record = ClusterRecord(-1, config.budget, tuple(ids[r] for r in rows))
         return SelectionManifest(config, strategy, (record,), (), bins if strategy == "ccs" else None), None
-    allocate = _average_budgets if strategy == "exam_average_allocation" else allocate_budgets
+
+    if config.normalize:
+        store = store.l2_normalized()
     if strategy == "mmd_minimize":
-        sample_one = lambda store, cid, members, budget: mmd_sample_cluster(store, members, budget, config.sigma)
+        rows, population = np.arange(store.count, dtype=np.int64), "dataset size"
+        filtered_out = np.empty(0, dtype=np.int64)
     else:
-        sample_one = _greedy_sampler(config)
-    return _select_clustered(
-        store, metas, config, strategy, allocate, sample_one, filtered=strategy != "mmd_minimize", progress=progress
-    )
+        fs = filter_extremes(resolve_ppls(metas), config.tail_low, config.tail_high)
+        rows, population = fs.kept, "post-filter size"
+        filtered_out = np.concatenate([fs.removed_low, fs.removed_high])
+    if config.budget > rows.size:
+        raise InputError(f"budget {config.budget} exceeds {population} {rows.size}")
+    assignment = kmeans(store, rows, config.clusters, config.seed)
+    sizes = [m.size for m in assignment.members]
+    allocate = _average_budgets if strategy == "exam_average_allocation" else allocate_budgets
+    budgets = dict(allocate(sizes, config.budget).per_cluster)
+
+    def sample(cid: int) -> ClusterSampleResult:
+        members, budget = assignment.members[cid], budgets[cid]
+        if strategy == "mmd_minimize":
+            return mmd_sample_cluster(store, members, budget, config.sigma)
+        rng = _cluster_rng(config.seed, cid)
+        return greedy_sample_cluster(store, members, budget, config.candidate_size, config.sigma, rng)
+
+    records = {cid: ClusterRecord(cid, budget, ()) for cid, budget in budgets.items()}
+    order = sorted((cid for cid, budget in budgets.items() if budget >= 1), key=lambda cid: (-sizes[cid], cid))
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        futures = [(cid, pool.submit(sample, cid)) for cid in order]
+        for cid, fut in futures:
+            res = fut.result()
+            trace = res.entropy_trace.tolist()
+            records[cid] = ClusterRecord(cid, budgets[cid], tuple(ids[r] for r in res.selected), tuple(trace))
+            if progress is not None:
+                for step, entropy in enumerate(trace):
+                    progress(cid, step, entropy)
+    manifest = SelectionManifest(config, strategy, tuple(records.values()), tuple(ids[r] for r in filtered_out))
+    return manifest, assignment

@@ -341,3 +341,56 @@ class TestSelectionManifestFile:
         path.write_bytes(raw)
         with pytest.raises(InputError, match=f"line {first + 1} is not UTF-8"):
             load_selection_manifest(path)
+
+    def test_repeated_cluster_id_rejected(self, selection_corpus):
+        text = _selection_text(selection_corpus)
+        lines = text.splitlines()
+        first = _line_index(text, "cluster ")
+        a, b = (lines[first + i].split(" ")[1] for i in range(2))
+        lines[first + 1] = lines[first + 1].replace(f"cluster {b} ", f"cluster {a} ", 1)
+        records = _line_index(text, "records ") + 1
+        for i in range(records, len(lines)):
+            sid, cid, step, ent = lines[i].split(" ")
+            if cid == b:
+                lines[i] = f"{sid} {a} {step} {ent}"
+        with pytest.raises(InputError, match="cluster ids are not unique"):
+            parse_selection_manifest("\n".join(lines) + "\n")
+
+    def test_more_ids_than_budget_rejected(self, selection_corpus):
+        # the budgets still sum to the header budget
+        text = _rebudget(_selection_text(selection_corpus), [-1, 1])
+        with pytest.raises(InputError, match="exceed budget"):
+            parse_selection_manifest(text)
+
+    def test_budgets_not_summing_to_the_header_budget_rejected(self, selection_corpus):
+        text = _rebudget(_selection_text(selection_corpus), [1])
+        with pytest.raises(InputError, match="do not sum to the budget 20"):
+            parse_selection_manifest(text)
+
+    def test_normalize_other_than_0_or_1_rejected(self, selection_corpus):
+        text = _selection_text(selection_corpus)
+        index = _line_index(text, "normalize ")
+        with pytest.raises(InputError, match=f"line {index + 1}: 'normalize 2'"):
+            parse_selection_manifest(_edit_line(text, index, lambda line: "normalize 2"))
+
+    def test_bins_below_1_rejected(self, selection_corpus):
+        store, metas = selection_corpus
+        cfg = SelectionConfig(budget=20, clusters=4, candidate_size=8, seed=3)
+        text = serialize_selection_manifest(_select(store, metas, "ccs", cfg, bins=7)[0])
+        corrupt = _edit_line(text, _line_index(text, "bins "), lambda line: "bins -3")
+        with pytest.raises(InputError, match="bins must be >= 1"):
+            parse_selection_manifest(corrupt)
+
+
+def _rebudget(text, deltas):
+    """``text`` with ``deltas[i]`` added to the budget of its i-th cluster line."""
+
+    def edit(line, delta):
+        toks = line.split(" ")
+        toks[3] = str(int(toks[3]) + delta)
+        return " ".join(toks)
+
+    first = _line_index(text, "cluster ")
+    for i, delta in enumerate(deltas):
+        text = _edit_line(text, first + i, lambda line: edit(line, delta))
+    return text

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egms import (
@@ -27,7 +27,7 @@ from egms import (
 )
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
-from egms.sampler import _cluster_rng, _select
+from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _select
 
 
 class TestAllocateBudgets:
@@ -102,6 +102,101 @@ def _feasible_plans(sizes, B):
                     yield (b,) + rest
 
     return rec(0, B)
+
+
+def _reference_allocate(sizes, B):
+    """allocate_budgets with its own deficit loop, before the shared fill."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    exact = sizes / sizes.sum() * B
+    frac = exact - np.floor(exact)
+    alloc = np.minimum(np.maximum(1, np.floor(exact).astype(np.int64)), sizes)
+    if alloc.sum() > B:
+        order = np.lexsort((np.arange(sizes.size), frac))
+        surplus = int(alloc.sum() - B)
+        while surplus > 0:
+            eligible = order[alloc[order] > 1][:surplus]
+            if eligible.size == 0:
+                eligible = order[alloc[order] == 1][:surplus]
+            alloc[eligible] -= 1
+            surplus -= eligible.size
+    elif alloc.sum() < B:
+        order = np.lexsort((np.arange(sizes.size), -frac))
+        deficit = int(B - alloc.sum())
+        while deficit > 0:
+            eligible = order[alloc[order] < sizes[order]][:deficit]
+            assert eligible.size > 0
+            alloc[eligible] += 1
+            deficit -= eligible.size
+    return alloc.tolist()
+
+
+def _reference_ccs_take(sizes, budget):
+    """The per-bin takes of ccs with its own ``advanced`` loop, before the shared fill."""
+    bins = sizes.size
+    take = np.minimum(budget // bins, sizes)
+    while take.sum() < budget:
+        advanced = False
+        for b in range(bins):
+            if take.sum() >= budget:
+                break
+            if take[b] < sizes[b]:
+                take[b] += 1
+                advanced = True
+        assert advanced
+    return take.tolist()
+
+
+@st.composite
+def _plans(draw):
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=25))
+    return sizes, draw(st.integers(1, sum(sizes)))
+
+
+@st.composite
+def _ccs_inputs(draw):
+    # few distinct integer scores over many bins: empty and small bins
+    scores = draw(st.lists(st.integers(0, 12), min_size=1, max_size=60))
+    bins = draw(st.integers(1, 20))
+    return scores, bins, draw(st.integers(1, len(scores)))
+
+
+class TestRoundRobinFill:
+    @settings(max_examples=300, deadline=None)
+    @given(_plans())
+    @example(([50, 30, 20], 7))  # deficit: floors [3, 2, 1]
+    @example(([1, 1, 98], 10))  # surplus: base [1, 1, 9]
+    @example(([5, 5, 5, 5, 5], 2))  # B < L: forced zeros
+    @example(([3, 1, 1, 40], 30))  # deficit capped by a full cluster
+    def test_allocate_budgets_matches_its_own_deficit_loop(self, plan):
+        sizes, B = plan
+        assert [b for _, b in allocate_budgets(sizes, B).per_cluster] == _reference_allocate(sizes, B)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ccs_inputs())
+    @example(([0, 12], 5, 2))  # three empty bins
+    @example(([0, 0, 0, 1, 12], 4, 5))  # bins of 4, 0, 0 and 1 rows: three rounds
+    @example(([3, 3, 3], 50, 3))  # one score: a single bin
+    def test_ccs_takes_match_its_own_advanced_loop(self, inputs):
+        raw, bins, budget = inputs
+        scores = np.asarray(raw, dtype=np.float64)
+        lo, hi = scores.min(), scores.max()
+        bin_of = np.zeros(scores.size, dtype=np.int64)
+        if hi > lo:
+            bin_of = np.minimum(((scores - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
+        sizes = np.bincount(bin_of, minlength=bins)
+        metas = [SampleMeta(id=f"r{i}", score=v) for i, v in enumerate(raw)]
+        rows = _ccs_rows(metas, SelectionConfig(budget=budget, seed=4), bins)
+        assert np.bincount(bin_of[rows], minlength=bins).tolist() == _reference_ccs_take(sizes, budget)
+
+    def test_average_allocation_gives_a_clamped_shortfall_to_the_largest_cluster(self):
+        # base 12 // 4 = 3 clamps the last cluster to 1; the 2 missing units
+        # both go to cluster 0, the largest with the lowest id
+        assert [b for _, b in _average_budgets([10, 10, 10, 1], 12).per_cluster] == [5, 3, 3, 1]
+
+    def test_average_allocation_past_the_population_is_an_internal_error(self):
+        # _select rejects such a budget before k-means, so only a bug gets here
+        with pytest.raises(InternalInvariantError):
+            _average_budgets([2, 2], 5)
 
 
 def naive_greedy_oracle(store, members, seeds, budget, sigma):
