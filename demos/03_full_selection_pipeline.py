@@ -44,7 +44,7 @@ print(f"inertia: {assignment.inertia:.1f} after {assignment.inertia_history.size
 # so the budgets sum exactly to the requested total.
 
 plan = allocate_budgets(sizes, B=200)
-print("budgets:", [b for _, b in plan.per_cluster], "sum:", plan.total_allocated)
+print("budgets:", [b for _, b in plan.per_cluster], "sum:", sum(b for _, b in plan.per_cluster))
 
 # %%
 # Stage 4: greedy entropy-gain sampling inside one cluster. Each step

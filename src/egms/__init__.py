@@ -6,14 +6,13 @@ budgets, and greedy von Neumann entropy-gain sampling over Gaussian
 similarity matrices, plus baseline strategies and diversity metrics.
 """
 
-from .clustering import ClusterAssignment, centroids_to_store, kmeans
+from .clustering import ClusterAssignment, kmeans
 from .datamodel import (
     ClusterRecord,
     EmbeddingStore,
     SampleMeta,
     SelectionConfig,
     SelectionManifest,
-    check_aligned,
     gen_synthetic,
     load_embedding_store,
     load_sample_manifest,
@@ -76,8 +75,6 @@ __all__ = [
     "avg_rel",
     "baseline_select",
     "build_similarity",
-    "centroids_to_store",
-    "check_aligned",
     "diversity_report",
     "entropy_gain",
     "exam_select",

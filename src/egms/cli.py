@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .clustering import centroids_to_store
 from .datamodel import (
+    EmbeddingStore,
     SelectionConfig,
     gen_synthetic,
     load_embedding_store,
@@ -40,10 +40,10 @@ def _tails(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _add_config_args(p: argparse.ArgumentParser, need_budget: bool = True) -> None:
+def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", required=True, help="binary embedding file")
     p.add_argument("--manifest", required=True, help="JSONL sample manifest")
-    p.add_argument("--budget", type=int, required=need_budget, default=None)
+    p.add_argument("--budget", type=int, required=True)
     p.add_argument("--clusters", type=int, default=1000)
     p.add_argument("--candidates", type=int, default=100)
     p.add_argument("--sigma", type=float, default=0.5)
@@ -120,7 +120,7 @@ def _cmd_select(args) -> int:
     manifest, assignment = _select(store, metas, args.strategy, config, args.bins, progress)
     write_selection_manifest(args.out, manifest)
     if args.dump_centroids:
-        write_embedding_store(args.dump_centroids, centroids_to_store(assignment))
+        write_embedding_store(args.dump_centroids, EmbeddingStore(assignment.centroids))
     named = f" ({args.strategy})" if args.command == "baseline" else ""
     print(f"selected {len(manifest.selected)} of {store.count}{named} -> {args.out}")
     return 0

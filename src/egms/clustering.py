@@ -50,14 +50,12 @@ _PRUNE_MARGIN = 1e-9
 class ClusterAssignment:
     """Result of K-means over the kept rows.
 
-    ``rows`` are the clustered store rows in input order; ``labels`` align
-    with them. ``members`` holds, per cluster, the sorted store rows; no
-    cluster is empty. ``inertia_history`` records the objective after each
-    assignment step.
+    ``labels`` give the cluster of each kept row, in the order the rows
+    were passed to :func:`kmeans`. ``members`` holds, per cluster, the
+    sorted store rows; no cluster is empty. ``inertia_history`` records the
+    objective after each assignment step.
     """
 
-    L: int
-    rows: np.ndarray
     labels: np.ndarray
     centroids: np.ndarray
     members: tuple[np.ndarray, ...]
@@ -215,16 +213,9 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     if any(m.size == 0 for m in members):
         raise InternalInvariantError("empty cluster at convergence")
     return ClusterAssignment(
-        L=L,
-        rows=rows,
         labels=labels,
         centroids=centroids + origin,
         members=members,
         inertia=inertia,
         inertia_history=np.asarray(history),
     )
-
-
-def centroids_to_store(assignment: ClusterAssignment) -> EmbeddingStore:
-    """Centroids as an embedding store, e.g. for a binary-format dump."""
-    return EmbeddingStore(assignment.centroids)

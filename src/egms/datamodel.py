@@ -184,14 +184,12 @@ class ClusterRecord:
 class SelectionManifest:
     """Ordered selection with full provenance, stored as per-cluster records.
 
-    The flat views ``selected`` / ``selected_clusters`` / ``selected_steps``
-    / ``pipeline_entropy_trace`` read the records in ``per_cluster`` order;
-    steps restart at 0 in each cluster, and the trace is None when no
-    record holds one. Cluster ids are unique, the cluster budgets sum to
-    ``config.budget`` and ``bins``, when set, is >= 1. Serialization is
-    byte-identical for identical inputs and seed at a fixed BLAS thread
-    count; once a cluster's selection reaches about 150 samples, the
-    eigensolvers' rounding can depend on that count.
+    ``selected`` reads the ids of the records in ``per_cluster`` order.
+    Cluster ids are unique, the cluster budgets sum to ``config.budget``,
+    each cluster holds exactly its budget of ids and ``bins``, when set,
+    is >= 1. Serialization is byte-identical for identical inputs and seed
+    at a fixed BLAS thread count; once a cluster's selection reaches about
+    150 samples, the eigensolvers' rounding can depend on that count.
     """
 
     config: SelectionConfig
@@ -205,6 +203,9 @@ class SelectionManifest:
             raise InputError("cluster ids are not unique")
         if sum(rec.budget for rec in self.per_cluster) != self.config.budget:
             raise InputError(f"cluster budgets do not sum to the budget {self.config.budget}")
+        for rec in self.per_cluster:
+            if len(rec.selected_ids) < rec.budget:
+                raise InputError(f"cluster {rec.cluster_id}: {len(rec.selected_ids)} ids fall short of budget {rec.budget}")
         if self.bins is not None and self.bins < 1:
             raise InputError("bins must be >= 1")
         if len(set(self.selected)) != len(self.selected):
@@ -215,20 +216,6 @@ class SelectionManifest:
     @cached_property
     def selected(self) -> tuple[str, ...]:
         return tuple(sid for rec in self.per_cluster for sid in rec.selected_ids)
-
-    @cached_property
-    def selected_clusters(self) -> tuple[int, ...]:
-        return tuple(rec.cluster_id for rec in self.per_cluster for _ in rec.selected_ids)
-
-    @cached_property
-    def selected_steps(self) -> tuple[int, ...]:
-        return tuple(step for rec in self.per_cluster for step in range(len(rec.selected_ids)))
-
-    @cached_property
-    def pipeline_entropy_trace(self) -> tuple[float, ...] | None:
-        if all(rec.entropy_trace is None for rec in self.per_cluster):
-            return None
-        return tuple(e for rec in self.per_cluster for e in rec.entropy_trace or ())
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +329,6 @@ def write_sample_manifest(path, metas: list[SampleMeta]) -> None:
             if meta.score is not None:
                 rec["score"] = meta.score
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def check_aligned(store: EmbeddingStore, metas: list[SampleMeta]) -> None:
-    """Fail loudly if embedding rows and sample metas do not line up."""
-    if store.count != len(metas):
-        raise InputError(
-            f"embedding store has {store.count} rows but sample manifest has {len(metas)}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -96,16 +96,12 @@ class DiversityReport:
     gain_ratio_pct: float
 
 
-def _subset_entropy(store: EmbeddingStore, metas: list[SampleMeta], manifest, sigma: float) -> float:
+def _run_strategy(store, metas, strategy: str, config: SelectionConfig) -> float:
+    """Entropy of the subset ``strategy`` selects, measured in ``store``."""
+    manifest, _ = _select(store, metas, strategy, config)
     row_of = {meta.id: i for i, meta in enumerate(metas)}
     rows = np.array([row_of[sid] for sid in manifest.selected], dtype=np.int64)
-    return von_neumann_entropy(build_similarity(store, rows, sigma))
-
-
-def _run_strategy(store, metas, strategy: str, config: SelectionConfig) -> float:
-    manifest, _ = _select(store, metas, strategy, config)
-    used = store.l2_normalized() if config.normalize else store
-    return _subset_entropy(used, metas, manifest, config.sigma)
+    return von_neumann_entropy(build_similarity(store, rows, config.sigma))
 
 
 def diversity_report(
@@ -119,6 +115,9 @@ def diversity_report(
     if n_seeds < 1:
         raise InputError("n_seeds must be >= 1")
     seeds = tuple((config.seed + i) % 2**64 for i in range(n_seeds))
+    if config.normalize:
+        # once for every run: selection and entropy both see the normalized rows
+        store, config = store.l2_normalized(), replace(config, normalize=False)
     ents, rand_ents = [], []
     for s in seeds:
         cfg = replace(config, seed=s)

@@ -41,9 +41,9 @@ from .datamodel import (
     SampleMeta,
     SelectionConfig,
     SelectionManifest,
-    check_aligned,
+    _check_sigma,
 )
-from .entropy import _best_bordered, _kernel_block, _matrix_entropy, build_similarity
+from .entropy import _best_bordered, _kernel_block, _matrix_entropy
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
 
@@ -63,10 +63,6 @@ class BudgetPlan:
     exactly to the requested total and never exceed a cluster's size."""
 
     per_cluster: tuple[tuple[int, int], ...]
-
-    @property
-    def total_allocated(self) -> int:
-        return sum(b for _, b in self.per_cluster)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +144,17 @@ def _fill_round_robin(alloc: np.ndarray, sizes: np.ndarray, order: np.ndarray, t
         deficit -= eligible.size
 
 
-def _cluster_members(members, budget: int) -> np.ndarray:
+def _cluster_members(store: EmbeddingStore, members, budget: int, sigma: float) -> np.ndarray:
     """The sorted member rows, after the checks both cluster samplers share."""
+    _check_sigma(sigma)
     members = np.asarray(members, dtype=np.int64).ravel()
     if members.size == 0:
         raise InputError("cluster members list is empty")
     rows = np.unique(members)
     if rows.size != members.size:
         raise InputError("cluster members must be distinct")
+    if rows[0] < 0 or rows[-1] >= store.count:
+        raise InputError(f"cluster member out of range [0, {store.count})")
     if budget < 1:
         raise InputError("cluster budget must be >= 1")
     return rows
@@ -179,24 +178,24 @@ def greedy_sample_cluster(
     the whole cluster returns all members in index order.
 
     Each kernel entry is computed once: an accepted sample fills one column
-    of an (n_c, budget) array against all n_c members, a candidate's kernel
-    row is a gather from it, and the state grows in a budget x budget
-    buffer: (n_c + budget) * budget * 8 bytes per live cluster.
+    of an (n_c, budget) array against all n_c members, and both a
+    candidate's kernel row and the selection's kernel matrix are gathers
+    from it: n_c * budget * 8 bytes per live cluster.
     """
-    members = _cluster_members(members, budget)
+    members = _cluster_members(store, members, budget, sigma)
+    pts = store.data[members]
     if budget >= members.size:
-        return _traced_result(store, members, sigma)
+        return _traced_result(members, pts, sigma)
 
     # positions into the sorted members: the same draws as from the rows,
     # and the lowest position is the lowest row
     positions = np.arange(members.size)
     seeds = rng.choice(positions, size=1 if budget == 1 else 2, replace=False)
-    pts = store.data[members]
     cols = np.empty((members.size, budget), dtype=np.float64)
-    state = np.empty((budget, budget), dtype=np.float64)
     cols[:, : seeds.size] = _kernel_block(pts, pts[seeds], sigma)
-    state[: seeds.size, : seeds.size] = cols[seeds, : seeds.size]
-    trace = _entropy_trace(state[: seeds.size, : seeds.size]).tolist()
+    # cols[picks, :t] is the selection's kernel matrix: (a - b)^2 and
+    # (b - a)^2 have the same bits, and a diagonal entry is exp(-0.0) = 1.0
+    trace = _entropy_trace(cols[seeds, : seeds.size]).tolist()
 
     picks = seeds.tolist()
     mask = np.zeros(members.size, dtype=bool)
@@ -204,11 +203,8 @@ def greedy_sample_cluster(
     for t in range(seeds.size, budget):
         unselected = positions[~mask]
         cands = rng.choice(unselected, size=m, replace=False) if unselected.size > m else unselected
-        kern = cols[cands, :t]
-        pos, entropy = _best_bordered(state[:t, :t], kern, cands, trace[-1])
+        pos, entropy = _best_bordered(cols[picks, :t], cols[cands, :t], cands, trace[-1])
         p = int(cands[pos])
-        state[t, :t] = state[:t, t] = kern[pos]
-        state[t, t] = 1.0
         cols[:, t] = _kernel_block(pts, pts[p][None, :], sigma)[:, 0]
         mask[p] = True
         picks.append(p)
@@ -226,12 +222,9 @@ def _entropy_trace(matrix: np.ndarray) -> np.ndarray:
     return np.array([_matrix_entropy(matrix[:t, :t]) for t in range(1, matrix.shape[0] + 1)], dtype=np.float64)
 
 
-def _traced_result(store: EmbeddingStore, order: np.ndarray, sigma: float) -> ClusterSampleResult:
-    """A cluster's result for a fixed acceptance order."""
-    order = np.asarray(order, dtype=np.int64)
-    return ClusterSampleResult(
-        selected=order, entropy_trace=_entropy_trace(build_similarity(store, order, sigma).matrix)
-    )
+def _traced_result(order: np.ndarray, pts: np.ndarray, sigma: float) -> ClusterSampleResult:
+    """A cluster's result for the acceptance order ``order`` of rows ``pts``."""
+    return ClusterSampleResult(selected=order, entropy_trace=_entropy_trace(_kernel_block(pts, pts, sigma)))
 
 
 def _cluster_rng(seed: int, cluster_id: int) -> np.random.Generator:
@@ -338,10 +331,10 @@ def mmd_sample_cluster(
     entropy trace is recorded for provenance just like the other
     cluster samplers.
     """
-    members = _cluster_members(members, budget)
-    if budget >= members.size:
-        return _traced_result(store, members, sigma)
+    members = _cluster_members(store, members, budget, sigma)
     pts = store.data[members]
+    if budget >= members.size:
+        return _traced_result(members, pts, sigma)
     mu = np.zeros(members.size, dtype=np.float64)
     # rows per chunk bound each (rows, n_c) kernel block to 2e6 / d values;
     # _sq_dists bounds its own difference tensor
@@ -364,7 +357,8 @@ def mmd_sample_cluster(
         mu_s += mu[pick]
         s += k_vec
         order_list.append(pick)
-    return _traced_result(store, members[np.asarray(order_list, dtype=np.int64)], sigma)
+    order = np.asarray(order_list, dtype=np.int64)
+    return _traced_result(members[order], pts[order], sigma)
 
 
 def baseline_select(
@@ -420,7 +414,8 @@ def _select(
     """
     if strategy != "exam" and strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
-    check_aligned(store, metas)
+    if store.count != len(metas):
+        raise InputError(f"embedding store has {store.count} rows but sample manifest has {len(metas)}")
     ids = [m.id for m in metas]
     if strategy in _GLOBAL_ROWS:
         if config.budget > store.count:

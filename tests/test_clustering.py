@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from egms import (
     EmbeddingStore,
     InputError,
-    centroids_to_store,
     gen_synthetic,
     kmeans,
 )
@@ -100,7 +99,7 @@ class TestKmeans:
     def test_centroid_dump_store(self):
         store, _ = gen_synthetic(50, 4, 2, 0.5, seed=3)
         a = kmeans(store, np.arange(50), 4, seed=1)
-        dump = centroids_to_store(a)
+        dump = EmbeddingStore(a.centroids)
         assert dump.count == 4 and dump.dim == 4
 
 

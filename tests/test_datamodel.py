@@ -242,10 +242,7 @@ class TestSelectionManifestFile:
         assert serialize_selection_manifest(parsed) == text
         assert parsed.per_cluster == manifest.per_cluster
         assert parsed.bins == (7 if strategy == "ccs" else None)
-        assert (parsed.selected, parsed.selected_clusters, parsed.selected_steps) == (
-            manifest.selected, manifest.selected_clusters, manifest.selected_steps
-        )
-        assert parsed.pipeline_entropy_trace == manifest.pipeline_entropy_trace
+        assert parsed.selected == manifest.selected
         write_selection_manifest(tmp_path / "sel.txt", manifest)
         assert load_selection_manifest(tmp_path / "sel.txt") == parsed
 
@@ -261,13 +258,14 @@ class TestSelectionManifestFile:
         assert parsed.per_cluster == manifest.per_cluster
 
     def test_records_follow_the_cluster_lines(self, selection_corpus):
-        manifest = parse_selection_manifest(_selection_text(selection_corpus))
+        text = _selection_text(selection_corpus)
+        manifest = parse_selection_manifest(text)
         assert len(manifest.selected) == 20
         for rec in manifest.per_cluster:
             assert rec.final_entropy == (rec.entropy_trace[-1] if rec.selected_ids else None)
-        starts = [i for i, step in enumerate(manifest.selected_steps) if step == 0]
-        assert [manifest.selected_clusters[i] for i in starts] == [
-            rec.cluster_id for rec in manifest.per_cluster if rec.selected_ids
+        records = [line.split(" ")[:3] for line in text.splitlines()[_line_index(text, "records ") + 1 :]]
+        assert records == [
+            [sid, str(rec.cluster_id), str(step)] for rec in manifest.per_cluster for step, sid in enumerate(rec.selected_ids)
         ]
 
     def test_ids_swapped_between_clusters_rejected(self, selection_corpus):
@@ -361,6 +359,23 @@ class TestSelectionManifestFile:
         text = _rebudget(_selection_text(selection_corpus), [-1, 1])
         with pytest.raises(InputError, match="exceed budget"):
             parse_selection_manifest(text)
+
+    def test_fewer_ids_than_budget_rejected(self, selection_corpus):
+        # the first cluster loses its last id and record; its cluster line
+        # ends on the previous record's entropy and the record count drops,
+        # so only the shortfall is wrong
+        text = _selection_text(selection_corpus)
+        lines = text.splitlines()
+        cluster, records = _line_index(text, "cluster "), _line_index(text, "records ")
+        toks = lines[cluster].split(" ")
+        n = len(toks) - 7
+        assert n >= 2
+        toks[5] = lines[records + n - 1].split(" ")[3]
+        lines[cluster] = " ".join(toks[:-1])
+        lines[records] = f"records {int(lines[records].split(' ')[1]) - 1}"
+        del lines[records + n]
+        with pytest.raises(InputError, match=f"cluster {toks[1]}: {n - 1} ids fall short of budget {toks[3]}"):
+            parse_selection_manifest("\n".join(lines) + "\n")
 
     def test_budgets_not_summing_to_the_header_budget_rejected(self, selection_corpus):
         text = _rebudget(_selection_text(selection_corpus), [1])

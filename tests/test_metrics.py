@@ -1,5 +1,7 @@
 """Avg-Rel metric, diversity report, and the exhaustive entropy oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from egms import (
     InputError,
     SelectionConfig,
     avg_rel,
+    baseline_select,
     build_similarity,
     diversity_report,
+    exam_select,
     gen_synthetic,
     greedy_sample_cluster,
     load_benchmark_scores,
@@ -140,6 +144,32 @@ class TestDiversityReport:
         a = diversity_report(store, metas, "exam", cfg, n_seeds=2)
         b = diversity_report(store, metas, "exam", cfg, n_seeds=2)
         assert a == b
+
+    def test_normalize_matches_the_per_seed_runs(self, data):
+        # each seed selects from the normalized rows and measures the subset
+        # there, for the strategy and for the random reference alike
+        store, metas = data
+        cfg = SelectionConfig(budget=30, clusters=4, candidate_size=10, seed=4, normalize=True)
+        report = diversity_report(store, metas, "exam", cfg, n_seeds=3)
+        unit = store.l2_normalized()
+        row_of = {meta.id: i for i, meta in enumerate(metas)}
+
+        def entropies(select):
+            ents = []
+            for s in report.seeds:
+                manifest = select(store, metas, replace(cfg, seed=s))
+                rows = [row_of[sid] for sid in manifest.selected]
+                ents.append(von_neumann_entropy(build_similarity(unit, rows, cfg.sigma)))
+            return np.asarray(ents)
+
+        ents = entropies(exam_select)
+        rand = entropies(lambda s, m, c: baseline_select(s, m, "random", c))
+        assert report.seeds == (4, 5, 6)
+        assert (report.mean_entropy, report.min_entropy, report.max_entropy) == (ents.mean(), ents.min(), ents.max())
+        assert report.mean_exp_entropy == np.exp(ents).mean()
+        assert report.random_mean_exp_entropy == np.exp(rand).mean()
+        plain = diversity_report(store, metas, "exam", replace(cfg, normalize=False), n_seeds=3)
+        assert plain.mean_entropy != report.mean_entropy
 
     def test_rejects_bad_seed_count(self, data):
         store, metas = data

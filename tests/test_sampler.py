@@ -34,7 +34,7 @@ class TestAllocateBudgets:
     def test_exact_proportional_floors(self):
         plan = allocate_budgets([50, 30, 20], 10)
         assert [b for _, b in plan.per_cluster] == [5, 3, 2]
-        assert plan.total_allocated == 10
+        assert sum(b for _, b in plan.per_cluster) == 10
 
     def test_single_cluster(self):
         plan = allocate_budgets([10], 5)
@@ -307,6 +307,23 @@ class TestGreedySampleCluster:
         with pytest.raises(InputError):
             greedy_sample_cluster(store, np.arange(5), 0, 5, 0.5, rng)
 
+    @pytest.mark.parametrize("sigma", [1e-150, 0.05, 0.5, 4.0, 1e150])
+    def test_fixed_order_traces_equal_the_full_kernel_trace(self, sigma):
+        from egms.sampler import _entropy_trace
+
+        store, _ = gen_synthetic(120, 5, 3, 0.6, seed=12)
+        rng = np.random.default_rng(7)
+        for size in (1, 2, 9, 40):
+            members = rng.choice(store.count, size=size, replace=False)
+            runs = [
+                greedy_sample_cluster(store, members, size + 1, 5, sigma, rng),  # covers the cluster
+                mmd_sample_cluster(store, members, size, sigma),  # covers the cluster
+                mmd_sample_cluster(store, members, max(1, size // 2), sigma),
+            ]
+            for res in runs:
+                want = _entropy_trace(build_similarity(store, res.selected, sigma).matrix)
+                assert res.entropy_trace.tobytes() == want.tobytes()
+
 
 def _per_step_reference(store, members, budget, m, sigma, rng):
     """The greedy loop with a fresh state per step: kernel rows recomputed against the state, then augment."""
@@ -366,7 +383,7 @@ class TestKernelColumns:
 
 def _manifest_records(manifest):
     """(cluster, step, entropy) of each selected sample."""
-    return list(zip(manifest.selected_clusters, manifest.selected_steps, manifest.pipeline_entropy_trace))
+    return [(rec.cluster_id, step, e) for rec in manifest.per_cluster for step, e in enumerate(rec.entropy_trace or ())]
 
 
 @pytest.fixture(scope="module")
@@ -416,14 +433,13 @@ class TestExamSelect:
         store, metas = pipeline_data
         cfg = SelectionConfig(budget=40, clusters=4, candidate_size=10, seed=7)
         manifest = exam_select(store, metas, cfg)
-        assert manifest.pipeline_entropy_trace is not None
-        assert len(manifest.pipeline_entropy_trace) == 40
+        traces = [rec.entropy_trace for rec in manifest.per_cluster if rec.selected_ids]
+        assert all(trace is not None for trace in traces)
+        assert sum(len(trace) for trace in traces) == 40
         # per-cluster final entropy equals the last trace entry of the cluster
         for rec in manifest.per_cluster:
-            if not rec.selected_ids:
-                continue
-            idx = [i for i, c in enumerate(manifest.selected_clusters) if c == rec.cluster_id]
-            assert manifest.pipeline_entropy_trace[idx[-1]] == rec.final_entropy
+            if rec.selected_ids:
+                assert rec.entropy_trace[-1] == rec.final_entropy
 
     def test_normalize_flag_changes_result(self, pipeline_data):
         store, metas = pipeline_data
@@ -592,6 +608,21 @@ class TestBaselineSelect:
             mmd_sample_cluster(store, [5, 5, 6], budget, 0.5)
         with pytest.raises(InputError, match="cluster members must be distinct"):
             greedy_sample_cluster(store, [5, 5, 6], budget, 4, 0.5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_members_out_of_range_or_bad_sigma_rejected_by_both_cluster_samplers(self, budget):
+        store = EmbeddingStore(np.random.default_rng(7).normal(size=(10, 2)))
+        for members, sigma, match in [
+            ([-1, 5, 6], 0.5, r"cluster member out of range \[0, 10\)"),
+            ([5, 6, 10], 0.5, r"cluster member out of range \[0, 10\)"),
+            ([4, 5, 6], 0.0, "sigma must be finite and > 0"),
+            ([4, 5, 6], float("nan"), "sigma must be finite and > 0"),
+            ([4, 5, 6], 1e-200, "underflows"),
+        ]:
+            with pytest.raises(InputError, match=match):
+                mmd_sample_cluster(store, members, budget, sigma)
+            with pytest.raises(InputError, match=match):
+                greedy_sample_cluster(store, members, budget, 4, sigma, np.random.default_rng(0))
 
     def test_baselines_deterministic(self, pipeline_data):
         store, metas = pipeline_data
