@@ -17,9 +17,11 @@ the triangle inequality proves cannot move closer to a new centre (Elkan
 2003, "Using the triangle inequality to accelerate k-means"; Raff 2021,
 "Exact Acceleration of K-Means++ and K-Means||"), so every random draw and
 every seed centroid is bit-identical to a full pass. Assignment works in
-blocks of about 1 MiB: one GEMM into a preallocated buffer, finished in
-place with the same operations in the same order as the expression above,
-and |x|^2 is computed once per :func:`kmeans` call.
+blocks of about 1 MiB: one GEMM against -2c into a preallocated buffer,
+finished in place by two additions, and |x|^2 is computed once per
+:func:`kmeans` call. Scaling by -2 is exact, so each entry has the bits of
+the expression above (unless a product underflows to a subnormal, far
+below any squared distance that decides a label).
 
 Rounding caveat: OpenBLAS ``dgemm`` (measured on 0.3.31) can round a row's
 dot products differently depending on the row count of the block and the
@@ -76,15 +78,16 @@ def _assign_chunked(
     labels = np.empty(n, dtype=np.int64)
     d2min = np.empty(n, dtype=np.float64)
     c_norms = np.einsum("ij,ij->i", centroids, centroids)
+    neg2c = -2.0 * centroids
     block = max(1, _BLOCK_ELEMENTS // L)
     buf = np.empty((min(block, n), L), dtype=np.float64)
     for start in range(0, n, block):
         stop = min(start + block, n)
         d2 = buf[: stop - start]
-        # xn - 2 x.c + |c|^2, evaluated in that order as one expression would
-        np.matmul(x[start:stop], centroids.T, out=d2)
-        d2 *= 2.0
-        np.subtract(xn[start:stop, None], d2, out=d2)
+        # xn - 2 x.c + |c|^2 with the bits of that expression: x.(-2c) is
+        # -2 (x.c) exactly, and a - b == a + (-b)
+        np.matmul(x[start:stop], neg2c.T, out=d2)
+        np.add(xn[start:stop, None], d2, out=d2)
         d2 += c_norms
         lab = np.argmin(d2, axis=1, out=labels[start:stop])
         d2min[start:stop] = d2[np.arange(stop - start), lab]

@@ -42,6 +42,14 @@ functions"). The argmax, its ``==`` ties and the lowest-row rule run on
 the solved candidates' own entropies, so the result is that of solving
 every candidate, bit for bit.
 
+The argmax runs over a stack of states of one size t, one per cluster
+that the greedy moves in lock step: one ``eigh`` of the (k, t, t) stack,
+bounds over the ragged candidate rows, each tagged with its state, and
+exact solves in stacks of at most ``_STACK_ELEMENTS`` values. Each
+state's ``best_gain``, pruning and argmax read only its own rows, and a
+solved entropy has the same bits in any stack, so a state's result does
+not depend on the others.
+
 A near-identity step skips the bounds. When ``(t + 1)`` times the largest
 candidate kernel entry is below ``_NEAR_IDENTITY``, all entropies and
 bounds lie within a sliver of each other and few if any candidates are
@@ -85,6 +93,7 @@ _FIRST_BATCH = 2  # candidates solved exactly before any is ruled out
 _MARGIN_PER_EIGENVALUE = 1e-9  # bound slack per eigenvalue (module docstring)
 _NEAR_IDENTITY = 1e-3  # (t + 1) * max kernel entry below which no bound is tried
 _CHUNK_ELEMENTS = 2_000_000  # cap on the difference tensor of _sq_dists
+_STACK_ELEMENTS = 1 << 16  # cap on the values of one stack of bordered matrices (512 KiB)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,6 +112,20 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _kernel_block(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(_sq_dists(a, b) / (-2.0 * sigma * sigma))
+
+
+def _paired_kernel(data: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel entry of each row pair ``(data[a[i]], data[b[i]])``: the bits ``_kernel_block`` gives that pair.
+
+    Pairs go in chunks whose difference array holds ``_CHUNK_ELEMENTS`` values.
+    """
+    out = np.empty(a.size, dtype=np.float64)
+    chunk = max(1, _CHUNK_ELEMENTS // data.shape[1])
+    for start in range(0, a.size, chunk):
+        diff = data[a[start : start + chunk]]
+        diff -= data[b[start : start + chunk]]
+        np.einsum("ij,ij->i", diff, diff, out=out[start : start + chunk])
+    return np.exp(out / (-2.0 * sigma * sigma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,43 +252,53 @@ def entropy_gain(state: SimilarityState, store: EmbeddingStore, candidate_row: i
     return von_neumann_entropy(augment(state, store, candidate_row, sigma)) - von_neumann_entropy(state)
 
 
-def _bordered_entropies(matrix: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Entropy of ``[[matrix, k], [k^T, 1]] / (t + 1)`` for each kernel row ``k``.
+def _bordered_entropies(mats: np.ndarray, kern: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Entropy of ``[[A, k], [k^T, 1]] / (t + 1)`` for each kernel row ``k``, with ``A = mats[owner]``.
 
     Every bordered matrix is solved on its own, so a candidate's entropy has
-    the same bits whichever other candidates share the stack.
+    the same bits whichever other candidates share the stack. Stacks hold
+    at most ``_STACK_ELEMENTS`` values.
     """
     m, t = kern.shape
-    stack = np.empty((m, t + 1, t + 1), dtype=np.float64)
-    stack[:, :t, :t] = matrix
-    stack[:, t, :t] = kern
-    stack[:, :t, t] = kern
-    stack[:, t, t] = 1.0
-    stack /= float(t + 1)
-    return _density_entropies(stack)
+    out = np.empty(m, dtype=np.float64)
+    chunk = max(1, _STACK_ELEMENTS // (t + 1) ** 2)
+    for start in range(0, m, chunk):
+        k, o = kern[start : start + chunk], owner[start : start + chunk]
+        stack = np.empty((k.shape[0], t + 1, t + 1), dtype=np.float64)
+        cuts = [0, *(np.flatnonzero(o[1:] != o[:-1]) + 1).tolist(), o.size]
+        for a, b in zip(cuts, cuts[1:]):  # runs of one state: no gathered copy of its matrix
+            stack[a:b, :t, :t] = mats[o[a]]
+        stack[:, t, :t] = k
+        stack[:, :t, t] = k
+        stack[:, t, t] = 1.0
+        stack /= float(t + 1)
+        out[start : start + chunk] = _density_entropies(stack)
+    return out
 
 
-def _pole_bounds(lam: np.ndarray, z: np.ndarray, total: float, g: int) -> np.ndarray:
-    """Entropy of each arrowhead ``[[diag(lam), z], [z^T, 1]] / n`` with all but its g largest z_i^2 zeroed.
+def _pole_bounds(lam: np.ndarray, total: np.ndarray, z: np.ndarray, state: np.ndarray, g: int) -> np.ndarray:
+    """Entropy of each arrowhead ``[[diag(lam_s), z_j], [z_j^T, 1]] / n`` with all but its g largest z_i^2 zeroed.
 
-    Row j keeps the poles ``keep`` of its g largest z_i^2. The eigenvalues
-    of the zeroed matrix are lam outside ``keep`` plus those of the
-    (g+1)x(g+1) arrowhead on ``keep``, so the entropy is ``total`` (the
-    entropy of lam alone) with the kept poles' terms swapped for that
-    arrowhead's. g = 1 uses the closed-form 2x2 eigenvalues.
+    Row j of ``z`` belongs to state ``s = state[j]``, whose eigenvalues are
+    ``lam[s]`` and whose entropy of those alone is ``total[s]``. Row j keeps
+    the poles ``keep`` of its g largest z_i^2. The eigenvalues of the
+    zeroed matrix are lam outside ``keep`` plus those of the (g+1)x(g+1)
+    arrowhead on ``keep``, so the entropy is ``total`` with the kept poles'
+    terms swapped for that arrowhead's. g = 1 uses the closed-form 2x2
+    eigenvalues.
     """
-    n = lam.size + 1
+    n = lam.shape[1] + 1
     rows = np.arange(z.shape[0])[:, None]
     z2 = z * z
     if g == 1:
         keep = z2.argmax(axis=1)[:, None]
-        a = lam[keep]
+        a = lam[state[:, None], keep]
         mid, half = 0.5 * (a + 1.0), 0.5 * (a - 1.0)
         rad = np.sqrt(half * half + z2[rows, keep])
         mu = np.concatenate([mid - rad, mid + rad], axis=1)
     else:
         keep = np.argpartition(z2, -g, axis=1)[:, -g:]
-        a = lam[keep]
+        a = lam[state[:, None], keep]
         head = np.zeros((z.shape[0], g + 1, g + 1), dtype=np.float64)
         diag = np.arange(g)
         head[:, diag, diag] = a
@@ -273,10 +306,10 @@ def _pole_bounds(lam: np.ndarray, z: np.ndarray, total: float, g: int) -> np.nda
         head[:, g, :g] = head[:, :g, g]
         head[:, g, g] = 1.0
         mu = np.linalg.eigvalsh(head)
-    return total + _xlogx(a / n).sum(axis=1) - _xlogx(mu / n).sum(axis=1)
+    return total[state] + _xlogx(a / n).sum(axis=1) - _xlogx(mu / n).sum(axis=1)
 
 
-def _beaten(bound: np.ndarray, margin: float, base_entropy: float, best_gain: float) -> np.ndarray:
+def _beaten(bound: np.ndarray, margin: float, base_entropy: np.ndarray, best_gain: np.ndarray) -> np.ndarray:
     """Where an entropy bound proves the candidate's gain rounds strictly below ``best_gain``.
 
     ``(bound + margin) - base``, not ``bound - base + margin``: rounding the
@@ -287,40 +320,58 @@ def _beaten(bound: np.ndarray, margin: float, base_entropy: float, best_gain: fl
 
 
 def _best_bordered(
-    matrix: np.ndarray, kern: np.ndarray, cands: np.ndarray, base_entropy: float
-) -> tuple[int, float]:
-    """Position in ``kern`` of the largest gain over ``matrix``, and its augmented entropy.
+    mats: np.ndarray, kern: np.ndarray, owner: np.ndarray, cands: np.ndarray, base_entropy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each state ``mats[s]``, the row of ``kern`` with the largest gain over it, and its augmented entropy.
 
-    Ties go to the lowest of ``cands`` (any key ordered like the rows).
-    Only the candidates that the near-identity guard and the bounds of the
-    module docstring do not rule out are solved: the ``_FIRST_BATCH`` with
-    the highest 2x2 bound, then every other one whose 2x2 and then g-pole
-    bound reach ``best_gain - margin``.
+    ``mats`` is a (k, t, t) stack of states and ``base_entropy`` their k
+    entropies. Row i of ``kern`` is a candidate of state ``owner[i]``;
+    ``owner`` is non-decreasing and every state has a candidate. Ties go to
+    the state's lowest ``cands`` (any key ordered like the rows). Only the
+    candidates that the near-identity guard and the bounds of the module
+    docstring do not rule out are solved: per bounded state the
+    ``_FIRST_BATCH`` with the highest 2x2 bound, then every other one whose
+    2x2 and then g-pole bound reach its ``best_gain - margin``. Each stage
+    runs once over the whole stack, and a state's result depends on its
+    own rows alone.
     """
-    n = matrix.shape[0] + 1
-    if n * kern.max(initial=0.0) < _NEAR_IDENTITY:
-        entropies = _bordered_entropies(matrix, kern)
-    else:
+    k, t = mats.shape[0], kern.shape[1]
+    n = t + 1
+    starts = np.searchsorted(owner, np.arange(k + 1))  # state s owns rows starts[s]:starts[s + 1]
+    near = n * np.maximum.reduceat(kern.max(axis=1), starts[:-1]) < _NEAR_IDENTITY
+    entropies = np.full(kern.shape[0], np.nan)
+    solve = np.flatnonzero(near[owner])  # a near-identity state solves every candidate
+    bounded = np.flatnonzero(~near)
+    if bounded.size:
         margin = _MARGIN_PER_EIGENVALUE * n
         try:
-            lam, q = np.linalg.eigh(matrix)
+            lam, q = np.linalg.eigh(mats[bounded])
         except np.linalg.LinAlgError as exc:
             raise InternalInvariantError(f"eigendecomposition failed: {exc}") from exc
-        z = kern @ q
-        total = 0.0 - _xlogx(lam / n).sum()
+        total = 0.0 - _xlogx(lam / n).sum(axis=1)
+        rows = np.flatnonzero(~near[owner])
+        state = np.repeat(np.arange(bounded.size), np.diff(starts)[bounded])  # of each row, among the bounded
+        z = np.concatenate([kern[starts[s] : starts[s + 1]] @ q[j] for j, s in enumerate(bounded)])
 
-        entropies = np.full(kern.shape[0], np.nan)
-        bound = _pole_bounds(lam, z, total, 1)
-        order = np.argsort(-bound, kind="stable")
-        first, rest = order[:_FIRST_BATCH], order[_FIRST_BATCH:]
-        entropies[first] = _bordered_entropies(matrix, kern[first])
-        best_gain = (entropies[first] - base_entropy).max()
-        rest = rest[~_beaten(bound[rest], margin, base_entropy, best_gain)]
-        if rest.size and n - 1 > _BOUND_POLES:  # else the g-pole bound is the full solve
-            rest = rest[~_beaten(_pole_bounds(lam, z[rest], total, _BOUND_POLES), margin, base_entropy, best_gain)]
-        if rest.size:
-            entropies[rest] = _bordered_entropies(matrix, kern[rest])
-    gains = entropies - base_entropy
-    tied = np.flatnonzero(gains == np.nanmax(gains))
-    pos = tied[np.argmin(cands[tied])]
-    return int(pos), float(entropies[pos])
+        bound = _pole_bounds(lam, total, z, state, 1)
+        order = np.lexsort((-bound, state))  # by state, then by falling bound
+        rank = np.arange(rows.size) - np.searchsorted(state, state[order])
+        first, rest = order[rank < _FIRST_BATCH], order[rank >= _FIRST_BATCH]
+        solve = np.concatenate([solve, rows[first]])
+        entropies[solve] = _bordered_entropies(mats, kern[solve], owner[solve])
+        best_gain = np.full(k, -np.inf)
+        np.maximum.at(best_gain, owner[rows[first]], entropies[rows[first]] - base_entropy[owner[rows[first]]])
+        o = owner[rows[rest]]
+        rest = rest[~_beaten(bound[rest], margin, base_entropy[o], best_gain[o])]
+        if rest.size and t > _BOUND_POLES:  # else the g-pole bound is the full solve
+            o = owner[rows[rest]]
+            bound = _pole_bounds(lam, total, z[rest], state[rest], _BOUND_POLES)
+            rest = rest[~_beaten(bound, margin, base_entropy[o], best_gain[o])]
+        solve = rows[rest]
+    if solve.size:
+        entropies[solve] = _bordered_entropies(mats, kern[solve], owner[solve])
+    gains = entropies - base_entropy[owner]
+    tied = gains == np.fmax.reduceat(gains, starts[:-1])[owner]
+    key = np.where(tied, cands, np.iinfo(np.int64).max)
+    pos = np.flatnonzero(tied & (key == np.minimum.reduceat(key, starts[:-1])[owner]))
+    return pos, entropies[pos]

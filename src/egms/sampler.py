@@ -9,14 +9,18 @@ accepted when they are the argmax; the rule is the maximum gain, not only
 positive gains. The argmax is exact, but candidates that an entropy upper
 bound proves cannot win are never solved exactly (see
 :func:`egms.entropy._best_bordered`). Each kernel entry is computed
-once per cluster, in n_c x budget x 8 bytes of kernel columns.
+once per cluster.
 
-Per-cluster generators are seeded from (global seed, cluster id), so the
-result is byte-identical regardless of how clusters are spread over
-worker threads. The cluster samplers are pure functions of their inputs:
-each returns its selection and the entropy after every accepted sample.
-The threads share the immutable embedding store and touch only their own
-cluster's state.
+Clusters are sampled in lock step (:func:`_greedy_batch`): one iteration
+moves every cluster of a batch one step on, with one argmax call for all
+of them, so the per-step Python and numpy call overhead is paid once per
+batch, not once per cluster. Per-cluster generators are seeded from
+(global seed, cluster id), each cluster draws only from its own, and no
+stage mixes values of two clusters, so a cluster's result is
+byte-identical alone, in any batch and on any worker thread. The cluster
+samplers are pure functions of their inputs: each returns its selection
+and the entropy after every accepted sample. The threads share the
+immutable embedding store and touch only their own batch's state.
 
 One driver, :func:`_select`, runs every strategy: the pipeline's ``exam``
 and the comparison baselines of :data:`STRATEGIES`. It collects cluster
@@ -43,7 +47,7 @@ from .datamodel import (
     SelectionManifest,
     _check_sigma,
 )
-from .entropy import _best_bordered, _kernel_block, _matrix_entropy
+from .entropy import _best_bordered, _kernel_block, _matrix_entropy, _paired_kernel
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
 
@@ -53,6 +57,8 @@ STRATEGIES = ("random", "mid_score", "ccs", "exam_average_allocation", "mmd_mini
 # Keeps per-cluster and global-draw generators independent for one run seed.
 _CLUSTER_STREAM = 2
 _GLOBAL_STREAM = 3
+# cap on the kernel columns of one batch of lock-step greedy clusters (512 KiB)
+_BATCH_ELEMENTS = 1 << 16
 
 ProgressFn = Callable[[int, int, float], None]
 
@@ -177,40 +183,94 @@ def greedy_sample_cluster(
     only the candidates its upper bound cannot rule out. A budget covering
     the whole cluster returns all members in index order.
 
-    Each kernel entry is computed once: an accepted sample fills one column
-    of an (n_c, budget) array against all n_c members, and both a
-    candidate's kernel row and the selection's kernel matrix are gathers
-    from it: n_c * budget * 8 bytes per live cluster.
+    This is :func:`_greedy_batch` on a batch of one, so a cluster gets the
+    same result alone or sampled together with others, and takes the
+    memory of a batch of one: n_c * budget * 8 bytes of kernel columns.
     """
-    members = _cluster_members(store, members, budget, sigma)
-    pts = store.data[members]
-    if budget >= members.size:
-        return _traced_result(members, pts, sigma)
+    return _greedy_batch(store, [(members, budget)], m, sigma, [rng])[0]
 
-    # positions into the sorted members: the same draws as from the rows,
-    # and the lowest position is the lowest row
-    positions = np.arange(members.size)
-    seeds = rng.choice(positions, size=1 if budget == 1 else 2, replace=False)
-    cols = np.empty((members.size, budget), dtype=np.float64)
-    cols[:, : seeds.size] = _kernel_block(pts, pts[seeds], sigma)
-    # cols[picks, :t] is the selection's kernel matrix: (a - b)^2 and
-    # (b - a)^2 have the same bits, and a diagonal entry is exp(-0.0) = 1.0
-    trace = _entropy_trace(cols[seeds, : seeds.size]).tolist()
 
-    picks = seeds.tolist()
-    mask = np.zeros(members.size, dtype=bool)
-    mask[seeds] = True
-    for t in range(seeds.size, budget):
-        unselected = positions[~mask]
-        cands = rng.choice(unselected, size=m, replace=False) if unselected.size > m else unselected
-        pos, entropy = _best_bordered(cols[picks, :t], cols[cands, :t], cands, trace[-1])
-        p = int(cands[pos])
-        cols[:, t] = _kernel_block(pts, pts[p][None, :], sigma)[:, 0]
-        mask[p] = True
-        picks.append(p)
-        trace.append(entropy)
+def _greedy_batch(
+    store: EmbeddingStore,
+    clusters: list[tuple[np.ndarray, int]],
+    m: int,
+    sigma: float,
+    rngs: list[np.random.Generator],
+) -> list[ClusterSampleResult]:
+    """:func:`greedy_sample_cluster` for each ``(members, budget)``, in lock step.
 
-    return ClusterSampleResult(selected=members[picks], entropy_trace=np.asarray(trace, dtype=np.float64))
+    Every cluster with a budget below its size takes its seeds from its own
+    generator, then each iteration moves all clusters still short of their
+    budget one step on: each draws its candidates from its own generator,
+    and one :func:`egms.entropy._best_bordered` call picks every cluster's
+    sample. The clusters share no values, so each result is the same in
+    any batch.
+
+    Each kernel entry is computed once: an accepted sample fills one column
+    of the batch's (sum n_c, max budget) array against its cluster's
+    members, and both a candidate's kernel row and a selection's kernel
+    matrix are gathers from it. That array, 8 bytes per entry, is the
+    batch's lasting memory, which :func:`_batches` caps at
+    ``_BATCH_ELEMENTS`` entries; member rows are gathered from the store
+    for each step, not kept, and the argmax stacks its exact solves in
+    chunks of ``egms.entropy._STACK_ELEMENTS`` values.
+    """
+    results: list[ClusterSampleResult | None] = [None] * len(clusters)
+    live = []  # (index, sorted members, budget) of the clusters that need a greedy
+    for i, (members, budget) in enumerate(clusters):
+        members = _cluster_members(store, members, budget, sigma)
+        if budget >= members.size:
+            results[i] = _traced_result(members, store.data[members], sigma)
+        else:
+            live.append((i, members, budget))
+    if not live:
+        return results
+
+    rows = np.concatenate([members for _, members, _ in live])  # cluster c owns positions offs[c]:offs[c + 1]
+    sizes = np.array([members.size for _, members, _ in live])
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    budgets = np.array([budget for _, _, budget in live])
+    cols = np.empty((rows.size, budgets.max()), dtype=np.float64)
+    picks = np.empty((len(live), budgets.max()), dtype=np.int64)  # positions into rows
+    trace = np.empty((len(live), budgets.max()), dtype=np.float64)
+    taken = np.zeros(rows.size, dtype=bool)  # selected, or in a finished cluster
+    for c, (i, members, budget) in enumerate(live):
+        # positions into the sorted members: the same draws as from the rows,
+        # and the lowest position is the lowest row
+        seeds = rngs[i].choice(np.arange(members.size), size=1 if budget == 1 else 2, replace=False) + offs[c]
+        pts = store.data[members]
+        cols[offs[c] : offs[c + 1], : seeds.size] = _kernel_block(pts, store.data[rows[seeds]], sigma)
+        # cols[picks, :t] is the selection's kernel matrix: (a - b)^2 and
+        # (b - a)^2 have the same bits, and a diagonal entry is exp(-0.0) = 1.0
+        trace[c, : seeds.size] = _entropy_trace(cols[seeds, : seeds.size])
+        picks[c, : seeds.size] = seeds
+        taken[seeds] = True
+        if budget == seeds.size:
+            taken[offs[c] : offs[c + 1]] = True
+    cluster_of = np.repeat(np.arange(len(live)), sizes)
+
+    for t in range(2, budgets.max()):
+        step = np.flatnonzero(budgets > t)
+        unselected = np.flatnonzero(~taken)
+        cuts = [*np.searchsorted(unselected, offs[step]).tolist(), unselected.size]
+        cands = []
+        for c, a, b in zip(step, cuts, cuts[1:]):
+            pool = unselected[a:b]
+            cands.append(rngs[live[c][0]].choice(pool, size=m, replace=False) if pool.size > m else pool)
+        owner = np.repeat(np.arange(step.size), [pool.size for pool in cands])
+        cands = np.concatenate(cands)
+        pos, entropy = _best_bordered(cols[picks[step, :t], :t], cols[cands, :t], owner, cands, trace[step, t - 1])
+        picks[step, t] = cands[pos]
+        trace[step, t] = entropy
+        taken[cands[pos]] = True
+        for c in step[budgets[step] == t + 1]:
+            taken[offs[c] : offs[c + 1]] = True
+        grow = np.flatnonzero((budgets > t + 1)[cluster_of])
+        cols[grow, t] = _paired_kernel(store.data, rows[grow], rows[picks[cluster_of[grow], t]], sigma)
+
+    for c, (i, _, budget) in enumerate(live):
+        results[i] = ClusterSampleResult(selected=rows[picks[c, :budget]], entropy_trace=trace[c, :budget].copy())
+    return results
 
 
 def _entropy_trace(matrix: np.ndarray) -> np.ndarray:
@@ -383,6 +443,23 @@ def baseline_select(
     return _select(store, metas, strategy, config, bins, progress)[0]
 
 
+def _batches(order: list[int], sizes: list[int], budgets: dict[int, int], strategy: str) -> list[list[int]]:
+    """Split ``order`` into runs of consecutive clusters, one pool task each.
+
+    A greedy run grows while its kernel columns, (sum n_c) x (max budget)
+    values, stay within ``_BATCH_ELEMENTS``; a cluster above it runs alone,
+    and so does every MMD cluster.
+    """
+    batches, rows, width = [], 0, 0
+    for cid in order:
+        rows, width = rows + sizes[cid], max(width, budgets[cid])
+        if not batches or strategy == "mmd_minimize" or rows * width > _BATCH_ELEMENTS:
+            batches.append([])
+            rows, width = sizes[cid], budgets[cid]
+        batches[-1].append(cid)
+    return batches
+
+
 # strategies that draw from the whole dataset: (metas, config, bins) -> selected rows
 _GLOBAL_ROWS = {"random": _random_rows, "mid_score": _mid_score_rows, "ccs": _ccs_rows}
 
@@ -403,11 +480,14 @@ def _select(
     perplexity tails (all but ``mmd_minimize``), run k-means on the kept
     rows, allocate budgets (an equal split for ``exam_average_allocation``,
     else proportional) and sample each cluster with a budget (by MMD for
-    ``mmd_minimize``, else greedily by entropy gain). Clusters are submitted
-    largest first (then lowest id) to ``config.workers`` threads. Results
+    ``mmd_minimize``, else greedily by entropy gain). Clusters are ordered
+    largest first (then lowest id) and cut into runs of consecutive
+    clusters (:func:`_batches`); each run is one task for ``config.workers``
+    threads, sampled in lock step (one cluster at a time for MMD). Results
     are collected in that order, and each cluster's entropy trace goes to
-    ``progress`` as ``(cluster id, step, entropy)`` once its result is in;
-    the manifest and the progress stream do not depend on scheduling.
+    ``progress`` as ``(cluster id, step, entropy)`` once its run is in; the
+    manifest and the progress stream depend neither on the runs nor on
+    scheduling.
 
     Returns the manifest and the k-means assignment of a clustered
     strategy (None for the others).
@@ -440,23 +520,23 @@ def _select(
     allocate = _average_budgets if strategy == "exam_average_allocation" else allocate_budgets
     budgets = dict(allocate(sizes, config.budget).per_cluster)
 
-    def sample(cid: int) -> ClusterSampleResult:
-        members, budget = assignment.members[cid], budgets[cid]
+    def sample(batch: list[int]) -> list[ClusterSampleResult]:
+        clusters = [(assignment.members[cid], budgets[cid]) for cid in batch]
         if strategy == "mmd_minimize":
-            return mmd_sample_cluster(store, members, budget, config.sigma)
-        rng = _cluster_rng(config.seed, cid)
-        return greedy_sample_cluster(store, members, budget, config.candidate_size, config.sigma, rng)
+            return [mmd_sample_cluster(store, members, budget, config.sigma) for members, budget in clusters]
+        rngs = [_cluster_rng(config.seed, cid) for cid in batch]
+        return _greedy_batch(store, clusters, config.candidate_size, config.sigma, rngs)
 
     records = {cid: ClusterRecord(cid, budget, ()) for cid, budget in budgets.items()}
     order = sorted((cid for cid, budget in budgets.items() if budget >= 1), key=lambda cid: (-sizes[cid], cid))
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [(cid, pool.submit(sample, cid)) for cid in order]
-        for cid, fut in futures:
-            res = fut.result()
-            trace = res.entropy_trace.tolist()
-            records[cid] = ClusterRecord(cid, budgets[cid], tuple(ids[r] for r in res.selected), tuple(trace))
-            if progress is not None:
-                for step, entropy in enumerate(trace):
-                    progress(cid, step, entropy)
+        futures = [(batch, pool.submit(sample, batch)) for batch in _batches(order, sizes, budgets, strategy)]
+        for batch, fut in futures:
+            for cid, res in zip(batch, fut.result()):
+                trace = res.entropy_trace.tolist()
+                records[cid] = ClusterRecord(cid, budgets[cid], tuple(ids[r] for r in res.selected), tuple(trace))
+                if progress is not None:
+                    for step, entropy in enumerate(trace):
+                        progress(cid, step, entropy)
     manifest = SelectionManifest(config, strategy, tuple(records.values()), tuple(ids[r] for r in filtered_out))
     return manifest, assignment

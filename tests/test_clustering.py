@@ -203,3 +203,37 @@ class TestAssignChunked:
         cached_labels, cached_d2 = _assign_chunked(x, centroids, np.einsum("ij,ij->i", x, x))
         assert np.array_equal(cached_labels, labels)
         assert cached_d2.tobytes() == d2.tobytes()
+
+    @pytest.mark.parametrize("L", [3, 500])
+    @pytest.mark.parametrize("which", ["one", "below", "block", "above"])
+    def test_keeps_the_bits_of_the_expanded_expression(self, L, which):
+        """The GEMM against -2c and an addition give the bits of ``xn - 2 x.c + |c|^2`` in the same blocks."""
+
+        def expanded(x, centroids):
+            n = x.shape[0]
+            xn = np.einsum("ij,ij->i", x, x)
+            c_norms = np.einsum("ij,ij->i", centroids, centroids)
+            labels, d2min = np.empty(n, dtype=np.int64), np.empty(n)
+            block = max(1, _BLOCK_ELEMENTS // L)
+            buf = np.empty((min(block, n), L))
+            for start in range(0, n, block):
+                stop = min(start + block, n)
+                d2 = buf[: stop - start]
+                np.matmul(x[start:stop], centroids.T, out=d2)
+                d2 *= 2.0
+                np.subtract(xn[start:stop, None], d2, out=d2)
+                d2 += c_norms
+                lab = np.argmin(d2, axis=1, out=labels[start:stop])
+                d2min[start:stop] = d2[np.arange(stop - start), lab]
+            return labels, np.maximum(d2min, 0.0)
+
+        block = _BLOCK_ELEMENTS // L
+        n = {"one": 1, "below": block - 1, "block": block, "above": block + 1}[which]
+        gen = np.random.default_rng(L * 7 + n)
+        centres = gen.normal(size=(20, 64))
+        x = centres[gen.integers(20, size=n)] + 0.05 * gen.normal(size=(n, 64)) + 3.0
+        centroids = x[gen.choice(n, size=min(L, n), replace=False)] if n >= L else gen.normal(size=(L, 64))
+        want_labels, want_d2 = expanded(x, centroids)
+        labels, d2 = _assign_chunked(x, centroids)
+        assert np.array_equal(labels, want_labels)
+        assert d2.tobytes() == want_d2.tobytes()

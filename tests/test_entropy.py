@@ -292,14 +292,19 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def _best_row(state, store, cands, sigma, base_entropy):
-    """``_best_bordered`` mapped back from a position in ``cands`` to a store row."""
-    pos, entropy = _best_bordered(state.matrix, _kern(state, store, cands, sigma), cands, base_entropy)
-    return int(cands[pos]), entropy
+def _best_rows(steps):
+    """``_best_bordered`` over a batch of steps ``(state, store, cands, sigma, base)`` of one t, mapped back to store rows."""
+    mats = np.stack([state.matrix for state, *_ in steps])
+    kern = np.concatenate([_kern(state, store, cands, sigma) for state, store, cands, sigma, _ in steps])
+    owner = np.repeat(np.arange(len(steps)), [len(cands) for _, _, cands, _, _ in steps])
+    keys = np.concatenate([cands for _, _, cands, _, _ in steps])
+    pos, entropies = _best_bordered(mats, kern, owner, keys, np.array([base for *_, base in steps]))
+    assert (owner[pos] == np.arange(len(steps))).all()
+    return [(int(keys[p]), e) for p, e in zip(pos, entropies)]
 
 
 @st.composite
-def _greedy_steps(draw):
+def _greedy_steps(draw, t=None):
     """One greedy step: a store, members, candidates in random order, sigma and a base entropy.
 
     Rows are blobs, exact duplicates, near-duplicates (1e-9 apart), one
@@ -308,10 +313,11 @@ def _greedy_steps(draw):
     e^-c: tiny sigma for close rows or far-apart rows for a moderate one,
     on both sides of the guard that solves every candidate at once. Base
     entropies include the state's own, values near it, and large ones that
-    make different entropies give equal gains by rounding.
+    make different entropies give equal gains by rounding. ``t`` fixes the
+    state size.
     """
     kind = draw(st.sampled_from(["blobs", "duplicates", "near_duplicates", "constant", "near_identity"]))
-    n = draw(st.integers(2, 90))
+    n = draw(st.integers(2 if t is None else t + 1, 90))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sigma = draw(st.one_of(st.sampled_from([1e-150, 1e-3, 1e3, 1e150]), st.floats(0.02, 8.0)))
@@ -330,7 +336,8 @@ def _greedy_steps(draw):
         elif kind == "near_duplicates":
             data = data + 1e-9 * rng.normal(size=(n, d))
     data = data + draw(st.sampled_from([-1.0, 0.0, 1.0])) * 2.0 ** draw(st.integers(0, 30))
-    t = draw(st.integers(1, min(40, n - 1)))
+    if t is None:
+        t = draw(st.integers(1, min(40, n - 1)))
     m = draw(st.integers(1, n - t))
     perm = rng.permutation(n)
     store = EmbeddingStore(data)
@@ -347,15 +354,21 @@ def _greedy_steps(draw):
     return state, store, perm[t : t + m], sigma, base
 
 
+@st.composite
+def _greedy_step_batches(draw):
+    """One to four greedy steps of one state size: near-identity and bounded states share a batch."""
+    t = draw(st.integers(1, 40))
+    return [draw(_greedy_steps(t)) for _ in range(draw(st.integers(1, 4)))]
+
+
 class TestBestEntropyGain:
     @settings(max_examples=300, deadline=None)
-    @given(_greedy_steps())
-    def test_equals_the_full_argmax_bit_for_bit(self, step):
-        state, store, cands, sigma, base = step
-        row, entropy = _best_row(state, store, cands, sigma, base)
-        want_row, want_entropy = _full_argmax(state, store, cands, sigma, base)
-        assert row == want_row
-        assert _bits(entropy) == _bits(want_entropy)
+    @given(_greedy_step_batches())
+    def test_equals_the_full_argmax_bit_for_bit(self, steps):
+        for (row, entropy), (state, store, cands, sigma, base) in zip(_best_rows(steps), steps):
+            want_row, want_entropy = _full_argmax(state, store, cands, sigma, base)
+            assert row == want_row
+            assert _bits(entropy) == _bits(want_entropy)
 
     def test_ties_by_rounding_go_to_the_lowest_row(self, store):
         # at base 2^30 a gain's last bit is 2^-22, so candidates whose
@@ -371,25 +384,28 @@ class TestBestEntropyGain:
             gains = entropies - base
             tied = gains == gains.max()
             seen_rounding_tie |= np.unique(entropies[tied]).size > 1
-            row, entropy = _best_row(state, store, cands, 0.5, base)
+            [(row, entropy)] = _best_rows([(state, store, cands, 0.5, base)])
             want_row, want_entropy = _full_argmax(state, store, cands, 0.5, base)
             assert row == want_row
             assert _bits(entropy) == _bits(want_entropy)
         assert seen_rounding_tie
 
     @settings(max_examples=200, deadline=None)
-    @given(_greedy_steps())
-    def test_bounds_are_sound(self, step):
-        state, store, cands, sigma, _ = step
-        n = state.size + 1
-        kern = _kern(state, store, cands, sigma)
-        exact = _bordered_entropies(state.matrix, kern)
-        lam, q = np.linalg.eigh(state.matrix)
-        z = kern @ q
-        total = 0.0 - _xlogx(lam / n).sum()
+    @given(_greedy_step_batches())
+    def test_bounds_are_sound(self, steps):
+        t = steps[0][0].size
+        n = t + 1
+        kern = [_kern(state, store, cands, sigma) for state, store, cands, sigma, _ in steps]
+        exact = np.concatenate(
+            [_bordered_entropies(state.matrix[None], k, np.zeros(len(k), dtype=np.int64)) for (state, *_), k in zip(steps, kern)]
+        )
+        lam, q = np.linalg.eigh(np.stack([state.matrix for state, *_ in steps]))
+        z = np.concatenate([k @ q[j] for j, k in enumerate(kern)])
+        state_of = np.repeat(np.arange(len(steps)), [len(k) for k in kern])
+        total = 0.0 - _xlogx(lam / n).sum(axis=1)
         margin = _MARGIN_PER_EIGENVALUE * n
-        for g in range(1, min(_BOUND_POLES, state.size) + 1):
-            assert (_pole_bounds(lam, z, total, g) >= exact - margin).all()
+        for g in range(1, min(_BOUND_POLES, t) + 1):
+            assert (_pole_bounds(lam, total, z, state_of, g) >= exact - margin).all()
 
     def test_corrupted_state_is_an_internal_error(self, store):
         state = build_similarity(store, [0, 1, 2], 0.5)
@@ -397,9 +413,16 @@ class TestBestEntropyGain:
         bad[0, 1] = bad[1, 0] = np.nan
         cands = np.arange(10, 20)
         kern = _kern(state, store, cands, 0.5)
+        base = np.array([von_neumann_entropy(state)] * 2)
         for k in (kern, np.zeros_like(kern)):  # bounded step, then near-identity step
             with pytest.raises(InternalInvariantError):
-                _best_bordered(bad, k, cands, von_neumann_entropy(state))
+                _best_bordered(bad[None], k, np.zeros(len(cands), dtype=np.int64), cands, base[:1])
+            # beside a sound state in one batch
+            with pytest.raises(InternalInvariantError):
+                _best_bordered(
+                    np.stack([state.matrix, bad]), np.concatenate([kern, k]), np.repeat([0, 1], len(cands)),
+                    np.concatenate([cands, cands]), base,
+                )
 
 
 def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
@@ -421,7 +444,7 @@ def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
         for size in (1, 2, int(rng.integers(3, kern.shape[0] + 1))):
             idx = rng.choice(kern.shape[0], size=min(size, kern.shape[0]), replace=False)
             assert _density_entropies(stack[idx]).tobytes() == whole[idx].tobytes()
-        assert _bordered_entropies(state.matrix, kern).tobytes() == whole.tobytes()
+        assert _bordered_entropies(state.matrix[None], kern, np.zeros(len(kern), dtype=np.int64)).tobytes() == whole.tobytes()
 
 
 def test_xlogx_keeps_the_bits_of_the_guarded_form():

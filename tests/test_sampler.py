@@ -27,7 +27,8 @@ from egms import (
 )
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
-from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _select
+from egms import sampler
+from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _entropy_trace, _greedy_batch, _select
 
 
 class TestAllocateBudgets:
@@ -337,7 +338,9 @@ def _per_step_reference(store, members, budget, m, sigma, rng):
         unselected = members[~mask]
         candidates = rng.choice(unselected, size=m, replace=False) if unselected.size > m else unselected
         kern = _kernel_block(store.data[candidates], store.data[state.member_rows], sigma)
-        pos, entropy = _best_bordered(state.matrix, kern, candidates, trace[-1])
+        [pos], [entropy] = _best_bordered(
+            state.matrix[None], kern, np.zeros(len(candidates), dtype=np.int64), candidates, np.array([trace[-1]])
+        )
         chosen = int(candidates[pos])
         state = augment(state, store, chosen, sigma)
         selected.append(chosen)
@@ -379,6 +382,82 @@ class TestKernelColumns:
         selected, trace = _per_step_reference(store, members, budget, m, sigma, np.random.default_rng(seed))
         assert res.selected.tolist() == selected.tolist()
         assert res.entropy_trace.tobytes() == trace.tobytes()
+
+
+@st.composite
+def _cluster_batches(draw):
+    """Clusters of one store for one lock-step batch, a pool size, sigma and a seed per cluster.
+
+    Near-identity clusters (distinct lattice rows 10 sigma apart, every
+    kernel entry below e^-50) share the batch with bounded ones (rows
+    within about sigma of a centre, some exact duplicates). Sizes include
+    singletons; budgets include 1, 2, n_c - 1 and budgets at or above n_c;
+    pools may exceed the unselected count.
+    """
+    sigma = draw(st.sampled_from([0.05, 0.5, 3.0]))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, clusters, start = [], [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 24))
+        if draw(st.booleans()):  # near-identity
+            lattice = np.stack(np.unravel_index(rng.choice(30**d, size=n, replace=False), (30,) * d), axis=1)
+            block = 10.0 * sigma * lattice
+        else:
+            block = rng.normal(size=d) + sigma * draw(st.sampled_from([0.05, 0.3, 1.0])) * rng.normal(size=(n, d))
+            dup = rng.random(n) < draw(st.sampled_from([0.0, 0.3]))
+            block[dup] = block[0]
+        blocks.append(block)
+        budget = draw(st.one_of(st.sampled_from([1, 2, max(1, n - 1), n, n + 3]), st.integers(1, n)))
+        clusters.append((start + rng.permutation(n), budget))
+        start += n
+    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in clusters]
+    return EmbeddingStore(np.concatenate(blocks)), clusters, draw(st.integers(1, 30)), sigma, seeds
+
+
+class TestLockStep:
+    @settings(max_examples=60, deadline=None)
+    @given(_cluster_batches())
+    def test_each_cluster_equals_the_per_step_reference(self, batch):
+        store, clusters, m, sigma, seeds = batch
+        results = _greedy_batch(store, clusters, m, sigma, [np.random.default_rng(s) for s in seeds])
+        for (members, budget), seed, res in zip(clusters, seeds, results):
+            if budget >= members.size:
+                selected = np.sort(members)
+                trace = _entropy_trace(build_similarity(store, selected, sigma).matrix)
+            else:
+                selected, trace = _per_step_reference(store, members, budget, m, sigma, np.random.default_rng(seed))
+            assert res.selected.tolist() == selected.tolist()
+            assert res.entropy_trace.tobytes() == trace.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_cluster_batches())
+    def test_a_cluster_gets_the_same_bytes_alone_in_a_batch_and_in_reverse(self, batch):
+        store, clusters, m, sigma, seeds = batch
+
+        def run(order):
+            res = _greedy_batch(store, [clusters[i] for i in order], m, sigma, [np.random.default_rng(seeds[i]) for i in order])
+            return {i: (r.selected.tobytes(), r.entropy_trace.tobytes()) for i, r in zip(order, res)}
+
+        together = run(list(range(len(clusters))))
+        assert run(list(reversed(range(len(clusters))))) == together
+        for i in range(len(clusters)):
+            assert run([i]) == {i: together[i]}
+
+    def test_select_does_not_depend_on_batching_or_workers(self, pipeline_data, monkeypatch):
+        store, metas = pipeline_data
+        runs = []
+        for cap in (1, sampler._BATCH_ELEMENTS, 1 << 40):  # every cluster alone, the default, one batch
+            monkeypatch.setattr(sampler, "_BATCH_ELEMENTS", cap)
+            for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
+                for workers in (1, 2, 8):
+                    events = []
+                    cfg = SelectionConfig(budget=90, clusters=12, candidate_size=15, seed=4, workers=workers)
+                    manifest, _ = _select(store, metas, strategy, cfg, progress=lambda c, s, e: events.append((c, s, e)))
+                    runs.append((cap, strategy, workers, serialize_selection_manifest(manifest), events))
+        for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
+            same = [(text, events) for _, s, _, text, events in runs if s == strategy]
+            assert all(run == same[0] for run in same), strategy
 
 
 def _manifest_records(manifest):
