@@ -31,8 +31,12 @@ orthogonally similar to the arrowhead ``H(z) = [[diag(lam), z], [z^T, 1]]``
   the other ``lam_i`` plus that of a (g+1)x(g+1) arrowhead. That entropy
   U is an upper bound on the candidate's entropy S, in O(g^3) per
   candidate instead of O(t^3). The 2x2 case (g = 1) has closed-form
-  eigenvalues and bounds every candidate; candidates it cannot rule out
-  get the g = 4 bound.
+  eigenvalues and bounds every candidate. Candidates it cannot rule out
+  go through the tiers of ``_BOUND_POLES`` (g = 4, 16, 64) in order: each
+  tier bounds the candidates the one before it left, and runs only while
+  g < t, since at g >= t its bound is the full solve. A larger g keeps
+  more of z's mass, so its bound is tighter; as t grows that mass spreads
+  over more components, and the larger tiers take over from g = 4.
 
 The largest-bound candidates are solved exactly first. A candidate is
 then ruled out when ``(U + margin) - base < best_gain``, and only the
@@ -71,7 +75,11 @@ Fannes' inequality). The clamp alone thus moves the entropy by up to
 eigenvalues each stay below ``_MARGIN_PER_EIGENVALUE * (t + 1)`` =
 1e-9 (t+1) as long as rounding moves a density eigenvalue by under
 1e-11; backward-stable solves of matrices with norm <= 1 move it by a
-small multiple of ``(t + 1) * 2.2e-16``.
+small multiple of ``(t + 1) * 2.2e-16``. This holds for every g, so for
+every tier: each U is the exact entropy of a zeroed matrix with t+1
+eigenvalues of norm <= 1, computed from the reused ``lam`` (the second
+computation) and one small solve (the third). g only sets that solve's
+size, and its g+1 eigenvalues are fewer than the t+1 the margin covers.
 
 All squared distances go through one routine (explicit differences summed
 over the feature axis) so that a pair of rows produces bit-identical
@@ -88,7 +96,7 @@ from .datamodel import EmbeddingStore, _check_sigma
 from .errors import InputError, InternalInvariantError
 
 _EIG_CLAMP = 1e-12
-_BOUND_POLES = 4  # g: z components the refined bound keeps
+_BOUND_POLES = (4, 16, 64)  # g of each refined bound tier, rising: z components it keeps
 _FIRST_BATCH = 2  # candidates solved exactly before any is ruled out
 _MARGIN_PER_EIGENVALUE = 1e-9  # bound slack per eigenvalue (module docstring)
 _NEAR_IDENTITY = 1e-3  # (t + 1) * max kernel entry below which no bound is tried
@@ -285,7 +293,8 @@ def _pole_bounds(lam: np.ndarray, total: np.ndarray, z: np.ndarray, state: np.nd
     zeroed matrix are lam outside ``keep`` plus those of the (g+1)x(g+1)
     arrowhead on ``keep``, so the entropy is ``total`` with the kept poles'
     terms swapped for that arrowhead's. g = 1 uses the closed-form 2x2
-    eigenvalues.
+    eigenvalues; larger g solve the arrowheads in stacks of at most
+    ``_STACK_ELEMENTS`` values.
     """
     n = lam.shape[1] + 1
     rows = np.arange(z.shape[0])[:, None]
@@ -299,13 +308,18 @@ def _pole_bounds(lam: np.ndarray, total: np.ndarray, z: np.ndarray, state: np.nd
     else:
         keep = np.argpartition(z2, -g, axis=1)[:, -g:]
         a = lam[state[:, None], keep]
-        head = np.zeros((z.shape[0], g + 1, g + 1), dtype=np.float64)
+        zk = z[rows, keep]
+        mu = np.empty((z.shape[0], g + 1), dtype=np.float64)
         diag = np.arange(g)
-        head[:, diag, diag] = a
-        head[:, :g, g] = z[rows, keep]
-        head[:, g, :g] = head[:, :g, g]
-        head[:, g, g] = 1.0
-        mu = np.linalg.eigvalsh(head)
+        chunk = max(1, _STACK_ELEMENTS // (g + 1) ** 2)
+        for start in range(0, z.shape[0], chunk):
+            stop = min(start + chunk, z.shape[0])
+            head = np.zeros((stop - start, g + 1, g + 1), dtype=np.float64)
+            head[:, diag, diag] = a[start:stop]
+            head[:, :g, g] = zk[start:stop]
+            head[:, g, :g] = zk[start:stop]
+            head[:, g, g] = 1.0
+            mu[start:stop] = np.linalg.eigvalsh(head)
     return total[state] + _xlogx(a / n).sum(axis=1) - _xlogx(mu / n).sum(axis=1)
 
 
@@ -331,7 +345,8 @@ def _best_bordered(
     candidates that the near-identity guard and the bounds of the module
     docstring do not rule out are solved: per bounded state the
     ``_FIRST_BATCH`` with the highest 2x2 bound, then every other one whose
-    2x2 and then g-pole bound reach its ``best_gain - margin``. Each stage
+    2x2 bound and then the g-pole bound of each tier of ``_BOUND_POLES``
+    with g < t reach its ``best_gain - margin``. Each stage
     runs once over the whole stack, and a state's result depends on its
     own rows alone.
     """
@@ -363,9 +378,11 @@ def _best_bordered(
         np.maximum.at(best_gain, owner[rows[first]], entropies[rows[first]] - base_entropy[owner[rows[first]]])
         o = owner[rows[rest]]
         rest = rest[~_beaten(bound[rest], margin, base_entropy[o], best_gain[o])]
-        if rest.size and t > _BOUND_POLES:  # else the g-pole bound is the full solve
+        for g in _BOUND_POLES:
+            if not rest.size or t <= g:  # at t <= g the g-pole bound is the full solve
+                break
             o = owner[rows[rest]]
-            bound = _pole_bounds(lam, total, z[rest], state[rest], _BOUND_POLES)
+            bound = _pole_bounds(lam, total, z[rest], state[rest], g)
             rest = rest[~_beaten(bound, margin, base_entropy[o], best_gain[o])]
         solve = rows[rest]
     if solve.size:

@@ -314,10 +314,10 @@ def _greedy_steps(draw, t=None):
     on both sides of the guard that solves every candidate at once. Base
     entropies include the state's own, values near it, and large ones that
     make different entropies give equal gains by rounding. ``t`` fixes the
-    state size.
+    state size; above 60 it leaves room for up to 30 candidates.
     """
     kind = draw(st.sampled_from(["blobs", "duplicates", "near_duplicates", "constant", "near_identity"]))
-    n = draw(st.integers(2 if t is None else t + 1, 90))
+    n = draw(st.integers(2 if t is None else t + 1, 90 if t is None else max(90, t + 30)))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sigma = draw(st.one_of(st.sampled_from([1e-150, 1e-3, 1e3, 1e150]), st.floats(0.02, 8.0)))
@@ -355,9 +355,9 @@ def _greedy_steps(draw, t=None):
 
 
 @st.composite
-def _greedy_step_batches(draw):
-    """One to four greedy steps of one state size: near-identity and bounded states share a batch."""
-    t = draw(st.integers(1, 40))
+def _greedy_step_batches(draw, low=1, high=40):
+    """One to four greedy steps of one state size in [low, high]: near-identity and bounded states share a batch."""
+    t = draw(st.integers(low, high))
     return [draw(_greedy_steps(t)) for _ in range(draw(st.integers(1, 4)))]
 
 
@@ -393,6 +393,16 @@ class TestBestEntropyGain:
     @settings(max_examples=200, deadline=None)
     @given(_greedy_step_batches())
     def test_bounds_are_sound(self, steps):
+        self._check_bounds(steps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_greedy_step_batches(65, 100))
+    def test_bounds_of_every_tier_are_sound_past_the_largest(self, steps):
+        self._check_bounds(steps)
+
+    @staticmethod
+    def _check_bounds(steps):
+        """Every g-pole bound, g = 1..4 and each tier of ``_BOUND_POLES`` below t, is at least the exact entropy less the margin."""
         t = steps[0][0].size
         n = t + 1
         kern = [_kern(state, store, cands, sigma) for state, store, cands, sigma, _ in steps]
@@ -404,7 +414,7 @@ class TestBestEntropyGain:
         state_of = np.repeat(np.arange(len(steps)), [len(k) for k in kern])
         total = 0.0 - _xlogx(lam / n).sum(axis=1)
         margin = _MARGIN_PER_EIGENVALUE * n
-        for g in range(1, min(_BOUND_POLES, t) + 1):
+        for g in sorted({g for g in range(1, 5) if g <= t} | {g for g in _BOUND_POLES if g < t}):
             assert (_pole_bounds(lam, total, z, state_of, g) >= exact - margin).all()
 
     def test_corrupted_state_is_an_internal_error(self, store):

@@ -27,7 +27,7 @@ from egms import (
 )
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
-from egms import sampler
+from egms import entropy, sampler
 from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _entropy_trace, _greedy_batch, _select
 
 
@@ -458,6 +458,50 @@ class TestLockStep:
         for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
             same = [(text, events) for _, s, _, text, events in runs if s == strategy]
             assert all(run == same[0] for run in same), strategy
+
+
+class TestBoundTiers:
+    """The g-pole tiers of ``_BOUND_POLES`` choose which candidates get solved, never the result."""
+
+    def test_tiers_change_the_work_not_the_bytes(self, monkeypatch):
+        # L2-normalized, so the bounds prune; per-cluster budgets of 90 take
+        # the greedy past t = 64, where every tier runs
+        store, metas, labels = gen_synthetic(600, 16, 2, 1.0, seed=1, return_labels=True)
+        members = np.flatnonzero(labels == 0)
+        cfg = SelectionConfig(budget=180, clusters=2, seed=3, normalize=True)
+        pole_bounds, beaten, bordered = entropy._pole_bounds, entropy._beaten, entropy._bordered_entropies
+        default, runs, solves = entropy._BOUND_POLES, {}, {}
+        for tiers in ((4,), default):
+            monkeypatch.setattr(entropy, "_BOUND_POLES", tiers)
+            tier, ruled_out, solved = [None], dict.fromkeys(tiers, 0), [0]
+
+            def counted_bounds(lam, total, z, state, g):
+                tier[0] = g
+                return pole_bounds(lam, total, z, state, g)
+
+            def counted_beaten(*args):
+                out = beaten(*args)
+                if tier[0] in ruled_out:  # the first _beaten after a tier's bounds is its prune
+                    ruled_out[tier[0]] += int(out.sum())
+                tier[0] = None
+                return out
+
+            def counted_solves(mats, kern, owner):
+                solved[0] += kern.shape[0]
+                return bordered(mats, kern, owner)
+
+            monkeypatch.setattr(entropy, "_pole_bounds", counted_bounds)
+            monkeypatch.setattr(entropy, "_beaten", counted_beaten)
+            monkeypatch.setattr(entropy, "_bordered_entropies", counted_solves)
+            res = greedy_sample_cluster(store.l2_normalized(), members, 90, 100, 0.5, np.random.default_rng(1))
+            manifest, _ = _select(store, metas, "exam", cfg)
+            assert max(rec.budget for rec in manifest.per_cluster) > 65
+            traces = np.concatenate([rec.entropy_trace for rec in manifest.per_cluster])
+            runs[tiers] = (res.selected.tolist(), res.entropy_trace.tobytes(), serialize_selection_manifest(manifest), traces.tobytes())
+            solves[tiers] = solved[0]
+            assert all(count >= 1 for count in ruled_out.values()), ruled_out  # no tier is dead code
+        assert runs[default] == runs[(4,)]
+        assert solves[default] < solves[(4,)]
 
 
 def _manifest_records(manifest):
