@@ -7,27 +7,50 @@ farthest from its assigned centroid (never stealing the last member of
 another cluster). Inertia is asserted non-increasing across iterations.
 
 The kept rows are translated so that the first of them sits at the origin
-before seeding and Lloyd. Assignment ranks centroids by the expanded form
-|x|^2 - 2x.c + |c|^2, which cancels badly far from the origin; subtracting
-a data row (rather than the mean) gives bitwise-identical translated data
-for any shift the input holds exactly, so the clustering ignores it.
+before seeding and Lloyd. Subtracting a data row (rather than the mean)
+gives bitwise-identical translated data for any shift the input holds
+exactly, so the clustering ignores it.
 
-Both hot loops are exact. Seeding skips the distance pass for rows that
-the triangle inequality proves cannot move closer to a new centre (Elkan
-2003, "Using the triangle inequality to accelerate k-means"; Raff 2021,
-"Exact Acceleration of K-Means++ and K-Means||"), so every random draw and
-every seed centroid is bit-identical to a full pass. Assignment works in
-blocks of about 1 MiB: one GEMM against -2c into a preallocated buffer,
-finished in place by two additions, and |x|^2 is computed once per
-:func:`kmeans` call. Scaling by -2 is exact, so each entry has the bits of
-the expression above (unless a product underflows to a subnormal, far
-below any squared distance that decides a label).
+Label contract: each row's label is the lowest-index argmin of the explicit
+squared distances sum_k (x_k - c_k)^2 as :func:`_sq_dist` computes them, and
+every squared distance this module reports (the seeding weights, the inertia
+history, the order of empty-cluster repair) is that value for the winner.
+So labels and distances depend neither on the GEMM block shape nor on the
+BLAS thread count. The first Lloyd step takes the labels k-means++ already
+holds; later steps use the shortlist below.
 
-Rounding caveat: OpenBLAS ``dgemm`` (measured on 0.3.31) can round a row's
-dot products differently depending on the row count of the block and the
-row's offset in it. The block size therefore fixes the last bits of the
-assignment's squared distances, and with them of ``inertia_history``;
-labels move only where two centroids tie to within that rounding.
+Certified shortlist. A GEMM against [-2c, |c|^2] (one column of ones on
+the rows) ranks the centroids by v_j = |c_j|^2 - 2 x.c_j, which differs
+from the squared distance by |x|^2 only. A dot product of length n has an
+error of at most gamma_n times the dot product of the absolute values
+(Higham 2002, "Accuracy and Stability of Numerical Algorithms", section 3.1,
+gamma_n = n u / (1 - n u)), so each computed v_j is within 2 gamma_{d+1} S
+of the exact one, with S = (|x| + max_j |c_j|)^2, and each explicit
+distance is within gamma_{d+2} S of the exact one. So if the runner-up
+value exceeds the smallest by more than 6 gamma_{d+2} S, the smallest one's
+explicit distance is strictly the least and it is the label; the test uses
+8 gamma_{d+2} S, which also covers the rounding of S. Rows that fail it are
+re-ranked by explicit distances over every centroid whose value lies within
+that slack of the smallest; the others cannot win or tie.
+
+Component pruning (Elkan 2003, "Using the triangle inequality to accelerate
+k-means"). After a step, every row of cluster a lies within
+R_a = sqrt(max d^2 of its rows) + |shift of c_a| of the moved centroid. If
+|c_j - c_a| > 2 R_a then |x - c_j| > |x - c_a| for each such row, so c_j
+cannot be its nearest centroid. The gaps come from one L x L GEMM, shaded by
+the same kind of bound into a lower bound, and the test keeps a 1e-9
+relative margin, far above the rounding of R_a and of the explicit
+distances, so a pruned centroid's explicit distance is strictly larger too.
+The centroids that may compete form a graph; each connected component's
+rows are assigned against that component's centroids only, in ascending
+index order, so the lowest-index tie-break is the global one. Continuous
+data forms one component, which is a full pass.
+
+Seeding skips the distance pass for rows that the triangle inequality
+proves cannot move closer to a new centre (Elkan 2003; Raff 2021, "Exact
+Acceleration of K-Means++ and K-Means||"), so every random draw and every
+seed centroid is bit-identical to a full pass. Assignment blocks hold
+about 1 MiB of values.
 """
 
 from __future__ import annotations
@@ -43,9 +66,18 @@ MAX_ITER = 100
 SHIFT_TOL = 1e-6
 # float64 elements in one assignment block (1 MiB)
 _BLOCK_ELEMENTS = 1 << 17
-# relative slack on the seeding bound: it covers the rounding of each
+# relative slack on the pruning bounds: it covers the rounding of each
 # squared distance (about d * 1.1e-16 relative) for d up to about 1e6
 _PRUNE_MARGIN = 1e-9
+# absolute slack: far above the error of products that underflow (at most
+# d * 2^-1074) and far below any distance these bounds decide
+_FLOOR = 2.0**-900
+
+
+def _slack(d: int) -> float:
+    """8 gamma_{d+2} with float64 unit roundoff: the relative rounding slack of the shortlist."""
+    nu = (d + 2) * 2.0**-53
+    return 8.0 * nu / (1.0 - nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,34 +97,148 @@ class ClusterAssignment:
     inertia_history: np.ndarray
 
 
-def _assign_chunked(
-    x: np.ndarray, centroids: np.ndarray, xn: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row: (labels, squared distances).
+def _sq_dist(x: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Explicit squared distance sum_k (x_k - c_k)^2 of each row of ``x`` (or of ``x[rows]``).
 
-    ``xn`` holds |x|^2 per row; it is computed here when not given.
+    ``c`` is one centre, or one centre per row in a scratch array that the
+    differences overwrite. Every label and distance of this module is this
+    expression, and each row's bits do not depend on the other rows.
     """
-    n, L = x.shape[0], centroids.shape[0]
-    if xn is None:
-        xn = np.einsum("ij,ij->i", x, x)
+    if rows is not None:
+        diff = x[rows]  # fancy indexing copies; subtracting in place keeps one temporary
+        diff -= c
+    elif c.ndim == 2:
+        diff = np.subtract(x, c, out=c)
+    else:
+        diff = x - c
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _rerank(x, centroids, values, best, tol, tight, lab, dist) -> None:
+    """Lowest-index explicit argmin for the ``tight`` rows, written into ``lab`` and ``dist``.
+
+    ``values`` holds each row's shortlist values with its winner's set to
+    inf; a centroid is a contender when its value is within ``tol`` of the
+    row's ``best``, and every other centroid's explicit distance is larger.
+    """
+    band = values[tight] <= (best[tight] + tol[tight])[:, None]
+    band[np.arange(tight.size), lab[tight]] = True
+    row, cid = np.nonzero(band)  # row-major: each row's contenders in ascending order
+    exact = np.empty(row.size, dtype=np.float64)
+    step = max(1, _BLOCK_ELEMENTS // x.shape[1])
+    for start in range(0, row.size, step):
+        part = slice(start, start + step)
+        exact[part] = _sq_dist(x[tight[row[part]]], centroids[cid[part]])
+    lowest = np.minimum.reduceat(exact, np.flatnonzero(np.diff(row, prepend=-1)))
+    hits = np.flatnonzero(exact == lowest[row])
+    first = hits[np.flatnonzero(np.diff(row[hits], prepend=-1))]
+    lab[tight] = cid[first]
+    dist[tight] = exact[first]
+
+
+def _assign_chunked(
+    xa: np.ndarray,
+    centroids: np.ndarray,
+    xnorm: np.ndarray | None = None,
+    comp: np.ndarray | None = None,
+    prev: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per row: (labels, explicit squared distances).
+
+    ``xa`` holds the rows with a column of ones appended, which the GEMM
+    against [-2c, |c|^2] reads, and ``xnorm`` their norms, computed here when not given. With ``comp``
+    (a component id per centroid, from :func:`_components`) and ``prev``
+    (each row's previous label), each row is ranked only against the
+    centroids of its previous label's component, in ascending order, so
+    the lowest local index is the lowest global one.
+    """
+    n, d = xa.shape[0], xa.shape[1] - 1
+    if xnorm is None:
+        xnorm = np.sqrt(np.einsum("ij,ij->i", xa[:, :d], xa[:, :d]))
     labels = np.empty(n, dtype=np.int64)
-    d2min = np.empty(n, dtype=np.float64)
-    c_norms = np.einsum("ij,ij->i", centroids, centroids)
-    neg2c = -2.0 * centroids
-    block = max(1, _BLOCK_ELEMENTS // L)
-    buf = np.empty((min(block, n), L), dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = buf[: stop - start]
-        # xn - 2 x.c + |c|^2 with the bits of that expression: x.(-2c) is
-        # -2 (x.c) exactly, and a - b == a + (-b)
-        np.matmul(x[start:stop], neg2c.T, out=d2)
-        np.add(xn[start:stop, None], d2, out=d2)
-        d2 += c_norms
-        lab = np.argmin(d2, axis=1, out=labels[start:stop])
-        d2min[start:stop] = d2[np.arange(stop - start), lab]
-    np.maximum(d2min, 0.0, out=d2min)
-    return labels, d2min
+    d2 = np.empty(n, dtype=np.float64)
+    if comp is None or comp.max() == 0:
+        groups = [(None, None)]
+    else:
+        row_comp = comp[prev].astype(np.min_scalar_type(comp.max()))  # small keys take numpy's radix sort
+        order = np.argsort(row_comp, kind="stable")  # rows grouped by component, ascending within each
+        sizes = np.bincount(row_comp)
+        groups = [
+            (np.flatnonzero(comp == k), order[stop - size : stop])
+            for k, (size, stop) in enumerate(zip(sizes, np.cumsum(sizes)))
+        ]
+    slack = _slack(d)
+    # one set of block buffers for every group, so their pages fault in
+    # once; np.take writes into them directly only with mode="clip" (the
+    # indices are valid), while the default mode buffers a copy
+    scratch = np.empty((3, max(_BLOCK_ELEMENTS, centroids.shape[0], d + 1)), dtype=np.float64)
+    for cids, rows in groups:
+        cents = centroids if cids is None else centroids[cids]
+        L = cents.shape[0]
+        keys = np.empty((L, d + 1), dtype=np.float64)
+        np.multiply(cents, -2.0, out=keys[:, :d])  # exact
+        keys[:, d] = np.einsum("ij,ij->i", cents, cents)
+        cmax = float(np.sqrt(keys[:, d].max()))
+        size = n if rows is None else rows.size
+        block = max(1, _BLOCK_ELEMENTS // max(L, d + 1))
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            m = stop - start
+            if rows is None:
+                at = slice(start, stop)
+                xb = xa[at]
+            else:
+                at = rows[start:stop]
+                xb = np.take(xa, at, axis=0, out=scratch[0, : m * (d + 1)].reshape(m, d + 1), mode="clip")
+            values = np.matmul(xb, keys.T, out=scratch[1, : m * L].reshape(m, L))  # |c|^2 - 2 x.c
+            r = np.arange(m)
+            lab = np.argmin(values, axis=1)
+            best = values[r, lab]
+            values[r, lab] = np.inf
+            gap = values[r, np.argmin(values, axis=1)] - best
+            tol = xnorm[at] + cmax
+            tol *= tol
+            tol *= slack
+            tol += _FLOOR
+            x = xb[:, :d]
+            dist = _sq_dist(x, np.take(cents, lab, axis=0, out=scratch[2, : m * d].reshape(m, d), mode="clip"))
+            tight = np.flatnonzero(~(gap > tol))
+            if tight.size:
+                _rerank(x, cents, values, best, tol, tight, lab, dist)
+            labels[at] = lab if cids is None else cids[lab]
+            d2[at] = dist
+    return labels, d2
+
+
+def _components(centroids: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Component id per centroid of the graph of centroids that may compete for a row.
+
+    Rows of cluster a lie within ``radius[a]`` of its centroid; c_j may
+    win one of them unless |c_j - c_a| > 2 radius[a]. The squared gaps come
+    from one GEMM, less a bound on their rounding, so they are lower bounds.
+    Components are numbered in the order of their lowest centroid.
+    """
+    L, d = centroids.shape
+    norms = np.einsum("ij,ij->i", centroids, centroids)
+    gap2 = centroids @ centroids.T
+    gap2 *= -2.0
+    shaded = norms * (1.0 - _slack(d))
+    gap2 += shaded[:, None]
+    gap2 += shaded
+    reach = gap2 <= np.maximum(4.0 * (1.0 + _PRUNE_MARGIN) * radius * radius, _FLOOR)[:, None]
+    reach |= reach.T
+    comp = np.full(L, -1, dtype=np.int64)
+    k = 0
+    for seed in range(L):
+        if comp[seed] >= 0:
+            continue
+        comp[seed] = k
+        front = np.array([seed])
+        while front.size:
+            front = np.flatnonzero(reach[front].any(axis=0) & (comp < 0))
+            comp[front] = k
+        k += 1
+    return comp
 
 
 def _means_by_label(x: np.ndarray, labels: np.ndarray, L: int) -> np.ndarray:
@@ -103,27 +249,30 @@ def _means_by_label(x: np.ndarray, labels: np.ndarray, L: int) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means++ seeds, bit-identical to recomputing every row each round.
 
-    ``d2`` is each row's squared distance to its nearest seed so far and
-    ``near`` that seed. If |c_j - c_near|^2 / 4 >= d2, the triangle
-    inequality gives |x - c_j| >= |c_j - c_near| - |x - c_near| >= |x - c_near|,
-    so the new centre c_j cannot lower the row's ``d2`` and the row is
-    skipped. The test keeps a row unless the bound holds with a 1e-9
-    relative margin. The computed ``d2`` and centre gaps are sums of
-    non-negative terms with relative rounding errors near 1e-14, so for a
-    skipped row the computed distance to c_j still exceeds the stored
-    ``d2`` and a full pass would have kept ``d2`` as well. Recomputed rows
-    use the same explicit-difference sum as a full pass, so ``d2`` and with
-    it every draw of ``rng.choice(n, p=d2 / total)`` keep their bits.
+    Returns the seeds, ``near`` and ``d2``: each row's nearest seed and its
+    squared distance to it. Each round replaces ``near`` only on a strictly
+    smaller ``d2``, so ``near`` is the lowest-index argmin of the explicit
+    distances to the seeds, the first Lloyd step's labels.
+
+    If |c_j - c_near|^2 / 4 >= d2, the triangle inequality gives
+    |x - c_j| >= |c_j - c_near| - |x - c_near| >= |x - c_near|, so the new
+    centre c_j cannot lower the row's ``d2`` and the row is skipped. The
+    test keeps a row unless the bound holds with a 1e-9 relative margin.
+    The computed ``d2`` and centre gaps are sums of non-negative terms with
+    relative rounding errors near 1e-14, so for a skipped row the computed
+    distance to c_j still exceeds the stored ``d2`` and a full pass would
+    have kept ``d2`` and ``near`` as well. Recomputed rows use the same
+    :func:`_sq_dist` as a full pass, so ``d2`` and with it every draw of
+    ``rng.choice(n, p=d2 / total)`` keep their bits.
     """
     n = x.shape[0]
     centroids = np.empty((L, x.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    diff = x - centroids[0]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = _sq_dist(x, centroids[0])
     near = np.zeros(n, dtype=np.int64)
     for j in range(1, L):
         total = d2.sum()
@@ -135,14 +284,12 @@ def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> np.ndarray:
         gap = centroids[:j] - centroids[j]
         half2 = np.einsum("ij,ij->i", gap, gap) * 0.25
         rows = np.flatnonzero(half2[near] < d2 * (1.0 + _PRUNE_MARGIN))
-        diff = x[rows]  # fancy indexing copies; subtracting in place keeps one n x d temporary
-        diff -= centroids[j]
-        new = np.einsum("ij,ij->i", diff, diff)
+        new = _sq_dist(x, centroids[j], rows=rows)
         closer = new < d2[rows]
         rows = rows[closer]
         d2[rows] = new[closer]
         near[rows] = j
-    return centroids
+    return centroids, near, d2
 
 
 def _repair_empty(labels: np.ndarray, d2: np.ndarray, L: int) -> None:
@@ -181,19 +328,28 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
         raise InputError("kept indices must be distinct")
     if L < 1 or L > rows.size:
         raise InputError(f"need 1 <= L <= |kept|, got L={L}, |kept|={rows.size}")
-    x = store.data[rows]  # fancy indexing copies, so translating in place is safe
-    origin = x[0].copy()
-    x -= origin
+    d = store.dim
+    origin = store.data[rows[0]].copy()
+    # the translated rows with a column of ones (the layout the assignment
+    # GEMM reads), filled in blocks so no second n x d array is made
+    xa = np.empty((rows.size, d + 1), dtype=np.float64)
+    xa[:, d] = 1.0
+    x = xa[:, :d]
+    step = max(1, _BLOCK_ELEMENTS // d)
+    for start in range(0, rows.size, step):
+        np.subtract(store.data[rows[start : start + step]], origin, out=x[start : start + step])
+    xnorm = np.sqrt(np.einsum("ij,ij->i", x, x))
     # stream tag 1 reserves this generator lineage for kmeans; the sampler
     # derives its per-cluster generators under other tags from the same seed
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 1]))
-    centroids = _kmeanspp(x, L, rng)
-    xn = np.einsum("ij,ij->i", x, x)
+    centroids, labels, d2 = _kmeanspp(x, L, rng)
 
     history = []
     prev = np.inf
-    for _ in range(MAX_ITER):
-        labels, d2 = _assign_chunked(x, centroids, xn)
+    comp = None
+    for it in range(MAX_ITER):
+        if it:
+            labels, d2 = _assign_chunked(xa, centroids, xnorm, comp, labels)
         _repair_empty(labels, d2, L)
         inertia = float(d2.sum())
         if inertia > prev * (1.0 + 1e-12) + 1e-12:
@@ -202,10 +358,14 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
         history.append(inertia)
         new_centroids = _means_by_label(x, labels, L)
         delta = new_centroids - centroids
-        shift = float(np.sqrt(np.einsum("ij,ij->i", delta, delta)).max())
+        shifts = np.sqrt(np.einsum("ij,ij->i", delta, delta))
         centroids = new_centroids
-        if shift < SHIFT_TOL:
+        if float(shifts.max()) < SHIFT_TOL:
             break
+        # every row of cluster a now lies within sqrt(max d2) + shift of c_a
+        worst = np.zeros(L)
+        np.maximum.at(worst, labels, d2)
+        comp = _components(centroids, np.sqrt(worst) + shifts)
 
     # final labels were computed against the previous centroids; the final
     # centroids are exactly the member means of those labels; x is spent

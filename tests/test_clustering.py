@@ -1,5 +1,11 @@
 """K-means partitioning."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +17,8 @@ from egms import (
     gen_synthetic,
     kmeans,
 )
-from egms.clustering import _BLOCK_ELEMENTS, _assign_chunked, _kmeanspp
+from egms import clustering
+from egms.clustering import _BLOCK_ELEMENTS, _assign_chunked, _components, _kmeanspp, _rerank
 
 
 class TestKmeans:
@@ -119,20 +126,46 @@ def _kmeanspp_full_pass(x, L, rng):
     return centroids
 
 
+def _with_ones(x):
+    """The rows with a column of ones appended, the layout ``_assign_chunked`` reads."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
+def _explicit(x, centroids):
+    """Every (row, centroid) squared distance as the explicit sum of squared differences."""
+    out = np.empty((x.shape[0], centroids.shape[0]))
+    for j, c in enumerate(centroids):
+        diff = x - c
+        out[:, j] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _assert_explicit_argmin(x, centroids, labels, d2):
+    """``labels`` is the lowest-index argmin of the explicit distances and ``d2`` the winner's bits."""
+    ref = _explicit(x, centroids)
+    assert np.array_equal(labels, ref.argmin(axis=1))  # argmin returns the first of equal minima
+    assert d2.tobytes() == ref[np.arange(x.shape[0]), labels].tobytes()
+
+
 @st.composite
 def _seeding_inputs(draw):
-    """Off-grid float64 rows (spread, blobs, near-midpoints, duplicates or one constant), L in [1, n].
+    """Off-grid float64 rows (spread, blobs, far blobs, near-midpoints, duplicates or one constant), L in [1, n].
 
     Near-midpoint rows sit within 1e-6 relative of halfway between two
     ends. Once both ends are seeds, the pruning bound for these rows holds
-    with almost no room to spare.
+    with almost no room to spare. Far blobs are tight blobs 2^k times
+    their spread apart, where the expanded form |x|^2 - 2x.c + |c|^2
+    cancels.
     """
     n = draw(st.integers(1, 120))
     d = draw(st.integers(1, 6))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
-    kind = draw(st.sampled_from(["spread", "blobs", "midpoints", "duplicates", "constant"]))
-    if kind == "midpoints":
+    kind = draw(st.sampled_from(["spread", "blobs", "far_blobs", "midpoints", "duplicates", "constant"]))
+    if kind == "far_blobs":
+        centres = gen.normal(size=(draw(st.integers(2, 4)), d)) * 2.0 ** draw(st.integers(0, 30))
+        x = (centres[gen.integers(centres.shape[0], size=n)] + gen.normal(size=(n, d))) * scale
+    elif kind == "midpoints":
         ends = gen.normal(size=(2, d))
         # most rows on the ends, so that the first two seeds are likely the ends
         t = 0.5 + gen.choice([-1.0, 1.0], size=n) * 10.0 ** gen.uniform(-12, -6, size=n)
@@ -175,11 +208,49 @@ class TestKmeansppPruning:
         for data in (x, x + shift):
             ref_rng, rng = _RecordingRng(seed), _RecordingRng(seed)
             expected = _kmeanspp_full_pass(data, L, ref_rng)
-            got = _kmeanspp(data, L, rng)
+            got, near, d2 = _kmeanspp(data, L, rng)
             assert got.tobytes() == expected.tobytes()
             # every round's d2 / total, so every d2, keeps its bits
             assert rng.weights == ref_rng.weights
             assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+            # the seeding's nearest seeds are the first Lloyd step's labels
+            _assert_explicit_argmin(data, got, near, d2)
+
+    def test_equidistant_rows_take_the_lower_seed(self):
+        # the middle row sits exactly between seeds at -1 and +1; a round
+        # that ties must keep the earlier seed as ``near``
+        x = np.array([[0.0], [-1.0], [1.0], [-1.0], [1.0]])
+        ties = 0
+        for seed in range(40):
+            centroids, near, d2 = _kmeanspp(x, 2, np.random.default_rng(seed))
+            ties += bool(np.abs(centroids[:, 0]).tolist() == [1.0, 1.0])
+            _assert_explicit_argmin(x, centroids, near, d2)
+        assert ties > 0
+
+
+class _Recorder:
+    """Wraps ``_assign_chunked`` and keeps the arguments and results of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, xa, centroids, *args):
+        labels, d2 = _assign_chunked(xa, centroids, *args)
+        self.calls.append((xa[:, :-1].copy(), centroids.copy(), labels.copy(), d2.copy()))
+        return labels, d2
+
+
+def _one_component(centroids, radius):
+    return np.zeros(centroids.shape[0], dtype=np.int64)
+
+
+def _kmeans_recorded(store, L, seed, single_component=False):
+    """``kmeans`` with every assignment recorded, optionally with pruning switched off."""
+    recorder = _Recorder()
+    components = _one_component if single_component else _components
+    with mock.patch.object(clustering, "_assign_chunked", recorder), mock.patch.object(clustering, "_components", components):
+        result = kmeans(store, np.arange(store.count), L, seed)
+    return result, recorder.calls
 
 
 class TestAssignChunked:
@@ -196,44 +267,139 @@ class TestAssignChunked:
         top2 = np.partition(ref, 1, axis=1)[:, :2]
         assert np.all(top2[:, 1] - top2[:, 0] > 1e-9)
 
-        labels, d2 = _assign_chunked(x, centroids)
+        labels, d2 = _assign_chunked(_with_ones(x), centroids)
         assert np.array_equal(labels, ref.argmin(axis=1))
         assert np.all(d2 >= 0)
         assert np.allclose(d2, ref.min(axis=1), rtol=0, atol=1e-10)
-        cached_labels, cached_d2 = _assign_chunked(x, centroids, np.einsum("ij,ij->i", x, x))
+        cached_labels, cached_d2 = _assign_chunked(_with_ones(x), centroids, np.sqrt(np.einsum("ij,ij->i", x, x)))
         assert np.array_equal(cached_labels, labels)
         assert cached_d2.tobytes() == d2.tobytes()
 
     @pytest.mark.parametrize("L", [3, 500])
     @pytest.mark.parametrize("which", ["one", "below", "block", "above"])
-    def test_keeps_the_bits_of_the_expanded_expression(self, L, which):
-        """The GEMM against -2c and an addition give the bits of ``xn - 2 x.c + |c|^2`` in the same blocks."""
-
-        def expanded(x, centroids):
-            n = x.shape[0]
-            xn = np.einsum("ij,ij->i", x, x)
-            c_norms = np.einsum("ij,ij->i", centroids, centroids)
-            labels, d2min = np.empty(n, dtype=np.int64), np.empty(n)
-            block = max(1, _BLOCK_ELEMENTS // L)
-            buf = np.empty((min(block, n), L))
-            for start in range(0, n, block):
-                stop = min(start + block, n)
-                d2 = buf[: stop - start]
-                np.matmul(x[start:stop], centroids.T, out=d2)
-                d2 *= 2.0
-                np.subtract(xn[start:stop, None], d2, out=d2)
-                d2 += c_norms
-                lab = np.argmin(d2, axis=1, out=labels[start:stop])
-                d2min[start:stop] = d2[np.arange(stop - start), lab]
-            return labels, np.maximum(d2min, 0.0)
-
-        block = _BLOCK_ELEMENTS // L
+    def test_keeps_the_explicit_bits_across_block_edges(self, L, which):
+        """Rows on either side of a block edge get the explicit argmin and the winner's explicit bits."""
+        d = 64
+        block = _BLOCK_ELEMENTS // max(L, d + 1)
         n = {"one": 1, "below": block - 1, "block": block, "above": block + 1}[which]
         gen = np.random.default_rng(L * 7 + n)
-        centres = gen.normal(size=(20, 64))
-        x = centres[gen.integers(20, size=n)] + 0.05 * gen.normal(size=(n, 64)) + 3.0
-        centroids = x[gen.choice(n, size=min(L, n), replace=False)] if n >= L else gen.normal(size=(L, 64))
-        want_labels, want_d2 = expanded(x, centroids)
-        labels, d2 = _assign_chunked(x, centroids)
-        assert np.array_equal(labels, want_labels)
-        assert d2.tobytes() == want_d2.tobytes()
+        centres = gen.normal(size=(20, d))
+        x = centres[gen.integers(20, size=n)] + 0.05 * gen.normal(size=(n, d)) + 3.0
+        centroids = x[gen.choice(n, size=min(L, n), replace=False)] if n >= L else gen.normal(size=(L, d))
+        labels, d2 = _assign_chunked(_with_ones(x), centroids)
+        _assert_explicit_argmin(x, centroids, labels, d2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_seeding_inputs(), st.integers(0, 2**32 - 1))
+    def test_labels_are_the_lowest_index_explicit_argmin(self, inputs, draw_seed):
+        """Against any centroids, duplicates (exact ties) included, and far from the origin."""
+        x, L, _, shift = inputs
+        gen = np.random.default_rng(draw_seed)
+        centroids = x[gen.integers(x.shape[0], size=L)]
+        nudge = gen.random(L) < 0.5
+        centroids[nudge] += 1e-9 * gen.normal(size=(int(nudge.sum()), x.shape[1])) * np.abs(centroids[nudge]).max(initial=1.0)
+        for dx, dc in ((x, centroids), (x + shift, centroids + shift)):
+            labels, d2 = _assign_chunked(_with_ones(dx), dc)
+            _assert_explicit_argmin(dx, dc, labels, d2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_seeding_inputs())
+    def test_pruned_steps_equal_single_component_steps(self, inputs):
+        """Every Lloyd step's labels are the explicit argmin over all centroids, pruned or not."""
+        x, L, seed, shift = inputs
+        for data in (x, x + shift):
+            store = EmbeddingStore(data)
+            pruned, pruned_calls = _kmeans_recorded(store, L, seed)
+            single, single_calls = _kmeans_recorded(store, L, seed, single_component=True)
+            assert len(pruned_calls) == len(single_calls)
+            for (px, pc, plab, pd2), (_, sc, slab, sd2) in zip(pruned_calls, single_calls):
+                assert pc.tobytes() == sc.tobytes()
+                assert plab.tobytes() == slab.tobytes() and pd2.tobytes() == sd2.tobytes()
+                _assert_explicit_argmin(px, pc, plab, pd2)
+            assert pruned.labels.tobytes() == single.labels.tobytes()
+            assert pruned.centroids.tobytes() == single.centroids.tobytes()
+            assert pruned.inertia_history.tobytes() == single.inertia_history.tobytes()
+
+    def test_pruned_runs_equal_single_component_runs_on_small_data(self):
+        """Low-dimensional data where Lloyd steps move centroids by much of a cluster's radius."""
+        for seed in range(200):
+            gen = np.random.default_rng(seed)
+            n, d = int(gen.integers(6, 60)), int(gen.integers(1, 3))
+            L = int(gen.integers(2, min(n, 8)))
+            if seed % 3 == 0:
+                x = gen.normal(size=(n, d))
+            elif seed % 3 == 1:
+                centres = gen.normal(size=(int(gen.integers(2, 5)), d)) * 4.0
+                x = centres[gen.integers(centres.shape[0], size=n)] + gen.normal(size=(n, d))
+            else:
+                x = np.round(gen.normal(size=(n, d)) * 4.0)  # grid points: exact ties
+            store = EmbeddingStore(x)
+            pruned, pruned_calls = _kmeans_recorded(store, L, seed)
+            single, single_calls = _kmeans_recorded(store, L, seed, single_component=True)
+            assert pruned.labels.tobytes() == single.labels.tobytes(), seed
+            assert pruned.centroids.tobytes() == single.centroids.tobytes(), seed
+            for px, pc, plab, pd2 in pruned_calls:
+                _assert_explicit_argmin(px, pc, plab, pd2)
+
+    def test_separated_blobs_split_into_components(self):
+        store, _ = gen_synthetic(2000, 8, 6, 0.5, seed=3)
+        counts = []
+
+        def counted(centroids, radius):
+            comp = _components(centroids, radius)
+            counts.append(int(comp.max()) + 1)
+            return comp
+
+        with mock.patch.object(clustering, "_components", counted):
+            pruned = kmeans(store, np.arange(2000), 30, seed=1)
+        assert counts and min(counts) >= 6
+        single, _ = _kmeans_recorded(store, 30, 1, single_component=True)
+        assert pruned.labels.tobytes() == single.labels.tobytes()
+        assert pruned.centroids.tobytes() == single.centroids.tobytes()
+
+    def test_uncertified_rows_are_reranked(self):
+        """Far-apart tight blobs: the shortlist cannot rank inside the far blob, explicit distances do."""
+        gen = np.random.default_rng(0)
+        centres = np.zeros((2, 8))
+        centres[1, 0] = 3e4
+        x = centres[np.repeat([0, 1], 500)] + 1e-3 * gen.normal(size=(1000, 8))
+        centroids = x[gen.choice(1000, 10, replace=False)]
+        reranked = []
+
+        def spy(xs, cents, values, best, tol, tight, lab, dist):
+            reranked.append(tight.size)
+            return _rerank(xs, cents, values, best, tol, tight, lab, dist)
+
+        with mock.patch.object(clustering, "_rerank", spy):
+            labels, d2 = _assign_chunked(_with_ones(x), centroids)
+        assert sum(reranked) > 0
+        _assert_explicit_argmin(x, centroids, labels, d2)
+
+    def test_block_shape_does_not_move_labels(self):
+        # labels and distances come from explicit differences, so the GEMM's
+        # rounding, which depends on the block shape, cannot reach them
+        gen = np.random.default_rng(5)
+        x = gen.normal(size=(3000, 16)) + 1e3
+        centroids = x[gen.choice(3000, 200, replace=False)]
+        labels, d2 = _assign_chunked(_with_ones(x), centroids)
+        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", 997):
+            small_labels, small_d2 = _assign_chunked(_with_ones(x), centroids)
+        assert labels.tobytes() == small_labels.tobytes() and d2.tobytes() == small_d2.tobytes()
+
+
+def test_blas_thread_count_does_not_move_kmeans():
+    script = (
+        "import hashlib, numpy as np\n"
+        "from egms import gen_synthetic, kmeans\n"
+        "store, _ = gen_synthetic(4000, 24, 8, 1.0, seed=2)\n"
+        "a = kmeans(store, np.arange(4000), 90, seed=3)\n"
+        "print(hashlib.sha256(a.labels.tobytes() + a.centroids.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(clustering.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1

@@ -16,10 +16,12 @@ from egms import (
     baseline_select,
     build_similarity,
     exam_select,
+    filter_extremes,
     gen_synthetic,
     greedy_sample_cluster,
     load_embedding_store,
     mmd_sample_cluster,
+    resolve_ppls,
     serialize_selection_manifest,
     von_neumann_entropy,
     write_embedding_store,
@@ -27,7 +29,7 @@ from egms import (
 )
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
-from egms import entropy, sampler
+from egms import clustering, entropy, sampler
 from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _entropy_trace, _greedy_batch, _select
 
 
@@ -960,10 +962,10 @@ class TestExtremeSigma:
         _assert_all_ties_replay(tmp_path_factory, store, metas, cfg)
 
 
-@pytest.mark.xfail(strict=True, raises=InternalInvariantError, reason="k-means inertia rises on far-apart tight blobs")
 def test_far_apart_tight_blobs_select_without_an_internal_error():
-    # 3e7 separation/spread: the expanded-form distances of k-means
-    # assignment cancel, and a Lloyd step reads as raising the inertia
+    # 3e7 separation/spread: expanded-form distances |x|^2 - 2x.c + |c|^2
+    # cancel here, so the assignment's labels and distances must come from
+    # explicit differences for the inertia to stay non-increasing
     rng = np.random.default_rng(0)
     centres = np.zeros((2, 8))
     centres[1, 0] = 3e4
@@ -972,3 +974,60 @@ def test_far_apart_tight_blobs_select_without_an_internal_error():
     metas = [SampleMeta(id=f"b{i}", ppl=float(p)) for i, p in enumerate(rng.uniform(1.0, 50.0, 2000))]
     manifest, _ = _select(store, metas, "exam", SelectionConfig(budget=100, clusters=10, seed=0))
     assert len(manifest.selected) == 100
+
+
+@st.composite
+def _far_blobs(draw):
+    """2-4 tight blobs about 2^k spreads apart (k up to 30), exact in float32, L at least the blob count."""
+    blobs = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 8))
+    n = blobs * draw(st.integers(4, 50))
+    spread = 10.0 ** draw(st.integers(-4, 0))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = gen.normal(size=(blobs, d)) * spread * 2.0 ** draw(st.integers(0, 30))
+    data = centres[np.arange(n) % blobs] + spread * gen.normal(size=(n, d))
+    data = data.astype(np.float32).astype(np.float64)
+    ppls = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    kept = n - 2 * int(n * 0.05)
+    cfg = SelectionConfig(
+        budget=draw(st.integers(1, min(kept, 20))),
+        clusters=draw(st.integers(blobs, min(kept, 12))),
+        candidate_size=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**32)),
+        workers=2,
+    )
+    metas = [SampleMeta(id=f"r{i}", ppl=float(p)) for i, p in enumerate(ppls)]
+    return data, metas, cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(_far_blobs())
+def test_far_apart_blobs_select_with_nearest_centroid_labels(tmp_path_factory, corpus):
+    data, metas, cfg = corpus
+    store = EmbeddingStore(data)
+    manifest, assignment = _select(store, metas, "exam", cfg)
+    if assignment.inertia_history.size < clustering.MAX_ITER:
+        # converged: the centroids moved less than SHIFT_TOL since the labels
+        # were taken as the nearest ones, so each row's own centroid is
+        # within 2 SHIFT_TOL of its nearest (plus the rounding of translating back)
+        kept = filter_extremes(resolve_ppls(metas), 0.05, 0.05).kept
+        diff = data[kept][:, None, :] - assignment.centroids[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        own = dist[np.arange(kept.size), assignment.labels]
+        slack = 2.0 * clustering.SHIFT_TOL + 1e-12 * (1.0 + np.abs(data).max())
+        assert np.all(own <= dist.min(axis=1) + slack)
+
+    folder = tmp_path_factory.mktemp("far")
+    write_embedding_store(folder / "e.bin", store)
+    write_sample_manifest(folder / "m.jsonl", metas)
+    rc = main(
+        [
+            "select",
+            "--embeddings", str(folder / "e.bin"), "--manifest", str(folder / "m.jsonl"),
+            "--budget", str(cfg.budget), "--clusters", str(cfg.clusters),
+            "--candidates", str(cfg.candidate_size), "--seed", str(cfg.seed),
+            "--workers", "2", "--out", str(folder / "sel.txt"), "--quiet",
+        ]
+    )
+    assert rc == 0
+    assert (folder / "sel.txt").read_text() == serialize_selection_manifest(manifest)
