@@ -11,13 +11,15 @@ before seeding and Lloyd. Subtracting a data row (rather than the mean)
 gives bitwise-identical translated data for any shift the input holds
 exactly, so the clustering ignores it.
 
-Label contract: each row's label is the lowest-index argmin of the explicit
-squared distances sum_k (x_k - c_k)^2 as :func:`_sq_dist` computes them, and
-every squared distance this module reports (the seeding weights, the inertia
-history, the order of empty-cluster repair) is that value for the winner.
-So labels and distances depend neither on the GEMM block shape nor on the
-BLAS thread count. The first Lloyd step takes the labels k-means++ already
-holds; later steps use the shortlist below.
+Label contract: :func:`_sq_dist` is the one routine that computes an
+explicit squared distance sum_k (x_k - c_k)^2, here and in the Gaussian
+kernel of :mod:`egms.entropy`. Each row's label is the lowest-index argmin
+of its distances to the centroids, and every squared distance this module
+reports (the seeding weights, the inertia history, the order of
+empty-cluster repair) is that value for the winner. So labels and distances
+depend neither on the GEMM block shape nor on the BLAS thread count. The
+first Lloyd step takes the labels k-means++ already holds; later steps use
+the shortlist below.
 
 Certified shortlist. A GEMM against [-2c, |c|^2] (one column of ones on
 the rows) ranks the centroids by v_j = |c_j|^2 - 2 x.c_j, which differs
@@ -97,21 +99,31 @@ class ClusterAssignment:
     inertia_history: np.ndarray
 
 
-def _sq_dist(x: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Explicit squared distance sum_k (x_k - c_k)^2 of each row of ``x`` (or of ``x[rows]``).
+def _sq_dist(x: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> np.ndarray:
+    """Explicit squared distance sum_k (x_k - c_k)^2 of each pair (``x[rows[i]]``, ``c[cols[i]]``).
 
-    ``c`` is one centre, or one centre per row in a scratch array that the
-    differences overwrite. Every label and distance of this module is this
-    expression, and each row's bits do not depend on the other rows.
+    Without ``rows`` the pairs take the rows of ``x`` in order; without
+    ``cols``, ``c`` is one centre for every row. This is the one routine
+    behind every squared distance of egms: each k-means label and distance
+    and each Gaussian kernel entry. A pair's bits depend on its two rows
+    alone, not on the other pairs. Calls that gather one centre per pair go
+    in blocks of ``_BLOCK_ELEMENTS`` values; one-centre calls take one pass.
     """
-    if rows is not None:
-        diff = x[rows]  # fancy indexing copies; subtracting in place keeps one temporary
-        diff -= c
-    elif c.ndim == 2:
-        diff = np.subtract(x, c, out=c)
-    else:
-        diff = x - c
-    return np.einsum("ij,ij->i", diff, diff)
+    if cols is None:
+        if rows is None:
+            diff = x - c
+        else:
+            diff = x[rows]  # fancy indexing copies; subtracting in place keeps one temporary
+            diff -= c
+        return np.einsum("ij,ij->i", diff, diff)
+    out = np.empty(cols.size, dtype=np.float64)
+    step = max(1, _BLOCK_ELEMENTS // x.shape[1])
+    for start in range(0, cols.size, step):
+        part = slice(start, start + step)
+        diff = c[cols[part]]  # a gathered copy, which the differences overwrite
+        np.subtract(x[part] if rows is None else x[rows[part]], diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=out[part])
+    return out
 
 
 def _rerank(x, centroids, values, best, tol, tight, lab, dist) -> None:
@@ -124,11 +136,7 @@ def _rerank(x, centroids, values, best, tol, tight, lab, dist) -> None:
     band = values[tight] <= (best[tight] + tol[tight])[:, None]
     band[np.arange(tight.size), lab[tight]] = True
     row, cid = np.nonzero(band)  # row-major: each row's contenders in ascending order
-    exact = np.empty(row.size, dtype=np.float64)
-    step = max(1, _BLOCK_ELEMENTS // x.shape[1])
-    for start in range(0, row.size, step):
-        part = slice(start, start + step)
-        exact[part] = _sq_dist(x[tight[row[part]]], centroids[cid[part]])
+    exact = _sq_dist(x, centroids, tight[row], cid)
     lowest = np.minimum.reduceat(exact, np.flatnonzero(np.diff(row, prepend=-1)))
     hits = np.flatnonzero(exact == lowest[row])
     first = hits[np.flatnonzero(np.diff(row[hits], prepend=-1))]
@@ -137,27 +145,21 @@ def _rerank(x, centroids, values, best, tol, tight, lab, dist) -> None:
 
 
 def _assign_chunked(
-    xa: np.ndarray,
-    centroids: np.ndarray,
-    xnorm: np.ndarray | None = None,
-    comp: np.ndarray | None = None,
-    prev: np.ndarray | None = None,
+    xa: np.ndarray, centroids: np.ndarray, xnorm: np.ndarray, comp: np.ndarray, prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row: (labels, explicit squared distances).
 
     ``xa`` holds the rows with a column of ones appended, which the GEMM
-    against [-2c, |c|^2] reads, and ``xnorm`` their norms, computed here when not given. With ``comp``
-    (a component id per centroid, from :func:`_components`) and ``prev``
-    (each row's previous label), each row is ranked only against the
-    centroids of its previous label's component, in ascending order, so
-    the lowest local index is the lowest global one.
+    against [-2c, |c|^2] reads, and ``xnorm`` their norms. Each row is
+    ranked only against the centroids of the component (``comp``, one id
+    per centroid, from :func:`_components`) of its previous label
+    (``prev``), in ascending order, so the lowest local index is the lowest
+    global one.
     """
     n, d = xa.shape[0], xa.shape[1] - 1
-    if xnorm is None:
-        xnorm = np.sqrt(np.einsum("ij,ij->i", xa[:, :d], xa[:, :d]))
     labels = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64)
-    if comp is None or comp.max() == 0:
+    if comp.max() == 0:
         groups = [(None, None)]
     else:
         row_comp = comp[prev].astype(np.min_scalar_type(comp.max()))  # small keys take numpy's radix sort
@@ -171,7 +173,7 @@ def _assign_chunked(
     # one set of block buffers for every group, so their pages fault in
     # once; np.take writes into them directly only with mode="clip" (the
     # indices are valid), while the default mode buffers a copy
-    scratch = np.empty((3, max(_BLOCK_ELEMENTS, centroids.shape[0], d + 1)), dtype=np.float64)
+    scratch = np.empty((2, max(_BLOCK_ELEMENTS, centroids.shape[0], d + 1)), dtype=np.float64)
     for cids, rows in groups:
         cents = centroids if cids is None else centroids[cids]
         L = cents.shape[0]
@@ -201,7 +203,7 @@ def _assign_chunked(
             tol *= slack
             tol += _FLOOR
             x = xb[:, :d]
-            dist = _sq_dist(x, np.take(cents, lab, axis=0, out=scratch[2, : m * d].reshape(m, d), mode="clip"))
+            dist = _sq_dist(x, cents, cols=lab)
             tight = np.flatnonzero(~(gap > tol))
             if tight.size:
                 _rerank(x, cents, values, best, tol, tight, lab, dist)
@@ -281,8 +283,7 @@ def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> tuple[np.ndarr
         else:
             idx = int(rng.integers(n))
         centroids[j] = x[idx]
-        gap = centroids[:j] - centroids[j]
-        half2 = np.einsum("ij,ij->i", gap, gap) * 0.25
+        half2 = _sq_dist(centroids[:j], centroids[j]) * 0.25
         rows = np.flatnonzero(half2[near] < d2 * (1.0 + _PRUNE_MARGIN))
         new = _sq_dist(x, centroids[j], rows=rows)
         closer = new < d2[rows]
@@ -346,7 +347,6 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
 
     history = []
     prev = np.inf
-    comp = None
     for it in range(MAX_ITER):
         if it:
             labels, d2 = _assign_chunked(xa, centroids, xnorm, comp, labels)
@@ -357,8 +357,7 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
         prev = inertia
         history.append(inertia)
         new_centroids = _means_by_label(x, labels, L)
-        delta = new_centroids - centroids
-        shifts = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        shifts = np.sqrt(_sq_dist(new_centroids, centroids, cols=np.arange(L)))
         centroids = new_centroids
         if float(shifts.max()) < SHIFT_TOL:
             break
@@ -368,10 +367,8 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
         comp = _components(centroids, np.sqrt(worst) + shifts)
 
     # final labels were computed against the previous centroids; the final
-    # centroids are exactly the member means of those labels; x is spent
-    # after this, so the residuals overwrite it instead of a new n x d array
-    x -= centroids[labels]
-    inertia = float(np.einsum("ij,ij->i", x, x).sum())
+    # centroids are exactly the member means of those labels
+    inertia = float(_sq_dist(x, centroids, cols=labels).sum())
     members = tuple(np.sort(rows[labels == c]) for c in range(L))
     if any(m.size == 0 for m in members):
         raise InternalInvariantError("empty cluster at convergence")

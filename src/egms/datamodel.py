@@ -435,6 +435,8 @@ def parse_selection_manifest(text: str) -> SelectionManifest:
         while pos + 1 < len(lines) and lines[pos + 1].split(" ", 1)[0] in _HEADER_FIELDS:
             pos += 1
             key, value = lines[pos].split(" ", 1)
+            if key in fields:
+                raise malformed(f"repeated header field {key!r}")
             fields[key] = _HEADER_FIELDS[key](value)
         try:
             strategy = fields["strategy"]

@@ -81,9 +81,13 @@ eigenvalues of norm <= 1, computed from the reused ``lam`` (the second
 computation) and one small solve (the third). g only sets that solve's
 size, and its g+1 eigenvalues are fewer than the t+1 the margin covers.
 
-All squared distances go through one routine (explicit differences summed
-over the feature axis) so that a pair of rows produces bit-identical
-kernel entries no matter which code path asks.
+Every kernel entry goes through :func:`_paired_kernel`, and with it
+through :func:`egms.clustering._sq_dist`, the one routine that computes a
+squared distance in egms (explicit differences summed over the feature
+axis). A pair's bits depend on its two rows alone, so a pair of rows gives
+the same kernel entry whichever code path asks, in either order and in any
+block: the greedy's kernel columns, the matrices of ``build_similarity``
+and ``augment``, and the MMD baseline.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import _sq_dist
 from .datamodel import EmbeddingStore, _check_sigma
 from .errors import InputError, InternalInvariantError
 
@@ -100,40 +105,20 @@ _BOUND_POLES = (4, 16, 64)  # g of each refined bound tier, rising: z components
 _FIRST_BATCH = 2  # candidates solved exactly before any is ruled out
 _MARGIN_PER_EIGENVALUE = 1e-9  # bound slack per eigenvalue (module docstring)
 _NEAR_IDENTITY = 1e-3  # (t + 1) * max kernel entry below which no bound is tried
-_CHUNK_ELEMENTS = 2_000_000  # cap on the difference tensor of _sq_dists
 _STACK_ELEMENTS = 1 << 16  # cap on the values of one stack of bordered matrices (512 KiB)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (na, d) x (nb, d) -> (na, nb).
-
-    Rows of ``a`` go in chunks so that no difference tensor holds more than
-    ``_CHUNK_ELEMENTS`` values; each entry is the same sum either way.
-    """
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, b.shape[0] * a.shape[1]))
-    for start in range(0, a.shape[0], chunk):
-        diff = a[start : start + chunk, None, :] - b[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + chunk])
-    return out
+def _paired_kernel(x: np.ndarray, c: np.ndarray, rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel entry of each row pair (``x[rows[i]]``, ``c[cols[i]]``)."""
+    out = _sq_dist(x, c, rows, cols)
+    out /= -2.0 * sigma * sigma
+    return np.exp(out, out=out)
 
 
 def _kernel_block(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(_sq_dists(a, b) / (-2.0 * sigma * sigma))
-
-
-def _paired_kernel(data: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """Kernel entry of each row pair ``(data[a[i]], data[b[i]])``: the bits ``_kernel_block`` gives that pair.
-
-    Pairs go in chunks whose difference array holds ``_CHUNK_ELEMENTS`` values.
-    """
-    out = np.empty(a.size, dtype=np.float64)
-    chunk = max(1, _CHUNK_ELEMENTS // data.shape[1])
-    for start in range(0, a.size, chunk):
-        diff = data[a[start : start + chunk]]
-        diff -= data[b[start : start + chunk]]
-        np.einsum("ij,ij->i", diff, diff, out=out[start : start + chunk])
-    return np.exp(out / (-2.0 * sigma * sigma))
+    """(na, nb) kernel matrix between the rows of ``a`` and of ``b``: the grid of their pairs."""
+    rows, cols = np.indices((a.shape[0], b.shape[0])).reshape(2, -1)
+    return _paired_kernel(a, b, rows, cols, sigma).reshape(a.shape[0], b.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -266,7 +266,7 @@ def _greedy_batch(
         for c in step[budgets[step] == t + 1]:
             taken[offs[c] : offs[c + 1]] = True
         grow = np.flatnonzero((budgets > t + 1)[cluster_of])
-        cols[grow, t] = _paired_kernel(store.data, rows[grow], rows[picks[cluster_of[grow], t]], sigma)
+        cols[grow, t] = _paired_kernel(store.data, store.data, rows[grow], rows[picks[cluster_of[grow], t]], sigma)
 
     for c, (i, _, budget) in enumerate(live):
         results[i] = ClusterSampleResult(selected=rows[picks[c, :budget]], entropy_trace=trace[c, :budget].copy())
@@ -365,16 +365,14 @@ def _average_budgets(cluster_sizes, B: int) -> BudgetPlan:
     base = B // L
     alloc = np.minimum(np.full(L, base, dtype=np.int64), sizes)
     order = np.lexsort((np.arange(L), -sizes))  # size desc, id asc
-    remainder = B % L
-    for idx in order[:remainder]:
-        if alloc[idx] < sizes[idx]:
-            alloc[idx] += 1
-    # a clamped shortfall goes unit by unit to the largest cluster with room
-    while alloc.sum() < B:
-        room = order[alloc[order] < sizes[order]]
-        if room.size == 0:
-            raise InternalInvariantError("average allocation cannot reach the total")
-        alloc[room[0]] += 1
+    head = order[: B % L]
+    alloc[head] += alloc[head] < sizes[head]
+    # a clamped shortfall fills the largest clusters with room, in order
+    room = sizes[order] - alloc[order]
+    short = B - alloc.sum()
+    if room.sum() < short:
+        raise InternalInvariantError("average allocation cannot reach the total")
+    alloc[order] += np.clip(short - (np.cumsum(room) - room), 0, room)
     return BudgetPlan(tuple(enumerate(alloc.tolist())))
 
 
@@ -397,7 +395,7 @@ def mmd_sample_cluster(
         return _traced_result(members, pts, sigma)
     mu = np.zeros(members.size, dtype=np.float64)
     # rows per chunk bound each (rows, n_c) kernel block to 2e6 / d values;
-    # _sq_dists bounds its own difference tensor
+    # _sq_dist bounds its own difference blocks
     chunk = max(1, 2_000_000 // (members.size * pts.shape[1]))
     for start in range(0, members.size, chunk):
         mu[start : start + chunk] = _kernel_block(pts[start : start + chunk], pts, sigma).mean(axis=1)

@@ -313,6 +313,14 @@ class TestSelectionManifestFile:
         with pytest.raises(InputError, match="line 3: 'budget'"):
             parse_selection_manifest(text)
 
+    def test_repeated_header_field_names_the_line(self, selection_corpus):
+        # the head line's normalize is 0; a second one must not win
+        lines = _selection_text(selection_corpus).splitlines()
+        assert "normalize 0" in lines
+        lines.insert(1, "normalize 1")
+        with pytest.raises(InputError, match=f"line {lines.index('normalize 0') + 1}: repeated header field 'normalize'"):
+            parse_selection_manifest("\n".join(lines) + "\n")
+
     def test_record_with_three_tokens_names_the_line(self, selection_corpus):
         text = _selection_text(selection_corpus)
         first = _line_index(text, "records ") + 1

@@ -19,6 +19,7 @@ from egms import (
     gen_synthetic,
     von_neumann_entropy,
 )
+from egms.clustering import _BLOCK_ELEMENTS, _sq_dist
 from egms.entropy import (
     _BOUND_POLES,
     _EIG_CLAMP,
@@ -27,6 +28,7 @@ from egms.entropy import (
     _bordered_entropies,
     _density_entropies,
     _kernel_block,
+    _paired_kernel,
     _pole_bounds,
     _xlogx,
 )
@@ -130,13 +132,20 @@ class TestBuildSimilarity:
         assert peak < 64 * 2**20
 
     def test_chunked_distances_match_one_block(self, store):
-        from egms.entropy import _CHUNK_ELEMENTS, _sq_dists
-
+        """``_sq_dist`` of gathered pairs on either side of its block edges keeps the one-block bits."""
+        d = 40
+        block = _BLOCK_ELEMENTS // d
         rng = np.random.default_rng(13)
-        b = rng.normal(size=(300, 40))
-        a = rng.normal(size=(_CHUNK_ELEMENTS // (300 * 40) * 2 + 7, 40))
+        a = rng.normal(size=(300, d))
+        b = rng.normal(size=(200, d))
         diff = a[:, None, :] - b[None, :, :]
-        assert np.array_equal(_sq_dists(a, b), np.einsum("ijk,ijk->ij", diff, diff))
+        ref = np.einsum("ijk,ijk->ij", diff, diff)
+        for pairs in (1, block - 1, block, block + 1, 2 * block + 7):
+            rows, cols = rng.integers(300, size=pairs), rng.integers(200, size=pairs)
+            assert _sq_dist(a, b, rows, cols).tobytes() == ref[rows, cols].tobytes()
+            assert _sq_dist(a[rows], b, cols=cols).tobytes() == ref[rows, cols].tobytes()
+        assert _sq_dist(a, b[5]).tobytes() == ref[:, 5].tobytes()
+        assert _sq_dist(a, b[5], rows=rows).tobytes() == ref[rows, 5].tobytes()
 
 
 class TestVonNeumannEntropy:
@@ -455,6 +464,34 @@ def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
             idx = rng.choice(kern.shape[0], size=min(size, kern.shape[0]), replace=False)
             assert _density_entropies(stack[idx]).tobytes() == whole[idx].tobytes()
         assert _bordered_entropies(state.matrix[None], kern, np.zeros(len(kern), dtype=np.int64)).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.floats(0.3, 3.0),
+    st.sampled_from([0.0, 1.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_kernel_entry_has_the_same_bits_on_every_path(d, na, nb, width, offset, seed):
+    """Each pair's entry from a block, the transposed block, a 1x1 call and ``_paired_kernel``."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(na, d)) + offset
+    b = rng.normal(size=(nb, d)) + offset
+    sigma = width * math.sqrt(d)  # entries well above underflow, so their bits are tested
+    block = _kernel_block(a, b, sigma)
+    assert block.shape == (na, nb) and block.min() > 0.0
+    diff = a[:, None, :] - b[None, :, :]
+    assert block.tobytes() == np.exp(np.einsum("ijk,ijk->ij", diff, diff) / (-2.0 * sigma * sigma)).tobytes()
+    assert block.tobytes() == np.ascontiguousarray(_kernel_block(b, a, sigma).T).tobytes()
+    single = [[_kernel_block(a[i : i + 1], b[j : j + 1], sigma)[0, 0] for j in range(nb)] for i in range(na)]
+    assert block.tobytes() == np.array(single).tobytes()
+    data = np.vstack([a, b])
+    rows, cols = np.divmod(np.arange(na * nb), nb)
+    assert block.ravel().tobytes() == _paired_kernel(data, data, rows, na + cols, sigma).tobytes()
+    assert block.ravel().tobytes() == _paired_kernel(data, data, na + cols, rows, sigma).tobytes()
 
 
 def test_xlogx_keeps_the_bits_of_the_guarded_form():

@@ -149,6 +149,20 @@ def _reference_ccs_take(sizes, budget):
     return take.tolist()
 
 
+def _reference_average_budgets(sizes, budget):
+    """The budgets of ``exam_average_allocation`` with its unit-by-unit shortfall loop."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    L = sizes.size
+    alloc = np.minimum(np.full(L, budget // L, dtype=np.int64), sizes)
+    order = np.lexsort((np.arange(L), -sizes))  # size desc, id asc
+    for idx in order[: budget % L]:
+        if alloc[idx] < sizes[idx]:
+            alloc[idx] += 1
+    while alloc.sum() < budget:
+        alloc[order[alloc[order] < sizes[order]][0]] += 1
+    return alloc.tolist()
+
+
 @st.composite
 def _plans(draw):
     sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=25))
@@ -195,6 +209,13 @@ class TestRoundRobinFill:
         # base 12 // 4 = 3 clamps the last cluster to 1; the 2 missing units
         # both go to cluster 0, the largest with the lowest id
         assert [b for _, b in _average_budgets([10, 10, 10, 1], 12).per_cluster] == [5, 3, 3, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_plans())
+    @example(([1, 1, 40, 40, 3], 80))  # three clamped clusters: the shortfall spills past the largest
+    def test_average_allocation_matches_the_unit_loop(self, plan):
+        sizes, budget = plan
+        assert [b for _, b in _average_budgets(sizes, budget).per_cluster] == _reference_average_budgets(sizes, budget)
 
     def test_average_allocation_past_the_population_is_an_internal_error(self):
         # _select rejects such a budget before k-means, so only a bug gets here
