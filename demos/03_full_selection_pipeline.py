@@ -9,12 +9,12 @@ import numpy as np
 from egms import (
     SelectionConfig,
     allocate_budgets,
-    exam_select,
     filter_extremes,
     gen_synthetic,
     greedy_sample_cluster,
     kmeans,
     resolve_ppls,
+    select,
     serialize_selection_manifest,
 )
 
@@ -43,8 +43,8 @@ print(f"inertia: {assignment.inertia:.1f} after {assignment.inertia_history.size
 # Stage 3: each cluster gets a budget proportional to its size, reconciled
 # so the budgets sum exactly to the requested total.
 
-plan = allocate_budgets(sizes, B=200)
-print("budgets:", [b for _, b in plan.per_cluster], "sum:", sum(b for _, b in plan.per_cluster))
+budgets = allocate_budgets(sizes, B=200)
+print("budgets:", budgets.tolist(), "sum:", budgets.sum())
 
 # %%
 # Stage 4: greedy entropy-gain sampling inside one cluster. Each step
@@ -54,7 +54,7 @@ print("budgets:", [b for _, b in plan.per_cluster], "sum:", sum(b for _, b in pl
 
 cid = int(np.argmax(sizes))
 res = greedy_sample_cluster(
-    store, assignment.members[cid], budget=plan.per_cluster[cid][1],
+    store, assignment.members[cid], budget=int(budgets[cid]),
     m=100, sigma=0.5, rng=np.random.default_rng(0),
 )
 print(f"cluster {cid}: picked {res.selected.size} rows, "
@@ -69,7 +69,7 @@ print("trace:", np.round(res.entropy_trace, 3))
 # count: every cluster has its own seeded generator.
 
 config = SelectionConfig(budget=200, clusters=10, candidate_size=100, sigma=0.5, seed=42, workers=4)
-manifest = exam_select(store, metas, config)
+manifest, _ = select(store, metas, "exam", config)
 text = serialize_selection_manifest(manifest)
 print(f"selected {len(manifest.selected)}; manifest is {len(text)} bytes")
 for line in text.splitlines()[:14]:

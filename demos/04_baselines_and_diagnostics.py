@@ -8,11 +8,11 @@ from egms import (
     BenchmarkScores,
     SelectionConfig,
     avg_rel,
-    baseline_select,
     build_similarity,
     diversity_report,
     gen_synthetic,
     oracle_max_entropy_subset,
+    select,
     von_neumann_entropy,
 )
 
@@ -20,10 +20,10 @@ store, metas = gen_synthetic(n=1000, dim=8, k_blobs=10, spread=0.15, seed=1)
 config = SelectionConfig(budget=100, clusters=10, candidate_size=100, sigma=0.5, seed=0)
 
 # %%
-# Five baseline strategies share the manifest contract: uniform random,
-# rank-median difficulty scores, coverage bins over the score range,
-# the greedy pipeline with an equal per-cluster split, and per-cluster
-# squared-MMD minimization.
+# Five baseline strategies run through the same driver, `select`, and
+# share the manifest contract: uniform random, rank-median difficulty
+# scores, coverage bins over the score range, the greedy pipeline with an
+# equal per-cluster split, and per-cluster squared-MMD minimization.
 
 row_of = {m.id: i for i, m in enumerate(metas)}
 
@@ -32,7 +32,7 @@ def subset_entropy(manifest):
     return von_neumann_entropy(build_similarity(store, rows, config.sigma))
 
 for strategy in ("random", "mid_score", "ccs", "exam_average_allocation", "mmd_minimize"):
-    manifest = baseline_select(store, metas, strategy, config)
+    manifest, _ = select(store, metas, strategy, config)
     print(f"{strategy:24s} subset entropy = {subset_entropy(manifest):.4f}")
 
 # %%

@@ -43,20 +43,17 @@ from .metrics import (
 )
 from .sampler import (
     STRATEGIES,
-    BudgetPlan,
     ClusterSampleResult,
     allocate_budgets,
-    baseline_select,
-    exam_select,
     greedy_sample_cluster,
     mmd_sample_cluster,
+    select,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkScores",
-    "BudgetPlan",
     "ClusterAssignment",
     "ClusterRecord",
     "ClusterSampleResult",
@@ -73,11 +70,9 @@ __all__ = [
     "allocate_budgets",
     "augment",
     "avg_rel",
-    "baseline_select",
     "build_similarity",
     "diversity_report",
     "entropy_gain",
-    "exam_select",
     "filter_extremes",
     "gaussian_similarity",
     "gen_synthetic",
@@ -92,6 +87,7 @@ __all__ = [
     "parse_selection_manifest",
     "perplexity_from_nlls",
     "resolve_ppls",
+    "select",
     "serialize_selection_manifest",
     "von_neumann_entropy",
     "write_embedding_store",

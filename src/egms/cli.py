@@ -23,7 +23,7 @@ from .datamodel import (
 )
 from .errors import InputError, InternalInvariantError
 from .metrics import avg_rel, diversity_report, load_benchmark_scores
-from .sampler import STRATEGIES, _select, stderr_progress
+from .sampler import STRATEGIES, select, stderr_progress
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,7 +117,7 @@ def _cmd_select(args) -> int:
     store, metas = _load_inputs(args)
     config = _config_from(args)
     progress = None if args.quiet else stderr_progress
-    manifest, assignment = _select(store, metas, args.strategy, config, args.bins, progress)
+    manifest, assignment = select(store, metas, args.strategy, config, args.bins, progress)
     write_selection_manifest(args.out, manifest)
     if args.dump_centroids:
         write_embedding_store(args.dump_centroids, EmbeddingStore(assignment.centroids))

@@ -5,8 +5,9 @@ File formats owned by this module:
 * Embedding file (binary, little-endian): magic ``EGMS``, version u16 = 1,
   count u64, dim u32, then count*dim float32 values row-major, no padding.
 * Sample manifest: UTF-8 JSON lines, one record per sample with fields
-  ``id`` (required), ``nlls`` (optional array of nonnegative reals),
-  ``ppl`` (optional positive real), ``score`` (optional real).
+  ``id`` (required string or integer), ``nlls`` (optional array of
+  nonnegative reals), ``ppl`` (optional positive real), ``score``
+  (optional real).
 * Selection manifest: line-structured text with a header block (config
   echo, seed, filtered-out ids, per-cluster summary) followed by one
   record per selected sample, ``id cluster step entropy``, grouped by
@@ -95,7 +96,7 @@ class SampleMeta:
     score: float | None = None
 
     def __post_init__(self):
-        if not self.id or any(c.isspace() for c in self.id):
+        if self.id.split() != [self.id]:  # empty, or has whitespace
             raise InputError(f"sample id must be non-empty without whitespace, got {self.id!r}")
         if self.nlls is not None:
             vals = tuple(map(float, self.nlls))
@@ -104,12 +105,12 @@ class SampleMeta:
             object.__setattr__(self, "nlls", vals)
         if self.ppl is not None:
             p = float(self.ppl)
-            if not np.isfinite(p) or p <= 0:
+            if not math.isfinite(p) or p <= 0:
                 raise InputError(f"sample {self.id}: ppl must be finite and positive")
             object.__setattr__(self, "ppl", p)
         if self.score is not None:
             s = float(self.score)
-            if not np.isfinite(s):
+            if not math.isfinite(s):
                 raise InputError(f"sample {self.id}: score must be finite")
             object.__setattr__(self, "score", s)
 
@@ -292,18 +293,22 @@ def load_sample_manifest(path, expected_count: int | None = None) -> list[Sample
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
             raise InputError(f"malformed line {lineno}: {exc}") from exc
         if not isinstance(rec, dict) or "id" not in rec:
             raise InputError(f"malformed line {lineno}: missing required id field")
+        # JSON gives exact types, so type() keeps bools out of the numbers
+        sid, nlls, ppl, score = rec["id"], rec.get("nlls"), rec.get("ppl"), rec.get("score")
+        if type(sid) not in (str, int):
+            raise InputError(f"malformed line {lineno}: id must be a string or an integer, got {sid!r}")
+        if nlls is not None and not (type(nlls) is list and {int, float}.issuperset(map(type, nlls))):
+            raise InputError(f"malformed line {lineno}: nlls must be an array of numbers")
+        for name, v in (("ppl", ppl), ("score", score)):
+            if v is not None and type(v) not in (int, float):
+                raise InputError(f"malformed line {lineno}: {name} must be a number, got {v!r}")
         try:
-            meta = SampleMeta(
-                id=str(rec["id"]),
-                nlls=tuple(rec["nlls"]) if rec.get("nlls") is not None else None,
-                ppl=rec.get("ppl"),
-                score=rec.get("score"),
-            )
-        except (InputError, TypeError, ValueError) as exc:
+            meta = SampleMeta(str(sid), None if nlls is None else tuple(nlls), ppl, score)
+        except (InputError, OverflowError) as exc:  # OverflowError: an integer too large for a float
             raise InputError(f"malformed line {lineno}: {exc}") from exc
         if meta.id in seen:
             raise InputError(f"duplicate id {meta.id!r} on lines {seen[meta.id]} and {lineno}")

@@ -21,7 +21,7 @@ import numpy as np
 from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig
 from .entropy import _matrix_entropy, build_similarity, von_neumann_entropy
 from .errors import InputError
-from .sampler import _select
+from .sampler import select
 
 _ORACLE_LIMIT = 20
 
@@ -98,7 +98,7 @@ class DiversityReport:
 
 def _run_strategy(store, metas, strategy: str, config: SelectionConfig) -> float:
     """Entropy of the subset ``strategy`` selects, measured in ``store``."""
-    manifest, _ = _select(store, metas, strategy, config)
+    manifest, _ = select(store, metas, strategy, config)
     row_of = {meta.id: i for i, meta in enumerate(metas)}
     rows = np.array([row_of[sid] for sid in manifest.selected], dtype=np.int64)
     return von_neumann_entropy(build_similarity(store, rows, config.sigma))

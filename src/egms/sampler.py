@@ -22,7 +22,7 @@ samplers are pure functions of their inputs: each returns its selection
 and the entropy after every accepted sample. The threads share the
 immutable embedding store and touch only their own batch's state.
 
-One driver, :func:`_select`, runs every strategy: the pipeline's ``exam``
+One driver, :func:`select`, runs every strategy: the pipeline's ``exam``
 and the comparison baselines of :data:`STRATEGIES`. It collects cluster
 results in submission order and is the only place that reports progress,
 replaying each finished cluster's entropy trace from the calling thread,
@@ -63,14 +63,6 @@ _BATCH_ELEMENTS = 1 << 16
 ProgressFn = Callable[[int, int, float], None]
 
 
-@dataclass(frozen=True)
-class BudgetPlan:
-    """``(cluster id, budget)`` pairs in cluster-id order; the budgets sum
-    exactly to the requested total and never exceed a cluster's size."""
-
-    per_cluster: tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ClusterSampleResult:
     """Selection produced inside one cluster, in acceptance order.
@@ -82,14 +74,12 @@ class ClusterSampleResult:
     selected: np.ndarray
     entropy_trace: np.ndarray
 
-    @property
-    def initial_pair(self) -> tuple[int, ...]:
-        """The seed rows: the first two selected (one when budget is 1)."""
-        return tuple(int(r) for r in self.selected[:2])
 
-
-def allocate_budgets(cluster_sizes, B: int) -> BudgetPlan:
+def allocate_budgets(cluster_sizes, B: int) -> np.ndarray:
     """Cluster budgets proportional to cluster size, reconciled to sum B.
+
+    Returns one int64 budget per cluster, in cluster-id order; the budgets
+    sum exactly to B and never exceed a cluster's size.
 
     Base allocation is ``max(1, floor(size/total * B))`` clamped to the
     cluster size. Largest-remainder reconciliation then hits the exact
@@ -134,7 +124,7 @@ def allocate_budgets(cluster_sizes, B: int) -> BudgetPlan:
 
     if alloc.sum() != B or (alloc > sizes).any() or (alloc < 0).any():
         raise InternalInvariantError("budget plan violates its invariants")
-    return BudgetPlan(tuple(enumerate(alloc.tolist())))
+    return alloc
 
 
 def _fill_round_robin(alloc: np.ndarray, sizes: np.ndarray, order: np.ndarray, total: int) -> None:
@@ -296,16 +286,6 @@ def stderr_progress(cluster_id: int, step: int, entropy: float) -> None:
     sys.stderr.write(f"progress cluster={cluster_id} step={step} entropy={entropy!r}\n")
 
 
-def exam_select(
-    store: EmbeddingStore,
-    metas: list[SampleMeta],
-    config: SelectionConfig,
-    progress: ProgressFn | None = None,
-) -> SelectionManifest:
-    """Full pipeline: filter, cluster, allocate, greedy-sample, merge."""
-    return _select(store, metas, "exam", config, progress=progress)[0]
-
-
 # ---------------------------------------------------------------------------
 # Baseline strategies
 # ---------------------------------------------------------------------------
@@ -358,7 +338,7 @@ def _ccs_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _average_budgets(cluster_sizes, B: int) -> BudgetPlan:
+def _average_budgets(cluster_sizes, B: int) -> np.ndarray:
     """Equal split B/L with the remainder going to the largest clusters."""
     sizes = np.asarray(cluster_sizes, dtype=np.int64)
     L = sizes.size
@@ -373,7 +353,7 @@ def _average_budgets(cluster_sizes, B: int) -> BudgetPlan:
     if room.sum() < short:
         raise InternalInvariantError("average allocation cannot reach the total")
     alloc[order] += np.clip(short - (np.cumsum(room) - room), 0, room)
-    return BudgetPlan(tuple(enumerate(alloc.tolist())))
+    return alloc
 
 
 def mmd_sample_cluster(
@@ -419,39 +399,18 @@ def mmd_sample_cluster(
     return _traced_result(members[order], pts[order], sigma)
 
 
-def baseline_select(
-    store: EmbeddingStore,
-    metas: list[SampleMeta],
-    strategy: str,
-    config: SelectionConfig,
-    bins: int = 50,
-    progress: ProgressFn | None = None,
-) -> SelectionManifest:
-    """Comparison strategies sharing the manifest contract of exam_select.
-
-    ``random`` draws uniformly without replacement; ``mid_score`` keeps
-    the samples rank-closest to the median score; ``ccs`` spreads a
-    uniform budget over equal-width score bins; ``exam_average_allocation``
-    is the full pipeline with an equal per-cluster split; ``mmd_minimize``
-    replaces the entropy objective with squared-MMD minimization inside
-    each cluster. Score-free strategies run without perplexity filtering.
-    """
-    if strategy not in STRATEGIES:
-        raise InputError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    return _select(store, metas, strategy, config, bins, progress)[0]
-
-
-def _batches(order: list[int], sizes: list[int], budgets: dict[int, int], strategy: str) -> list[list[int]]:
+def _batches(order: list[int], sizes: list[int], budgets: list[int]) -> list[list[int]]:
     """Split ``order`` into runs of consecutive clusters, one pool task each.
 
-    A greedy run grows while its kernel columns, (sum n_c) x (max budget)
-    values, stay within ``_BATCH_ELEMENTS``; a cluster above it runs alone,
-    and so does every MMD cluster.
+    A run grows while its greedy kernel columns, (sum n_c) x (max budget)
+    values, would stay within ``_BATCH_ELEMENTS``; a cluster above it runs
+    alone. MMD runs are cut by the same rule, which for them only sets the
+    task size: an MMD cluster is sampled on its own either way.
     """
     batches, rows, width = [], 0, 0
     for cid in order:
         rows, width = rows + sizes[cid], max(width, budgets[cid])
-        if not batches or strategy == "mmd_minimize" or rows * width > _BATCH_ELEMENTS:
+        if not batches or rows * width > _BATCH_ELEMENTS:
             batches.append([])
             rows, width = sizes[cid], budgets[cid]
         batches[-1].append(cid)
@@ -462,7 +421,7 @@ def _batches(order: list[int], sizes: list[int], budgets: dict[int, int], strate
 _GLOBAL_ROWS = {"random": _random_rows, "mid_score": _mid_score_rows, "ccs": _ccs_rows}
 
 
-def _select(
+def select(
     store: EmbeddingStore,
     metas: list[SampleMeta],
     strategy: str,
@@ -470,22 +429,26 @@ def _select(
     bins: int = 50,
     progress: ProgressFn | None = None,
 ) -> tuple[SelectionManifest, ClusterAssignment | None]:
-    """The one pipeline driver: ``"exam"`` (see :func:`exam_select`) or a
-    baseline of :data:`STRATEGIES` (see :func:`baseline_select`).
+    """The one pipeline driver: ``"exam"`` or a baseline of :data:`STRATEGIES`.
 
-    ``random``, ``mid_score`` and ``ccs`` draw from the whole dataset into
-    one record with cluster id -1. The other strategies filter the
-    perplexity tails (all but ``mmd_minimize``), run k-means on the kept
-    rows, allocate budgets (an equal split for ``exam_average_allocation``,
-    else proportional) and sample each cluster with a budget (by MMD for
-    ``mmd_minimize``, else greedily by entropy gain). Clusters are ordered
-    largest first (then lowest id) and cut into runs of consecutive
-    clusters (:func:`_batches`); each run is one task for ``config.workers``
-    threads, sampled in lock step (one cluster at a time for MMD). Results
-    are collected in that order, and each cluster's entropy trace goes to
-    ``progress`` as ``(cluster id, step, entropy)`` once its run is in; the
-    manifest and the progress stream depend neither on the runs nor on
-    scheduling.
+    ``exam`` is the full pipeline: filter the perplexity tails, run k-means
+    on the kept rows, allocate budgets proportional to cluster size and
+    sample each cluster greedily by entropy gain. The baselines share its
+    manifest contract. ``random`` draws uniformly without replacement;
+    ``mid_score`` keeps the samples rank-closest to the median score;
+    ``ccs`` spreads a uniform budget over ``bins`` equal-width score bins.
+    These three draw from the whole dataset into one record with cluster
+    id -1. ``exam_average_allocation`` is the full pipeline with an equal
+    per-cluster split; ``mmd_minimize`` is the pipeline without filtering,
+    with squared-MMD minimization in place of the entropy objective.
+
+    Clusters are ordered largest first (then lowest id) and cut into runs
+    of consecutive clusters (:func:`_batches`); each run is one task for
+    ``config.workers`` threads, sampled in lock step (one cluster at a time
+    for MMD). Results are collected in that order, and each cluster's
+    entropy trace goes to ``progress`` as ``(cluster id, step, entropy)``
+    once its run is in; the manifest and the progress stream depend
+    neither on the runs nor on scheduling.
 
     Returns the manifest and the k-means assignment of a clustered
     strategy (None for the others).
@@ -516,7 +479,7 @@ def _select(
     assignment = kmeans(store, rows, config.clusters, config.seed)
     sizes = [m.size for m in assignment.members]
     allocate = _average_budgets if strategy == "exam_average_allocation" else allocate_budgets
-    budgets = dict(allocate(sizes, config.budget).per_cluster)
+    budgets = allocate(sizes, config.budget).tolist()
 
     def sample(batch: list[int]) -> list[ClusterSampleResult]:
         clusters = [(assignment.members[cid], budgets[cid]) for cid in batch]
@@ -525,16 +488,16 @@ def _select(
         rngs = [_cluster_rng(config.seed, cid) for cid in batch]
         return _greedy_batch(store, clusters, config.candidate_size, config.sigma, rngs)
 
-    records = {cid: ClusterRecord(cid, budget, ()) for cid, budget in budgets.items()}
-    order = sorted((cid for cid, budget in budgets.items() if budget >= 1), key=lambda cid: (-sizes[cid], cid))
+    records = [ClusterRecord(cid, budget, ()) for cid, budget in enumerate(budgets)]
+    order = sorted((cid for cid, budget in enumerate(budgets) if budget >= 1), key=lambda cid: (-sizes[cid], cid))
+    batches = _batches(order, sizes, budgets)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [(batch, pool.submit(sample, batch)) for batch in _batches(order, sizes, budgets, strategy)]
-        for batch, fut in futures:
-            for cid, res in zip(batch, fut.result()):
+        for batch, results in zip(batches, pool.map(sample, batches)):
+            for cid, res in zip(batch, results):
                 trace = res.entropy_trace.tolist()
                 records[cid] = ClusterRecord(cid, budgets[cid], tuple(ids[r] for r in res.selected), tuple(trace))
                 if progress is not None:
                     for step, entropy in enumerate(trace):
                         progress(cid, step, entropy)
-    manifest = SelectionManifest(config, strategy, tuple(records.values()), tuple(ids[r] for r in filtered_out))
+    manifest = SelectionManifest(config, strategy, tuple(records), tuple(ids[r] for r in filtered_out))
     return manifest, assignment

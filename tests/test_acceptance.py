@@ -20,13 +20,12 @@ from egms import (
     allocate_budgets,
     augment,
     avg_rel,
-    baseline_select,
     build_similarity,
-    exam_select,
     gen_synthetic,
     greedy_sample_cluster,
     oracle_max_entropy_subset,
     perplexity_from_nlls,
+    select,
     serialize_selection_manifest,
     von_neumann_entropy,
 )
@@ -100,7 +99,7 @@ def test_criterion_03_greedy_step_exactness():
         res = greedy_sample_cluster(
             store, members, budget, size, 0.5, np.random.default_rng(9000 + run)
         )
-        selected = list(res.initial_pair)
+        selected = res.selected[:2].tolist()
         for accepted in res.selected[len(selected):]:
             base = von_neumann_entropy(build_similarity(store, selected, 0.5))
             best_gain, best_row = None, None
@@ -151,8 +150,7 @@ def test_criterion_05_budget_conservation():
         L = int(rng.integers(1, 50))
         sizes = rng.integers(1, 80, size=L)
         B = int(rng.integers(1, sizes.sum() + 1))
-        plan = allocate_budgets(sizes.tolist(), B)
-        budgets = np.array([b for _, b in plan.per_cluster])
+        budgets = allocate_budgets(sizes.tolist(), B)
         ok = ok and budgets.sum() == B and (budgets <= sizes).all()
         if B >= L:
             ok = ok and (budgets >= 1).all()
@@ -165,10 +163,10 @@ def test_criterion_06_determinism_and_worker_invariance():
     texts = []
     for _ in range(3):
         cfg = SelectionConfig(budget=90, clusters=8, candidate_size=25, seed=31, workers=2)
-        texts.append(serialize_selection_manifest(exam_select(store, metas, cfg)))
+        texts.append(serialize_selection_manifest(select(store, metas, "exam", cfg)[0]))
     for workers in (1, 8):
         cfg = SelectionConfig(budget=90, clusters=8, candidate_size=25, seed=31, workers=workers)
-        texts.append(serialize_selection_manifest(exam_select(store, metas, cfg)))
+        texts.append(serialize_selection_manifest(select(store, metas, "exam", cfg)[0]))
     ok = all(t == texts[0] for t in texts)
     _report(6, "manifests byte-identical across 3 runs and G in {1,2,8}", ok)
 
@@ -186,9 +184,9 @@ def test_criterion_07_diversity_superiority():
     exam_vals, rand_vals, mmd_vals = [], [], []
     for seed in range(20):
         cfg = SelectionConfig(budget=100, clusters=10, candidate_size=100, seed=seed, workers=2)
-        exam_vals.append(exp_entropy(exam_select(store, metas, cfg)))
-        rand_vals.append(exp_entropy(baseline_select(store, metas, "random", cfg)))
-        mmd_vals.append(exp_entropy(baseline_select(store, metas, "mmd_minimize", cfg)))
+        exam_vals.append(exp_entropy(select(store, metas, "exam", cfg)[0]))
+        rand_vals.append(exp_entropy(select(store, metas, "random", cfg)[0]))
+        mmd_vals.append(exp_entropy(select(store, metas, "mmd_minimize", cfg)[0]))
     exam_mean, rand_mean, mmd_mean = map(np.mean, (exam_vals, rand_vals, mmd_vals))
     ok = exam_mean > rand_mean and exam_mean > mmd_mean
     _report(
@@ -226,7 +224,7 @@ def test_criterion_09_scale_smoke():
     store, metas = gen_synthetic(100_000, 64, 10, 1.0, seed=909)
     cfg = SelectionConfig(budget=20_000, clusters=1000, candidate_size=100, seed=7, workers=8)
     start = time.monotonic()
-    manifest = exam_select(store, metas, cfg)
+    manifest = select(store, metas, "exam", cfg)[0]
     elapsed = time.monotonic() - start
     peak_gib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
     ok = len(manifest.selected) == 20_000 and elapsed < 600.0 and peak_gib < 4.0

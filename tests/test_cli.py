@@ -218,7 +218,7 @@ def test_internal_invariant_exits_2(dataset, tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalInvariantError("synthetic corruption")
 
-    monkeypatch.setattr(egms.cli, "_select", boom)
+    monkeypatch.setattr(egms.cli, "select", boom)
     emb, man = dataset
     rc = main(
         [

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egms import (
     STRATEGIES,
@@ -20,7 +22,7 @@ from egms import (
     write_sample_manifest,
     write_selection_manifest,
 )
-from egms.sampler import _select
+from egms.sampler import select
 
 
 class TestEmbeddingFile:
@@ -117,9 +119,68 @@ class TestSampleManifest:
         write_sample_manifest(path, metas)
         assert load_sample_manifest(path) == metas
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"id":null',
+            '"id":true',
+            '"id":1.5',
+            '"id":["a"]',
+            '"nlls":"12"',
+            '"nlls":{"0.5":1}',
+            '"nlls":2.0',
+            '"nlls":[0.5,"1"]',
+            '"nlls":[true]',
+            '"ppl":"3.5"',
+            '"ppl":true',
+            '"ppl":[3.5]',
+            '"score":"1"',
+            '"score":false',
+            '"score":{"v":1}',
+        ],
+    )
+    def test_json_value_of_the_wrong_type_names_the_line(self, tmp_path, fields):
+        # the loader checks the JSON types, it does not convert them
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id":"a"}\n{"id":"b",' + fields + "}\n")
+        with pytest.raises(InputError, match="malformed line 2"):
+            load_sample_manifest(path)
+
+    def test_integer_id_and_numbers_load(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id":7,"nlls":[1,0.5],"ppl":2,"score":-1}\n')
+        assert load_sample_manifest(path) == [SampleMeta(id="7", nlls=(1.0, 0.5), ppl=2.0, score=-1.0)]
+
+    @pytest.mark.parametrize("digits", [401, 5000], ids=["past_float_range", "past_the_int_digit_limit"])
+    def test_integer_too_large_names_the_line(self, tmp_path, digits):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id":"a"}\n{"id":"b","ppl":' + "1" * digits + "}\n")
+        with pytest.raises(InputError, match="malformed line 2"):
+            load_sample_manifest(path)
+
     def test_id_with_whitespace_rejected(self):
         with pytest.raises(InputError, match="whitespace"):
             SampleMeta(id="bad id")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text() | st.text(alphabet=st.sampled_from("ab \t\n\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000\u200b")))
+    @example("")
+    @example("\x1c")
+    @example("a\x1d")
+    @example("\x1eb")
+    @example("a\x1fb")
+    @example("a\x85")
+    @example("\u2028a")
+    @example("a\u3000b")
+    @example("a\u200bb")  # zero-width space: not whitespace to Python
+    def test_id_rejected_exactly_when_empty_or_with_whitespace(self, sid):
+        expected = not sid or any(c.isspace() for c in sid)  # the per-character check
+        try:
+            SampleMeta(id=sid)
+        except InputError:
+            assert expected, sid
+        else:
+            assert not expected, sid
 
     def test_negative_nll_rejected(self):
         for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
@@ -217,7 +278,7 @@ def _selection_text(corpus):
     """An ``exam`` manifest of 20 samples over 4 clusters."""
     store, metas = corpus
     cfg = SelectionConfig(budget=20, clusters=4, candidate_size=8, seed=3)
-    return serialize_selection_manifest(_select(store, metas, "exam", cfg)[0])
+    return serialize_selection_manifest(select(store, metas, "exam", cfg)[0])
 
 
 def _edit_line(text, index, edit):
@@ -236,7 +297,7 @@ class TestSelectionManifestFile:
     def test_round_trip(self, selection_corpus, strategy, tmp_path):
         store, metas = selection_corpus
         cfg = SelectionConfig(budget=20, clusters=4, candidate_size=8, seed=3)
-        manifest = _select(store, metas, strategy, cfg, bins=7)[0]
+        manifest = select(store, metas, strategy, cfg, bins=7)[0]
         text = serialize_selection_manifest(manifest)
         parsed = parse_selection_manifest(text)
         assert serialize_selection_manifest(parsed) == text
@@ -249,7 +310,7 @@ class TestSelectionManifestFile:
     @pytest.mark.parametrize("strategy", ["exam", "exam_average_allocation", "mmd_minimize"])
     def test_round_trip_with_budget_zero_clusters(self, selection_corpus, strategy):
         store, metas = selection_corpus
-        manifest = _select(store, metas, strategy, SelectionConfig(budget=3, clusters=8, candidate_size=8, seed=3))[0]
+        manifest = select(store, metas, strategy, SelectionConfig(budget=3, clusters=8, candidate_size=8, seed=3))[0]
         empty = [rec for rec in manifest.per_cluster if rec.budget == 0]
         assert empty and all(rec.selected_ids == () and rec.final_entropy is None for rec in empty)
         text = serialize_selection_manifest(manifest)
@@ -399,7 +460,7 @@ class TestSelectionManifestFile:
     def test_bins_below_1_rejected(self, selection_corpus):
         store, metas = selection_corpus
         cfg = SelectionConfig(budget=20, clusters=4, candidate_size=8, seed=3)
-        text = serialize_selection_manifest(_select(store, metas, "ccs", cfg, bins=7)[0])
+        text = serialize_selection_manifest(select(store, metas, "ccs", cfg, bins=7)[0])
         corrupt = _edit_line(text, _line_index(text, "bins "), lambda line: "bins -3")
         with pytest.raises(InputError, match="bins must be >= 1"):
             parse_selection_manifest(corrupt)

@@ -11,14 +11,13 @@ from egms import (
     InputError,
     SelectionConfig,
     avg_rel,
-    baseline_select,
     build_similarity,
     diversity_report,
-    exam_select,
     gen_synthetic,
     greedy_sample_cluster,
     load_benchmark_scores,
     oracle_max_entropy_subset,
+    select,
     von_neumann_entropy,
 )
 
@@ -154,16 +153,16 @@ class TestDiversityReport:
         unit = store.l2_normalized()
         row_of = {meta.id: i for i, meta in enumerate(metas)}
 
-        def entropies(select):
+        def entropies(strategy):
             ents = []
             for s in report.seeds:
-                manifest = select(store, metas, replace(cfg, seed=s))
+                manifest, _ = select(store, metas, strategy, replace(cfg, seed=s))
                 rows = [row_of[sid] for sid in manifest.selected]
                 ents.append(von_neumann_entropy(build_similarity(unit, rows, cfg.sigma)))
             return np.asarray(ents)
 
-        ents = entropies(exam_select)
-        rand = entropies(lambda s, m, c: baseline_select(s, m, "random", c))
+        ents = entropies("exam")
+        rand = entropies("random")
         assert report.seeds == (4, 5, 6)
         assert (report.mean_entropy, report.min_entropy, report.max_entropy) == (ents.mean(), ents.min(), ents.max())
         assert report.mean_exp_entropy == np.exp(ents).mean()

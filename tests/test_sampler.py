@@ -13,15 +13,14 @@ from egms import (
     SelectionConfig,
     allocate_budgets,
     augment,
-    baseline_select,
     build_similarity,
-    exam_select,
     filter_extremes,
     gen_synthetic,
     greedy_sample_cluster,
     load_embedding_store,
     mmd_sample_cluster,
     resolve_ppls,
+    select,
     serialize_selection_manifest,
     von_neumann_entropy,
     write_embedding_store,
@@ -30,31 +29,29 @@ from egms import (
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
 from egms import clustering, entropy, sampler
-from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _entropy_trace, _greedy_batch, _select
+from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _entropy_trace, _greedy_batch
 
 
 class TestAllocateBudgets:
     def test_exact_proportional_floors(self):
-        plan = allocate_budgets([50, 30, 20], 10)
-        assert [b for _, b in plan.per_cluster] == [5, 3, 2]
-        assert sum(b for _, b in plan.per_cluster) == 10
+        budgets = allocate_budgets([50, 30, 20], 10)
+        assert budgets.tolist() == [5, 3, 2]
+        assert budgets.sum() == 10
 
     def test_single_cluster(self):
-        plan = allocate_budgets([10], 5)
-        assert plan.per_cluster == ((0, 5),)
+        assert allocate_budgets([10], 5).tolist() == [5]
 
     def test_overshoot_reconciled_from_smallest_fraction(self):
         # base max(1, floor) gives [1, 1, 9] summing to 11; one unit comes
         # back from the only cluster that can spare it
-        plan = allocate_budgets([1, 1, 98], 10)
-        budgets = [b for _, b in plan.per_cluster]
+        budgets = allocate_budgets([1, 1, 98], 10).tolist()
         assert budgets == [1, 1, 8]
         assert sum(budgets) == 10
 
     def test_overshoot_example_minimizes_deviation(self):
         sizes, B = [1, 1, 98], 10
         exact = [s / sum(sizes) * B for s in sizes]
-        got = [b for _, b in allocate_budgets(sizes, B).per_cluster]
+        got = allocate_budgets(sizes, B).tolist()
         best = None
         for cand in _feasible_plans(sizes, B):
             dev = sum(abs(c - e) for c, e in zip(cand, exact))
@@ -68,16 +65,14 @@ class TestAllocateBudgets:
             L = int(rng.integers(1, 30))
             sizes = rng.integers(1, 60, size=L).tolist()
             B = int(rng.integers(1, sum(sizes) + 1))
-            plan = allocate_budgets(sizes, B)
-            budgets = np.array([b for _, b in plan.per_cluster])
+            budgets = allocate_budgets(sizes, B)
             assert budgets.sum() == B
             assert (budgets <= np.array(sizes)).all()
             if B >= L:
                 assert (budgets >= 1).all()
 
     def test_equal_size_clusters_symmetric(self):
-        plan = allocate_budgets([7, 7, 7, 7], 9)
-        budgets = [b for _, b in plan.per_cluster]
+        budgets = allocate_budgets([7, 7, 7, 7], 9).tolist()
         assert sum(budgets) == 9
         assert max(budgets) - min(budgets) <= 1
 
@@ -186,7 +181,7 @@ class TestRoundRobinFill:
     @example(([3, 1, 1, 40], 30))  # deficit capped by a full cluster
     def test_allocate_budgets_matches_its_own_deficit_loop(self, plan):
         sizes, B = plan
-        assert [b for _, b in allocate_budgets(sizes, B).per_cluster] == _reference_allocate(sizes, B)
+        assert allocate_budgets(sizes, B).tolist() == _reference_allocate(sizes, B)
 
     @settings(max_examples=300, deadline=None)
     @given(_ccs_inputs())
@@ -208,17 +203,17 @@ class TestRoundRobinFill:
     def test_average_allocation_gives_a_clamped_shortfall_to_the_largest_cluster(self):
         # base 12 // 4 = 3 clamps the last cluster to 1; the 2 missing units
         # both go to cluster 0, the largest with the lowest id
-        assert [b for _, b in _average_budgets([10, 10, 10, 1], 12).per_cluster] == [5, 3, 3, 1]
+        assert _average_budgets([10, 10, 10, 1], 12).tolist() == [5, 3, 3, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(_plans())
     @example(([1, 1, 40, 40, 3], 80))  # three clamped clusters: the shortfall spills past the largest
     def test_average_allocation_matches_the_unit_loop(self, plan):
         sizes, budget = plan
-        assert [b for _, b in _average_budgets(sizes, budget).per_cluster] == _reference_average_budgets(sizes, budget)
+        assert _average_budgets(sizes, budget).tolist() == _reference_average_budgets(sizes, budget)
 
     def test_average_allocation_past_the_population_is_an_internal_error(self):
-        # _select rejects such a budget before k-means, so only a bug gets here
+        # select rejects such a budget before k-means, so only a bug gets here
         with pytest.raises(InternalInvariantError):
             _average_budgets([2, 2], 5)
 
@@ -257,7 +252,6 @@ class TestGreedySampleCluster:
         assert res.selected.size == 12
         assert len(np.unique(res.selected)) == 12
         assert res.entropy_trace.size == 12
-        assert res.initial_pair == tuple(res.selected[:2])
 
     def test_budget_one_single_seed(self):
         store, _ = gen_synthetic(20, 3, 2, 0.5, seed=3)
@@ -265,7 +259,6 @@ class TestGreedySampleCluster:
         res = greedy_sample_cluster(store, np.arange(20), 1, 5, 0.5, rng)
         assert res.selected.size == 1
         assert res.entropy_trace.tolist() == [0.0]
-        assert len(res.initial_pair) == 1
 
     def test_never_prefers_coincident_duplicate(self):
         # 3 coincident points + 2 distant points: with every candidate
@@ -293,7 +286,7 @@ class TestGreedySampleCluster:
             rng = np.random.default_rng(seed)
             res = greedy_sample_cluster(store, members, 9, members.size, 0.5, rng)
             want = naive_greedy_oracle(
-                store, members.tolist(), list(res.initial_pair), 9, 0.5
+                store, members.tolist(), res.selected[:2].tolist(), 9, 0.5
             )
             assert res.selected.tolist() == want
 
@@ -470,13 +463,15 @@ class TestLockStep:
     def test_select_does_not_depend_on_batching_or_workers(self, pipeline_data, monkeypatch):
         store, metas = pipeline_data
         runs = []
-        for cap in (1, sampler._BATCH_ELEMENTS, 1 << 40):  # every cluster alone, the default, one batch
+        # every cluster alone, the default, one batch: the caps cut greedy and
+        # MMD runs alike, and only set the pool task size for MMD
+        for cap in (1, sampler._BATCH_ELEMENTS, 1 << 40):
             monkeypatch.setattr(sampler, "_BATCH_ELEMENTS", cap)
             for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
                 for workers in (1, 2, 8):
                     events = []
                     cfg = SelectionConfig(budget=90, clusters=12, candidate_size=15, seed=4, workers=workers)
-                    manifest, _ = _select(store, metas, strategy, cfg, progress=lambda c, s, e: events.append((c, s, e)))
+                    manifest, _ = select(store, metas, strategy, cfg, progress=lambda c, s, e: events.append((c, s, e)))
                     runs.append((cap, strategy, workers, serialize_selection_manifest(manifest), events))
         for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
             same = [(text, events) for _, s, _, text, events in runs if s == strategy]
@@ -517,7 +512,7 @@ class TestBoundTiers:
             monkeypatch.setattr(entropy, "_beaten", counted_beaten)
             monkeypatch.setattr(entropy, "_bordered_entropies", counted_solves)
             res = greedy_sample_cluster(store.l2_normalized(), members, 90, 100, 0.5, np.random.default_rng(1))
-            manifest, _ = _select(store, metas, "exam", cfg)
+            manifest, _ = select(store, metas, "exam", cfg)
             assert max(rec.budget for rec in manifest.per_cluster) > 65
             traces = np.concatenate([rec.entropy_trace for rec in manifest.per_cluster])
             runs[tiers] = (res.selected.tolist(), res.entropy_trace.tobytes(), serialize_selection_manifest(manifest), traces.tobytes())
@@ -543,7 +538,7 @@ class TestExamSelect:
         store, metas = pipeline_data
         kept_size = 600 - 2 * int(600 * 0.05)
         cfg = SelectionConfig(budget=kept_size, clusters=5, candidate_size=10, seed=1, workers=2)
-        manifest = exam_select(store, metas, cfg)
+        manifest = select(store, metas, "exam", cfg)[0]
         assert len(manifest.selected) == kept_size
         assert set(manifest.selected) | set(manifest.filtered_out) == {m.id for m in metas}
 
@@ -552,23 +547,22 @@ class TestExamSelect:
         texts = []
         for workers in (1, 2, 8):
             cfg = SelectionConfig(budget=60, clusters=5, candidate_size=15, seed=9, workers=workers)
-            texts.append(serialize_selection_manifest(exam_select(store, metas, cfg)))
+            texts.append(serialize_selection_manifest(select(store, metas, "exam", cfg)[0]))
         assert texts[0] == texts[1] == texts[2]
-        again = serialize_selection_manifest(
-            exam_select(store, metas, SelectionConfig(budget=60, clusters=5, candidate_size=15, seed=9, workers=2))
-        )
+        cfg = SelectionConfig(budget=60, clusters=5, candidate_size=15, seed=9, workers=2)
+        again = serialize_selection_manifest(select(store, metas, "exam", cfg)[0])
         assert again == texts[0]
 
     def test_budget_exceeding_postfilter_rejected(self, pipeline_data):
         store, metas = pipeline_data
         cfg = SelectionConfig(budget=600, clusters=5, seed=0)
         with pytest.raises(InputError, match="post-filter"):
-            exam_select(store, metas, cfg)
+            select(store, metas, "exam", cfg)
 
     def test_selected_are_kept_and_unique(self, pipeline_data):
         store, metas = pipeline_data
         cfg = SelectionConfig(budget=80, clusters=6, candidate_size=20, seed=3, workers=2)
-        manifest = exam_select(store, metas, cfg)
+        manifest = select(store, metas, "exam", cfg)[0]
         assert len(manifest.selected) == 80
         assert len(set(manifest.selected)) == 80
         assert not set(manifest.selected) & set(manifest.filtered_out)
@@ -578,7 +572,7 @@ class TestExamSelect:
     def test_entropy_trace_alignment(self, pipeline_data):
         store, metas = pipeline_data
         cfg = SelectionConfig(budget=40, clusters=4, candidate_size=10, seed=7)
-        manifest = exam_select(store, metas, cfg)
+        manifest = select(store, metas, "exam", cfg)[0]
         traces = [rec.entropy_trace for rec in manifest.per_cluster if rec.selected_ids]
         assert all(trace is not None for trace in traces)
         assert sum(len(trace) for trace in traces) == 40
@@ -589,8 +583,8 @@ class TestExamSelect:
 
     def test_normalize_flag_changes_result(self, pipeline_data):
         store, metas = pipeline_data
-        a = exam_select(store, metas, SelectionConfig(budget=30, clusters=4, seed=5))
-        b = exam_select(store, metas, SelectionConfig(budget=30, clusters=4, seed=5, normalize=True))
+        a = select(store, metas, "exam", SelectionConfig(budget=30, clusters=4, seed=5))[0]
+        b = select(store, metas, "exam", SelectionConfig(budget=30, clusters=4, seed=5, normalize=True))[0]
         assert a.selected != b.selected
 
     def test_progress_events_emitted(self, pipeline_data):
@@ -601,10 +595,7 @@ class TestExamSelect:
                 events = []
                 cfg = SelectionConfig(budget=20, clusters=3, candidate_size=10, seed=2, workers=workers)
                 progress = lambda c, s, e: events.append((c, s, e))
-                if strategy == "exam":
-                    manifest = exam_select(store, metas, cfg, progress=progress)
-                else:
-                    manifest = baseline_select(store, metas, strategy, cfg, progress=progress)
+                manifest, _ = select(store, metas, strategy, cfg, progress=progress)
                 assert len(events) == 20
                 assert {c for c, _, _ in events} == {0, 1, 2}
                 assert sorted(events) == sorted(_manifest_records(manifest))
@@ -618,7 +609,7 @@ class TestExamSelect:
         store = EmbeddingStore(np.vstack([rng.normal(size=(30, 3)), [[100.0, 0.0, 0.0]]]))
         metas = [SampleMeta(id=f"p{i}", ppl=1.0 + i) for i in range(31)]
         cfg = SelectionConfig(budget=5, clusters=2, candidate_size=10, tail_low=0.0, tail_high=0.0)
-        manifest = exam_select(store, metas, cfg)
+        manifest = select(store, metas, "exam", cfg)[0]
         assert any(len(r.selected_ids) == 1 and r.budget == 1 for r in manifest.per_cluster)
         tokens = serialize_selection_manifest(manifest).split()
         assert "0.0" in tokens
@@ -629,7 +620,7 @@ class TestBaselineSelect:
     def test_random_exhaustion(self, pipeline_data):
         store, metas = pipeline_data
         cfg = SelectionConfig(budget=600, clusters=5, seed=0)
-        manifest = baseline_select(store, metas, "random", cfg)
+        manifest = select(store, metas, "random", cfg)[0]
         assert sorted(manifest.selected) == sorted(m.id for m in metas)
 
     def test_budget_over_dataset_size_rejected(self, pipeline_data):
@@ -637,13 +628,13 @@ class TestBaselineSelect:
         cfg = SelectionConfig(budget=601, clusters=5, seed=0)
         for strategy in ("random", "mid_score", "ccs"):  # ahead of the ccs bin check
             with pytest.raises(InputError, match="budget 601 exceeds dataset size 600"):
-                baseline_select(store, metas, strategy, cfg, bins=0)
+                select(store, metas, strategy, cfg, bins=0)
 
     def test_mid_score_picks_rank_median(self):
         store = EmbeddingStore(np.random.default_rng(0).normal(size=(100, 3)))
         metas = [SampleMeta(id=f"r{i:03d}", score=float(i + 1)) for i in range(100)]
         cfg = SelectionConfig(budget=2, clusters=5, seed=0)
-        manifest = baseline_select(store, metas, "mid_score", cfg)
+        manifest = select(store, metas, "mid_score", cfg)[0]
         assert sorted(manifest.selected) == ["r049", "r050"]  # scores 50 and 51
 
     def test_ccs_uniform_scores_one_per_bin(self):
@@ -651,7 +642,7 @@ class TestBaselineSelect:
         store = EmbeddingStore(rng.normal(size=(2000, 3)))
         metas = [SampleMeta(id=f"c{i:04d}", score=float(s)) for i, s in enumerate(rng.uniform(0, 1, 2000))]
         cfg = SelectionConfig(budget=50, clusters=5, seed=3)
-        manifest = baseline_select(store, metas, "ccs", cfg, bins=50)
+        manifest = select(store, metas, "ccs", cfg, bins=50)[0]
         assert len(manifest.selected) == 50
         # brute-force bin assignment: every nonempty bin contributes exactly one
         scores = np.array([m.score for m in metas])
@@ -667,13 +658,13 @@ class TestBaselineSelect:
         store = EmbeddingStore(np.random.default_rng(2).normal(size=(30, 2)))
         metas = [SampleMeta(id=f"d{i}", score=1.0) for i in range(30)]
         cfg = SelectionConfig(budget=12, clusters=3, seed=1)
-        manifest = baseline_select(store, metas, "ccs", cfg, bins=50)
+        manifest = select(store, metas, "ccs", cfg, bins=50)[0]
         assert len(manifest.selected) == 12
 
     def test_exam_average_allocation_budgets(self, pipeline_data):
         store, metas = pipeline_data
         cfg = SelectionConfig(budget=23, clusters=5, candidate_size=10, seed=11)
-        manifest = baseline_select(store, metas, "exam_average_allocation", cfg)
+        manifest = select(store, metas, "exam_average_allocation", cfg)[0]
         budgets = sorted(r.budget for r in manifest.per_cluster)
         # equal split of 23 over 5 clusters: remainder 3 goes to the largest
         assert budgets == [4, 4, 5, 5, 5]
@@ -695,9 +686,9 @@ class TestBaselineSelect:
         for workers in (1, 3):
             events = []
             cfg = SelectionConfig(budget=25, clusters=4, seed=21, workers=workers)
-            manifest = baseline_select(
+            manifest = select(
                 store, metas, "mmd_minimize", cfg, progress=lambda c, s, e: events.append((c, s, e))
-            )
+            )[0]
             assert sorted(events) == sorted(_manifest_records(manifest))
             assert len(events) == 25
 
@@ -726,7 +717,7 @@ class TestBaselineSelect:
 
         for strategy in STRATEGIES:
             cfg = SelectionConfig(budget=37, clusters=5, candidate_size=10, seed=13, workers=2)
-            manifest = baseline_select(store, metas, strategy, cfg)
+            manifest = select(store, metas, strategy, cfg)[0]
             assert len(manifest.selected) == 37, strategy
             assert len(set(manifest.selected)) == 37, strategy
 
@@ -735,17 +726,12 @@ class TestBaselineSelect:
         metas = [SampleMeta(id=f"m{i}") for i in range(10)]
         cfg = SelectionConfig(budget=4, clusters=2, seed=0)
         with pytest.raises(InputError):
-            baseline_select(store, metas, "mid_score", cfg)
+            select(store, metas, "mid_score", cfg)
 
     def test_unknown_strategy_rejected(self, pipeline_data):
         store, metas = pipeline_data
         with pytest.raises(InputError, match="unknown strategy"):
-            baseline_select(store, metas, "coinflip", SelectionConfig(budget=5))
-
-    def test_exam_is_not_a_baseline(self, pipeline_data):
-        store, metas = pipeline_data
-        with pytest.raises(InputError, match="unknown strategy 'exam'"):
-            baseline_select(store, metas, "exam", SelectionConfig(budget=5))
+            select(store, metas, "coinflip", SelectionConfig(budget=5))
 
     @pytest.mark.parametrize("budget", [2, 3])
     def test_duplicate_members_rejected_by_both_cluster_samplers(self, budget):
@@ -778,7 +764,7 @@ class TestBaselineSelect:
             texts = []
             for workers in (1, 3, 3):  # worker invariance and repeat determinism
                 cfg = SelectionConfig(budget=25, clusters=4, candidate_size=10, seed=21, workers=workers)
-                texts.append(serialize_selection_manifest(baseline_select(store, metas, strategy, cfg)))
+                texts.append(serialize_selection_manifest(select(store, metas, strategy, cfg)[0]))
             assert texts[0] == texts[1] == texts[2], strategy
 
 
@@ -827,8 +813,8 @@ class TestShiftInvariance:
     @given(_grid_corpora(max_k=30))
     def test_exam_select_ignores_a_constant_shift(self, corpus):
         data, metas, cfg, shift = corpus
-        base = exam_select(EmbeddingStore(data), metas, cfg)
-        moved = exam_select(EmbeddingStore(data + shift), metas, cfg)
+        base = select(EmbeddingStore(data), metas, "exam", cfg)[0]
+        moved = select(EmbeddingStore(data + shift), metas, "exam", cfg)[0]
         assert moved.selected == base.selected
         assert serialize_selection_manifest(moved) == serialize_selection_manifest(base)
 
@@ -842,7 +828,7 @@ class TestShiftInvariance:
             write_embedding_store(folder / f"{name}.bin", EmbeddingStore(values))
             loaded = load_embedding_store(folder / f"{name}.bin")
             assert np.array_equal(loaded.data, values)
-            selections.append(exam_select(loaded, metas, cfg).selected)
+            selections.append(select(loaded, metas, "exam", cfg)[0].selected)
         assert selections[0] == selections[1]
 
 
@@ -888,8 +874,8 @@ def _identical_rows(draw):
 
 
 def _assert_all_ties_replay(tmp_path_factory, store, metas, cfg):
-    """``_select`` and ``egms select`` agree, exit 0, and every cluster follows the all-ties replay."""
-    manifest, assignment = _select(store, metas, "exam", cfg)
+    """``select`` and ``egms select`` agree, exit 0, and every cluster follows the all-ties replay."""
+    manifest, assignment = select(store, metas, "exam", cfg)
     assert all(m.size > 0 for m in assignment.members)
     ids = [m.id for m in metas]
     for rec in manifest.per_cluster:
@@ -993,7 +979,7 @@ def test_far_apart_tight_blobs_select_without_an_internal_error():
     data = centres[np.repeat([0, 1], 1000)] + 1e-3 * rng.normal(size=(2000, 8))
     store = EmbeddingStore(data.astype(np.float32).astype(np.float64))
     metas = [SampleMeta(id=f"b{i}", ppl=float(p)) for i, p in enumerate(rng.uniform(1.0, 50.0, 2000))]
-    manifest, _ = _select(store, metas, "exam", SelectionConfig(budget=100, clusters=10, seed=0))
+    manifest, _ = select(store, metas, "exam", SelectionConfig(budget=100, clusters=10, seed=0))
     assert len(manifest.selected) == 100
 
 
@@ -1026,7 +1012,7 @@ def _far_blobs(draw):
 def test_far_apart_blobs_select_with_nearest_centroid_labels(tmp_path_factory, corpus):
     data, metas, cfg = corpus
     store = EmbeddingStore(data)
-    manifest, assignment = _select(store, metas, "exam", cfg)
+    manifest, assignment = select(store, metas, "exam", cfg)
     if assignment.inertia_history.size < clustering.MAX_ITER:
         # converged: the centroids moved less than SHIFT_TOL since the labels
         # were taken as the nearest ones, so each row's own centroid is
