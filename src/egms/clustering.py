@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import EmbeddingStore
+from .datamodel import EmbeddingStore, _store_rows
 from .errors import InputError, InternalInvariantError
 
 MAX_ITER = 100
@@ -320,13 +320,7 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, L: int) -> None:
 
 def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     """Lloyd K-means over ``store.data[kept]``, deterministic given seed."""
-    rows = np.asarray(kept, dtype=np.int64).ravel()
-    if rows.size == 0:
-        raise InputError("kept index list is empty")
-    if rows.min() < 0 or rows.max() >= store.count:
-        raise InputError(f"kept index out of range [0, {store.count})")
-    if len(np.unique(rows)) != rows.size:
-        raise InputError("kept indices must be distinct")
+    rows = _store_rows(store, kept, "kept row")
     if L < 1 or L > rows.size:
         raise InputError(f"need 1 <= L <= |kept|, got L={L}, |kept|={rows.size}")
     d = store.dim

@@ -219,6 +219,41 @@ class SelectionManifest:
         return tuple(sid for rec in self.per_cluster for sid in rec.selected_ids)
 
 
+def _store_rows(store: EmbeddingStore, rows, what: str) -> np.ndarray:
+    """``rows`` as int64 store rows in the given order: nonempty, in [0, store.count), distinct.
+
+    The errors name ``what``, the caller's argument as a singular noun.
+    """
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    if rows.size == 0:
+        raise InputError(f"{what}s must be nonempty")
+    if rows.min() < 0 or rows.max() >= store.count:
+        raise InputError(f"{what} out of range [0, {store.count})")
+    if np.unique(rows).size != rows.size:
+        raise InputError(f"{what}s must be distinct")
+    return rows
+
+
+def _read(path, what: str) -> bytes:
+    """The bytes of an input file; a file that cannot be read is an InputError naming ``what``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_text(path, what: str) -> str:
+    """A UTF-8 input file as text; an undecodable byte is an InputError naming its line."""
+    raw = _read(path, what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before it decode; number its line as splitlines does, like the loaders
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise InputError(f"{what} {path} line {line} is not UTF-8: {exc.reason}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Embedding file io
 # ---------------------------------------------------------------------------
@@ -238,11 +273,7 @@ def load_embedding_store(path) -> EmbeddingStore:
     Errors report the byte offset of the problem: bad magic, unsupported
     version, truncated payload, or a non-finite value.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read embedding file {path}: {exc}") from exc
+    raw = _read(path, "embedding file")
     if len(raw) < _HEADER.size:
         raise InputError(f"truncated header: {len(raw)} bytes, need {_HEADER.size} (byte offset 0)")
     magic, version, count, dim = _HEADER.unpack_from(raw)
@@ -283,12 +314,7 @@ def load_sample_manifest(path, expected_count: int | None = None) -> list[Sample
     """
     metas: list[SampleMeta] = []
     seen: dict[str, int] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read sample manifest {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_text(path, "sample manifest").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -507,17 +533,7 @@ def parse_selection_manifest(text: str) -> SelectionManifest:
 
 
 def load_selection_manifest(path) -> SelectionManifest:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read selection manifest {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"selection manifest {path} line {line} is not UTF-8: {exc.reason}") from exc
-    return parse_selection_manifest(text)
+    return parse_selection_manifest(_read_text(path, "selection manifest"))
 
 
 # ---------------------------------------------------------------------------

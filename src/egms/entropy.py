@@ -97,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _sq_dist
-from .datamodel import EmbeddingStore, _check_sigma
+from .datamodel import EmbeddingStore, _check_sigma, _store_rows
 from .errors import InputError, InternalInvariantError
 
 _EIG_CLAMP = 1e-12
@@ -156,14 +156,6 @@ class SimilarityState:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self) -> None:
-        """Full invariant check, including the PSD bound (test hook)."""
-        m = self.matrix
-        if m.min(initial=1.0) < 0.0 or m.max(initial=0.0) > 1.0:
-            raise InternalInvariantError("kernel entries must lie in [0, 1]")
-        if np.linalg.eigvalsh(m).min() < -1e-9:
-            raise InternalInvariantError("similarity matrix is not positive semi-definite")
-
 
 def gaussian_similarity(u, v, sigma: float) -> float:
     """exp(-||u - v||^2 / (2 sigma^2)) for a single pair of vectors."""
@@ -180,13 +172,7 @@ def gaussian_similarity(u, v, sigma: float) -> float:
 def build_similarity(store: EmbeddingStore, rows, sigma: float) -> SimilarityState:
     """Full pairwise kernel matrix over the given store rows."""
     _check_sigma(sigma)
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    if rows.size == 0:
-        raise InputError("rows must be nonempty")
-    if rows.min() < 0 or rows.max() >= store.count:
-        raise InputError(f"row index out of range [0, {store.count})")
-    if len(np.unique(rows)) != rows.size:
-        raise InputError("rows must be distinct")
+    rows = _store_rows(store, rows, "row")
     pts = store.data[rows]
     return SimilarityState(matrix=_kernel_block(pts, pts, sigma), member_rows=rows)
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig
+from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig, _read_text, _store_rows
 from .entropy import _matrix_entropy, build_similarity, von_neumann_entropy
 from .errors import InputError
 from .sampler import select
@@ -57,12 +57,7 @@ def avg_rel(scores: BenchmarkScores) -> float:
 def load_benchmark_scores(path) -> BenchmarkScores:
     """Read ``benchmark, subset, fullset`` rows; '#' lines are comments."""
     labels, subs, fulls = [], [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read scores file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_text(path, "scores file").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -146,11 +141,9 @@ def oracle_max_entropy_subset(
     Guarded to at most 20 rows; ties resolve to the lexicographically
     smallest index tuple.
     """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
+    rows = _store_rows(store, rows, "row")
     if rows.size > _ORACLE_LIMIT:
         raise InputError(f"oracle instance too large: {rows.size} rows > {_ORACLE_LIMIT}")
-    if rows.size == 0:
-        raise InputError("rows must be nonempty")
     if not 1 <= k <= rows.size:
         raise InputError(f"need 1 <= k <= {rows.size}")
     ordered = np.sort(rows)

@@ -46,6 +46,7 @@ from .datamodel import (
     SelectionConfig,
     SelectionManifest,
     _check_sigma,
+    _store_rows,
 )
 from .entropy import _best_bordered, _kernel_block, _matrix_entropy, _paired_kernel
 from .errors import InputError, InternalInvariantError
@@ -105,52 +106,40 @@ def allocate_budgets(cluster_sizes, B: int) -> np.ndarray:
     np.minimum(alloc, sizes, out=alloc)
 
     if alloc.sum() > B:
-        # one unit per cluster per round, smallest fractional parts first;
-        # budgets stay >= 1 until no cluster has more than one, then forced
-        # zeros apply in the same order
+        # surplus: smallest fractional parts first; budgets stay >= 1 until
+        # no cluster has more than one, then forced zeros apply in the same order
         order = np.lexsort((np.arange(sizes.size), frac))
-        surplus = int(alloc.sum() - B)
-        while surplus > 0:
-            eligible = order[alloc[order] > 1][:surplus]
-            if eligible.size == 0:
-                eligible = order[alloc[order] == 1][:surplus]
-            if eligible.size == 0:
-                raise InternalInvariantError("budget reconciliation cannot reach the total")
-            alloc[eligible] -= 1
-            surplus -= eligible.size
+        _round_robin(alloc, 1, order, B)
+        _round_robin(alloc, 0, order, B)
     else:
         # deficit: largest fractional parts first
-        _fill_round_robin(alloc, sizes, np.lexsort((np.arange(sizes.size), -frac)), B)
+        _round_robin(alloc, sizes, np.lexsort((np.arange(sizes.size), -frac)), B)
 
     if alloc.sum() != B or (alloc > sizes).any() or (alloc < 0).any():
         raise InternalInvariantError("budget plan violates its invariants")
     return alloc
 
 
-def _fill_round_robin(alloc: np.ndarray, sizes: np.ndarray, order: np.ndarray, total: int) -> None:
-    """Raise ``alloc`` in place until it sums to ``total``. Each round adds
-    one unit to each group of ``order`` below its size, in that order,
-    and stops once the total is reached."""
-    deficit = total - int(alloc.sum())
-    while deficit > 0:
-        eligible = order[alloc[order] < sizes[order]][:deficit]
-        if eligible.size == 0:
-            raise InternalInvariantError("round-robin fill cannot reach the total")
-        alloc[eligible] += 1
-        deficit -= eligible.size
+def _round_robin(alloc: np.ndarray, limit, order: np.ndarray, total: int) -> None:
+    """Move ``alloc`` in place toward the sum ``total``, one unit per group per round.
+
+    Each round steps each group of ``order`` that has not reached its
+    ``limit`` (one for all groups, or one per group) one unit toward it, in
+    that order, and stops once the sum is ``total``. It stops short when no
+    group can move; the caller checks the sum.
+    """
+    while (gap := total - int(alloc.sum())) != 0:
+        step = 1 if gap > 0 else -1
+        movable = order[((limit - alloc) * step)[order] > 0][: abs(gap)]
+        if movable.size == 0:
+            return
+        alloc[movable] += step
 
 
 def _cluster_members(store: EmbeddingStore, members, budget: int, sigma: float) -> np.ndarray:
     """The sorted member rows, after the checks both cluster samplers share."""
     _check_sigma(sigma)
-    members = np.asarray(members, dtype=np.int64).ravel()
-    if members.size == 0:
-        raise InputError("cluster members list is empty")
-    rows = np.unique(members)
-    if rows.size != members.size:
-        raise InputError("cluster members must be distinct")
-    if rows[0] < 0 or rows[-1] >= store.count:
-        raise InputError(f"cluster member out of range [0, {store.count})")
+    rows = np.sort(_store_rows(store, members, "cluster member"))
     if budget < 1:
         raise InputError("cluster budget must be >= 1")
     return rows
@@ -328,8 +317,9 @@ def _ccs_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
     members = [np.flatnonzero(bin_of == b) for b in range(bins)]
     sizes = np.array([m.size for m in members], dtype=np.int64)
     take = np.minimum(config.budget // bins, sizes)
-    # deficit from empty or small bins goes round-robin to bins with capacity
-    _fill_round_robin(take, sizes, np.arange(bins), config.budget)
+    # deficit from empty or small bins goes round-robin to bins with capacity;
+    # select keeps the budget within the population, so the fill reaches it
+    _round_robin(take, sizes, np.arange(bins), config.budget)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, _GLOBAL_STREAM]))
     rows = []
     for b in range(bins):

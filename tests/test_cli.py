@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, file plumbing, exit codes."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import egms
 from egms import (
     filter_extremes,
     kmeans,
@@ -243,3 +250,27 @@ def test_budget_over_population_exits_1(dataset, tmp_path, capsys):
     )
     assert rc == 1
     assert "post-filter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "avg-rel"])
+def test_non_utf8_input_exits_1_naming_the_line(dataset, tmp_path, command):
+    # a separate interpreter, as the console script runs: an uncaught
+    # exception would print a traceback on stderr
+    emb, man = dataset
+    if command == "select":
+        lines = man.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"id":"', b'"id":"\xff', 1)
+        bad = tmp_path / "bad.jsonl"
+        argv = ["select", "--embeddings", str(emb), "--manifest", str(bad), "--budget", "5",
+                "--out", str(tmp_path / "o.txt"), "--quiet"]
+    else:
+        lines = [b"qa, 50.0, 40.0", b"re\xffason, 30.0, 60.0", b""]
+        bad = tmp_path / "bad.csv"
+        argv = ["metrics", "avg-rel", "--scores", str(bad)]
+    bad.write_bytes(b"\n".join(lines))
+    src = str(Path(egms.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "egms.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert re.search(r"^error: .*\bline 2\b", proc.stderr, re.M), proc.stderr

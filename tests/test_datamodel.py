@@ -11,17 +11,22 @@ from egms import (
     InputError,
     SampleMeta,
     SelectionConfig,
+    build_similarity,
     gen_synthetic,
+    greedy_sample_cluster,
     kmeans,
     load_embedding_store,
     load_sample_manifest,
     load_selection_manifest,
+    mmd_sample_cluster,
+    oracle_max_entropy_subset,
     parse_selection_manifest,
     serialize_selection_manifest,
     write_embedding_store,
     write_sample_manifest,
     write_selection_manifest,
 )
+from egms.datamodel import _store_rows
 from egms.sampler import select
 
 
@@ -103,6 +108,17 @@ class TestSampleManifest:
         path.write_text('{"id":"a"}\n{"ppl":3.0}\n')
         with pytest.raises(InputError, match="malformed line 2"):
             load_sample_manifest(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_the_line(self, tmp_path, newline):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(newline.join(['{"id":"a"}', '{"id":"b\xff"}', '{"id":"c"}']).encode("latin-1"))
+        with pytest.raises(InputError, match=r"sample manifest .* line 2 is not UTF-8"):
+            load_sample_manifest(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read sample manifest"):
+            load_sample_manifest(tmp_path / "absent.jsonl")
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -186,6 +202,39 @@ class TestSampleManifest:
         for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InputError, match="nlls"):
                 SampleMeta(id="a", nlls=(0.5, bad))
+
+
+# each caller of the shared store-row check: (call on a 10-row store, the argument it names)
+_ROW_CALLERS = {
+    "kmeans": (lambda store, rows: kmeans(store, rows, 1, seed=0), "kept row"),
+    "build_similarity": (lambda store, rows: build_similarity(store, rows, 0.5), "row"),
+    "greedy_sample_cluster": (
+        lambda store, rows: greedy_sample_cluster(store, rows, 1, 4, 0.5, np.random.default_rng(0)),
+        "cluster member",
+    ),
+    "mmd_sample_cluster": (lambda store, rows: mmd_sample_cluster(store, rows, 1, 0.5), "cluster member"),
+    "oracle_max_entropy_subset": (lambda store, rows: oracle_max_entropy_subset(store, rows, 1, 0.5), "row"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_ROW_CALLERS))
+@pytest.mark.parametrize(
+    "rows, problem",
+    [([], "s must be nonempty"), ([3, -1], r" out of range \[0, 10\)"), ([3, 10], r" out of range \[0, 10\)"),
+     ([3, 5, 3], "s must be distinct")],
+    ids=["empty", "minus_one", "count", "repeated"],
+)
+def test_store_rows_are_checked_alike_by_every_caller(caller, rows, problem):
+    call, what = _ROW_CALLERS[caller]
+    store = EmbeddingStore(np.random.default_rng(0).normal(size=(10, 2)))
+    with pytest.raises(InputError, match=f"^{what}{problem}$"):
+        call(store, rows)
+
+
+def test_store_rows_keep_the_given_order():
+    store = EmbeddingStore(np.zeros((10, 2)))
+    rows = _store_rows(store, [[7], [2], [5]], "row")
+    assert rows.dtype == np.int64 and rows.tolist() == [7, 2, 5]
 
 
 class TestSelectionConfig:

@@ -99,7 +99,8 @@ class TestBuildSimilarity:
         for _ in range(25):
             rows = rng.choice(store.count, size=int(rng.integers(1, 30)), replace=False)
             st = build_similarity(store, rows, float(rng.uniform(0.1, 2.0)))
-            st.validate()
+            assert 0.0 <= st.matrix.min() and st.matrix.max() <= 1.0
+            assert np.linalg.eigvalsh(st.matrix).min() >= -1e-9
             assert np.array_equal(np.diag(st.matrix), np.ones(st.size))
             assert np.abs(st.matrix - st.matrix.T).max() <= 1e-12
 

@@ -67,6 +67,16 @@ class TestAvgRel:
         with pytest.raises(InputError, match="line 1"):
             load_benchmark_scores(path)
 
+    def test_scores_file_non_utf8_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"qa, 50.0, 40.0\nre\xffason, 30.0, 60.0\n")
+        with pytest.raises(InputError, match=r"scores file .* line 2 is not UTF-8"):
+            load_benchmark_scores(path)
+
+    def test_missing_scores_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read scores file"):
+            load_benchmark_scores(tmp_path / "absent.csv")
+
 
 @pytest.fixture(scope="module")
 def store():

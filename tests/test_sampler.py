@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from egms import (
@@ -102,12 +102,27 @@ def _feasible_plans(sizes, B):
     return rec(0, B)
 
 
-def _reference_allocate(sizes, B):
-    """allocate_budgets with its own deficit loop, before the shared fill."""
+def _base_budgets(sizes, B):
+    """allocate_budgets' plan before reconciliation, and its fractional parts."""
     sizes = np.asarray(sizes, dtype=np.int64)
     exact = sizes / sizes.sum() * B
-    frac = exact - np.floor(exact)
-    alloc = np.minimum(np.maximum(1, np.floor(exact).astype(np.int64)), sizes)
+    return np.minimum(np.maximum(1, np.floor(exact).astype(np.int64)), sizes), exact - np.floor(exact)
+
+
+def _old_fill_round_robin(alloc, sizes, order, total):
+    """The deficit fill that allocate_budgets and ccs shared before the two-way round-robin."""
+    deficit = total - int(alloc.sum())
+    while deficit > 0:
+        eligible = order[alloc[order] < sizes[order]][:deficit]
+        assert eligible.size > 0
+        alloc[eligible] += 1
+        deficit -= eligible.size
+
+
+def _reference_allocate(sizes, B):
+    """allocate_budgets with the old surplus loop and the old deficit fill."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    alloc, frac = _base_budgets(sizes, B)
     if alloc.sum() > B:
         order = np.lexsort((np.arange(sizes.size), frac))
         surplus = int(alloc.sum() - B)
@@ -117,14 +132,8 @@ def _reference_allocate(sizes, B):
                 eligible = order[alloc[order] == 1][:surplus]
             alloc[eligible] -= 1
             surplus -= eligible.size
-    elif alloc.sum() < B:
-        order = np.lexsort((np.arange(sizes.size), -frac))
-        deficit = int(B - alloc.sum())
-        while deficit > 0:
-            eligible = order[alloc[order] < sizes[order]][:deficit]
-            assert eligible.size > 0
-            alloc[eligible] += 1
-            deficit -= eligible.size
+    else:
+        _old_fill_round_robin(alloc, sizes, np.lexsort((np.arange(sizes.size), -frac)), B)
     return alloc.tolist()
 
 
@@ -165,6 +174,24 @@ def _plans(draw):
 
 
 @st.composite
+def _plans_in(draw, regime):
+    """A plan whose base allocation falls short of B, overshoots it with B >= L, or has B < L."""
+    if regime == "b_below_l":
+        sizes = draw(st.lists(st.integers(1, 40), min_size=2, max_size=25))
+        return sizes, draw(st.integers(1, len(sizes) - 1))
+    if regime == "surplus":
+        # many small clusters rounded up to a budget of 1, a few large ones
+        sizes = draw(st.permutations(draw(st.lists(st.integers(1, 4), min_size=2, max_size=20))
+                                     + draw(st.lists(st.integers(10, 300), min_size=1, max_size=4))))
+        B = draw(st.integers(len(sizes), len(sizes) + 30))
+        assume(_base_budgets(sizes, B)[0].sum() > B)
+        return sizes, B
+    sizes, B = draw(_plans())
+    assume(_base_budgets(sizes, B)[0].sum() < B)
+    return sizes, B
+
+
+@st.composite
 def _ccs_inputs(draw):
     # few distinct integer scores over many bins: empty and small bins
     scores = draw(st.lists(st.integers(0, 12), min_size=1, max_size=60))
@@ -183,6 +210,13 @@ class TestRoundRobinFill:
         sizes, B = plan
         assert allocate_budgets(sizes, B).tolist() == _reference_allocate(sizes, B)
 
+    @pytest.mark.parametrize("regime", ["deficit", "surplus", "b_below_l"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_allocate_budgets_matches_the_old_loops_in_each_regime(self, regime, data):
+        sizes, B = data.draw(_plans_in(regime))
+        assert allocate_budgets(sizes, B).tolist() == _reference_allocate(sizes, B)
+
     @settings(max_examples=300, deadline=None)
     @given(_ccs_inputs())
     @example(([0, 12], 5, 2))  # three empty bins
@@ -198,7 +232,11 @@ class TestRoundRobinFill:
         sizes = np.bincount(bin_of, minlength=bins)
         metas = [SampleMeta(id=f"r{i}", score=v) for i, v in enumerate(raw)]
         rows = _ccs_rows(metas, SelectionConfig(budget=budget, seed=4), bins)
-        assert np.bincount(bin_of[rows], minlength=bins).tolist() == _reference_ccs_take(sizes, budget)
+        got = np.bincount(bin_of[rows], minlength=bins).tolist()
+        assert got == _reference_ccs_take(sizes, budget)
+        take = np.minimum(budget // bins, sizes)
+        _old_fill_round_robin(take, sizes, np.arange(bins), budget)
+        assert got == take.tolist()
 
     def test_average_allocation_gives_a_clamped_shortfall_to_the_largest_cluster(self):
         # base 12 // 4 = 3 clamps the last cluster to 1; the 2 missing units
