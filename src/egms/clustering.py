@@ -48,6 +48,24 @@ rows are assigned against that component's centroids only, in ascending
 index order, so the lowest-index tie-break is the global one. Continuous
 data forms one component, which is a full pass.
 
+Incremental steps. A cluster whose member set did not change keeps its
+centroid's bits: :func:`_means_by_label` recomputes only the clusters that
+gained or lost a row, empty-cluster repairs included, and ``bincount`` sums
+each of them in ascending row order, as a full pass does. Every other
+centroid counts as moved; in the first step all do, since the seeds are no
+member means. A row's previous label is the lowest-index explicit argmin
+over all the previous centroids, and a static centroid's explicit distance
+keeps its bits, so that label still beats every other static centroid. A
+row whose own centroid is static is therefore ranked against the moved
+centroids of its component only, and takes their winner only when it is
+strictly closer, or equally close at a lower index. A row whose component
+holds no moved centroid keeps its label and distance. A row whose own
+centroid moved is ranked against its whole component; a repaired row is no
+argmin of its new cluster, which is why a repair marks both clusters as
+moved. So every label, distance and inertia keeps the bits of a full step.
+Elkan (2003) skips distances by per-row bounds; here whole centroids are
+skipped, and no bound is needed.
+
 Seeding skips the distance pass for rows that the triangle inequality
 proves cannot move closer to a new centre (Elkan 2003; Raff 2021, "Exact
 Acceleration of K-Means++ and K-Means||"), so every random draw and every
@@ -145,46 +163,62 @@ def _rerank(x, centroids, values, best, tol, tight, lab, dist) -> None:
 
 
 def _assign_chunked(
-    xa: np.ndarray, centroids: np.ndarray, xnorm: np.ndarray, comp: np.ndarray, prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row: (labels, explicit squared distances).
+    xa: np.ndarray,
+    centroids: np.ndarray,
+    xnorm: np.ndarray,
+    comp: np.ndarray,
+    moved: np.ndarray,
+    labels: np.ndarray,
+    d2: np.ndarray,
+) -> np.ndarray:
+    """Re-rank the rows a moved centroid can reach, updating ``labels`` and ``d2`` in place.
 
     ``xa`` holds the rows with a column of ones appended, which the GEMM
-    against [-2c, |c|^2] reads, and ``xnorm`` their norms. Each row is
-    ranked only against the centroids of the component (``comp``, one id
-    per centroid, from :func:`_components`) of its previous label
-    (``prev``), in ascending order, so the lowest local index is the lowest
-    global one.
+    against [-2c, |c|^2] reads, and ``xnorm`` their norms. ``moved`` marks
+    the clusters whose member set, and so possibly centroid, changed since
+    the previous step. On entry, each row of any other cluster holds in
+    ``labels`` and ``d2`` its lowest-index explicit argmin over the previous
+    centroids and its distance. A row whose own centroid moved is ranked
+    against every centroid of its component (``comp``, one id per centroid,
+    from :func:`_components`); any other row only against the moved
+    centroids of its component, whose winner it takes on a smaller distance
+    or on an equal one at a lower index; a row whose component holds no
+    moved centroid keeps its label. Centroids go in ascending order, so the
+    lowest local index is the lowest global one. Returns the mask of the
+    clusters that gained or lost a row.
     """
     n, d = xa.shape[0], xa.shape[1] - 1
-    labels = np.empty(n, dtype=np.int64)
-    d2 = np.empty(n, dtype=np.float64)
-    if comp.max() == 0:
-        groups = [(None, None)]
-    else:
-        row_comp = comp[prev].astype(np.min_scalar_type(comp.max()))  # small keys take numpy's radix sort
-        order = np.argsort(row_comp, kind="stable")  # rows grouped by component, ascending within each
-        sizes = np.bincount(row_comp)
-        groups = [
-            (np.flatnonzero(comp == k), order[stop - size : stop])
-            for k, (size, stop) in enumerate(zip(sizes, np.cumsum(sizes)))
-        ]
+    L = centroids.shape[0]
+    K = int(comp.max()) + 1
+    reach = np.bincount(comp, weights=moved, minlength=K) > 0
+    # group 2k + 1: rows of a moved centroid of component k; group 2k: the
+    # other rows of component k; group 2K: rows of components where nothing moved
+    key = np.where(reach[comp], 2 * comp + moved, 2 * K).astype(np.min_scalar_type(2 * K))
+    row_key = key[labels]  # small keys take numpy's radix sort
+    order = np.argsort(row_key, kind="stable")  # rows grouped, ascending within each
+    sizes = np.bincount(row_key, minlength=2 * K + 1)
+    stops = np.cumsum(sizes)
+    changed = np.zeros(L, dtype=bool)
     slack = _slack(d)
     # one set of block buffers for every group, so their pages fault in
     # once; np.take writes into them directly only with mode="clip" (the
     # indices are valid), while the default mode buffers a copy
-    scratch = np.empty((2, max(_BLOCK_ELEMENTS, centroids.shape[0], d + 1)), dtype=np.float64)
-    for cids, rows in groups:
-        cents = centroids if cids is None else centroids[cids]
-        L = cents.shape[0]
-        keys = np.empty((L, d + 1), dtype=np.float64)
+    scratch = np.empty((2, max(_BLOCK_ELEMENTS, L, d + 1)), dtype=np.float64)
+    # blocks are sized for all L centroids even where a group ranks fewer,
+    # which keeps the temporaries of _sq_dist as small as in a full step
+    block = max(1, _BLOCK_ELEMENTS // max(L, d + 1))
+    for g in np.flatnonzero(sizes[:-1]):
+        k, own_moved = divmod(int(g), 2)
+        cids = np.flatnonzero(comp == k if own_moved else (comp == k) & moved)
+        whole = cids.size == L
+        cents = centroids if whole else centroids[cids]
+        keys = np.empty((cids.size, d + 1), dtype=np.float64)
         np.multiply(cents, -2.0, out=keys[:, :d])  # exact
         keys[:, d] = np.einsum("ij,ij->i", cents, cents)
         cmax = float(np.sqrt(keys[:, d].max()))
-        size = n if rows is None else rows.size
-        block = max(1, _BLOCK_ELEMENTS // max(L, d + 1))
-        for start in range(0, size, block):
-            stop = min(start + block, size)
+        rows = None if sizes[g] == n else order[stops[g] - sizes[g] : stops[g]]
+        for start in range(0, sizes[g], block):
+            stop = min(start + block, sizes[g])
             m = stop - start
             if rows is None:
                 at = slice(start, stop)
@@ -192,7 +226,7 @@ def _assign_chunked(
             else:
                 at = rows[start:stop]
                 xb = np.take(xa, at, axis=0, out=scratch[0, : m * (d + 1)].reshape(m, d + 1), mode="clip")
-            values = np.matmul(xb, keys.T, out=scratch[1, : m * L].reshape(m, L))  # |c|^2 - 2 x.c
+            values = np.matmul(xb, keys.T, out=scratch[1, : m * cids.size].reshape(m, cids.size))  # |c|^2 - 2 x.c
             r = np.arange(m)
             lab = np.argmin(values, axis=1)
             best = values[r, lab]
@@ -207,9 +241,21 @@ def _assign_chunked(
             tight = np.flatnonzero(~(gap > tol))
             if tight.size:
                 _rerank(x, cents, values, best, tol, tight, lab, dist)
-            labels[at] = lab if cids is None else cids[lab]
+            new = lab if whole else cids[lab]
+            old = labels[at]
+            if not own_moved:
+                # the own centroid is static: its distance keeps its bits and
+                # it beat every other static centroid, at a lower index on a tie
+                prev = d2[at]
+                keep = (prev < dist) | ((prev == dist) & (old < new))
+                new[keep] = old[keep]
+                dist[keep] = prev[keep]
+            switched = new != old
+            changed[old[switched]] = True
+            changed[new[switched]] = True
+            labels[at] = new
             d2[at] = dist
-    return labels, d2
+    return changed
 
 
 def _components(centroids: np.ndarray, radius: np.ndarray) -> np.ndarray:
@@ -243,12 +289,22 @@ def _components(centroids: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _means_by_label(x: np.ndarray, labels: np.ndarray, L: int) -> np.ndarray:
-    counts = np.bincount(labels, minlength=L).astype(np.float64)
+def _means_by_label(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray, changed: np.ndarray) -> np.ndarray:
+    """Member means of the ``changed`` clusters; every other centroid keeps its bits.
+
+    ``bincount`` adds each cluster's rows in ascending row order, and the
+    rows of other clusters do not enter its sum, so a mean taken over the
+    rows of the changed clusters alone has the bits of a full pass.
+    """
+    L = centroids.shape[0]
+    sub = np.flatnonzero(changed[labels])
+    lab = labels[sub]
     sums = np.empty((L, x.shape[1]), dtype=np.float64)
     for j in range(x.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=x[:, j], minlength=L)
-    return sums / counts[:, None]
+        sums[:, j] = np.bincount(lab, weights=x[sub, j], minlength=L)
+    out = centroids.copy()
+    out[changed] = sums[changed] / np.bincount(lab, minlength=L)[changed, None].astype(np.float64)
+    return out
 
 
 def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,13 +349,14 @@ def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> tuple[np.ndarr
     return centroids, near, d2
 
 
-def _repair_empty(labels: np.ndarray, d2: np.ndarray, L: int) -> None:
+def _repair_empty(labels: np.ndarray, d2: np.ndarray, changed: np.ndarray) -> None:
     """Reseed each empty cluster with the globally worst-fit point.
 
     Mutates ``labels``/``d2`` in place; a stolen point's distance becomes 0
-    because the reseeded centroid will land exactly on it.
+    because the reseeded centroid will land exactly on it. Both clusters a
+    stolen point joins and leaves are marked in ``changed``.
     """
-    counts = np.bincount(labels, minlength=L)
+    counts = np.bincount(labels, minlength=changed.size)
     empties = np.flatnonzero(counts == 0)
     if empties.size == 0:
         return
@@ -312,6 +369,7 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, L: int) -> None:
             raise InternalInvariantError("cannot repair empty cluster: no donor point")
         p = order[cursor]
         counts[labels[p]] -= 1
+        changed[labels[p]] = changed[cid] = True
         labels[p] = cid
         counts[cid] = 1
         d2[p] = 0.0
@@ -341,16 +399,18 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
 
     history = []
     prev = np.inf
+    # the seeds are no member means, so the first step moves every centroid
+    changed = np.ones(L, dtype=bool)
     for it in range(MAX_ITER):
         if it:
-            labels, d2 = _assign_chunked(xa, centroids, xnorm, comp, labels)
-        _repair_empty(labels, d2, L)
+            changed = _assign_chunked(xa, centroids, xnorm, comp, changed, labels, d2)
+        _repair_empty(labels, d2, changed)
         inertia = float(d2.sum())
         if inertia > prev * (1.0 + 1e-12) + 1e-12:
             raise InternalInvariantError(f"inertia increased: {prev} -> {inertia}")
         prev = inertia
         history.append(inertia)
-        new_centroids = _means_by_label(x, labels, L)
+        new_centroids = _means_by_label(x, labels, centroids, changed)
         shifts = np.sqrt(_sq_dist(new_centroids, centroids, cols=np.arange(L)))
         centroids = new_centroids
         if float(shifts.max()) < SHIFT_TOL:
@@ -363,9 +423,14 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     # final labels were computed against the previous centroids; the final
     # centroids are exactly the member means of those labels
     inertia = float(_sq_dist(x, centroids, cols=labels).sum())
-    members = tuple(np.sort(rows[labels == c]) for c in range(L))
-    if any(m.size == 0 for m in members):
+    counts = np.bincount(labels, minlength=L)
+    if not counts.all():
         raise InternalInvariantError("empty cluster at convergence")
+    # one radix sort by label, then each cluster's rows sorted in place
+    by_label = np.argsort(labels.astype(np.min_scalar_type(L)), kind="stable")
+    members = tuple(np.split(rows[by_label], np.cumsum(counts)[:-1]))
+    for m in members:
+        m.sort()
     return ClusterAssignment(
         labels=labels,
         centroids=centroids + origin,

@@ -220,13 +220,17 @@ class SelectionManifest:
 
 
 def _store_rows(store: EmbeddingStore, rows, what: str) -> np.ndarray:
-    """``rows`` as int64 store rows in the given order: nonempty, in [0, store.count), distinct.
+    """``rows`` as int64 store rows in the given order: nonempty, integer, in [0, store.count), distinct.
 
-    The errors name ``what``, the caller's argument as a singular noun.
+    The errors name ``what``, the caller's argument as a singular noun. A
+    float or boolean array is an error, not a truncated or 0/1 index list.
     """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
+    rows = np.asarray(rows)
     if rows.size == 0:
         raise InputError(f"{what}s must be nonempty")
+    if rows.dtype.kind not in "iu":
+        raise InputError(f"{what}s must be integers, got {rows.dtype}")
+    rows = rows.astype(np.int64, copy=False).ravel()
     if rows.min() < 0 or rows.max() >= store.count:
         raise InputError(f"{what} out of range [0, {store.count})")
     if np.unique(rows).size != rows.size:

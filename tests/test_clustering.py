@@ -18,7 +18,16 @@ from egms import (
     kmeans,
 )
 from egms import clustering
-from egms.clustering import _BLOCK_ELEMENTS, _assign_chunked, _components, _kmeanspp, _rerank
+from egms.clustering import (
+    _BLOCK_ELEMENTS,
+    _assign_chunked,
+    _components,
+    _kmeanspp,
+    _means_by_label,
+    _repair_empty,
+    _rerank,
+    _sq_dist,
+)
 
 
 class TestKmeans:
@@ -126,11 +135,20 @@ def _kmeanspp_full_pass(x, L, rng):
     return centroids
 
 
-def _assign_all(x, centroids):
-    """``_assign_chunked`` of the rows against every centroid, as one component."""
-    xa = np.hstack([x, np.ones((x.shape[0], 1))])  # the layout the assignment GEMM reads
+def _assign(x, centroids, comp, moved, labels, d2):
+    """``_assign_chunked`` of the rows in the layout its GEMM reads; returns (labels, d2, changed)."""
+    xa = np.hstack([x, np.ones((x.shape[0], 1))])
     xnorm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    return _assign_chunked(xa, centroids, xnorm, np.zeros(len(centroids), dtype=np.int64), np.zeros(len(x), dtype=np.int64))
+    labels, d2 = np.array(labels, dtype=np.int64), np.array(d2, dtype=np.float64)
+    changed = _assign_chunked(xa, centroids, xnorm, np.asarray(comp, dtype=np.int64), np.asarray(moved), labels, d2)
+    return labels, d2, changed
+
+
+def _assign_all(x, centroids):
+    """``_assign_chunked`` of the rows against every centroid, all moved and in one component."""
+    L, n = len(centroids), len(x)
+    labels, d2, _ = _assign(x, centroids, np.zeros(L), np.ones(L, dtype=bool), np.zeros(n), np.zeros(n))
+    return labels, d2
 
 
 def _explicit(x, centroids):
@@ -151,7 +169,7 @@ def _assert_explicit_argmin(x, centroids, labels, d2):
 
 @st.composite
 def _seeding_inputs(draw):
-    """Off-grid float64 rows (spread, blobs, far blobs, near-midpoints, duplicates or one constant), L in [1, n].
+    """Float64 rows (spread, blobs, far blobs, near-midpoints, duplicates, a grid or one constant), L in [1, n].
 
     Near-midpoint rows sit within 1e-6 relative of halfway between two
     ends. Once both ends are seeds, the pruning bound for these rows holds
@@ -163,7 +181,7 @@ def _seeding_inputs(draw):
     d = draw(st.integers(1, 6))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
-    kind = draw(st.sampled_from(["spread", "blobs", "far_blobs", "midpoints", "duplicates", "constant"]))
+    kind = draw(st.sampled_from(["spread", "blobs", "far_blobs", "midpoints", "duplicates", "grid", "constant"]))
     if kind == "far_blobs":
         centres = gen.normal(size=(draw(st.integers(2, 4)), d)) * 2.0 ** draw(st.integers(0, 30))
         x = (centres[gen.integers(centres.shape[0], size=n)] + gen.normal(size=(n, d))) * scale
@@ -181,6 +199,8 @@ def _seeding_inputs(draw):
     elif kind == "duplicates":
         base = gen.normal(size=(draw(st.integers(1, max(1, n // 2))), d)) * scale
         x = base[gen.integers(base.shape[0], size=n)]
+    elif kind == "grid":
+        x = np.round(gen.normal(size=(n, d)) * 4.0) * scale  # exact ties between rows and centroids
     else:
         x = np.full((n, d), gen.normal() * scale)
     L = draw(st.integers(1, n))
@@ -231,15 +251,15 @@ class TestKmeansppPruning:
 
 
 class _Recorder:
-    """Wraps ``_assign_chunked`` and keeps the arguments and results of every call."""
+    """Wraps ``_assign_chunked`` and keeps the rows, centroids and results of every call."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, xa, centroids, *args):
-        labels, d2 = _assign_chunked(xa, centroids, *args)
+    def __call__(self, xa, centroids, xnorm, comp, moved, labels, d2):
+        changed = _assign_chunked(xa, centroids, xnorm, comp, moved, labels, d2)
         self.calls.append((xa[:, :-1].copy(), centroids.copy(), labels.copy(), d2.copy()))
-        return labels, d2
+        return changed
 
 
 def _one_component(centroids, radius):
@@ -384,6 +404,133 @@ class TestAssignChunked:
         with mock.patch.object(clustering, "_BLOCK_ELEMENTS", 997):
             small_labels, small_d2 = _assign_all(x, centroids)
         assert labels.tobytes() == small_labels.tobytes() and d2.tobytes() == small_d2.tobytes()
+
+
+def _reference_assign(x, centroids, comp, prev):
+    """Each row's lowest-index explicit argmin over the whole component of its previous label."""
+    dist = _explicit(x, centroids)
+    dist[comp[prev][:, None] != comp[None, :]] = np.inf
+    labels = dist.argmin(axis=1)
+    return labels, dist[np.arange(x.shape[0]), labels]
+
+
+def _reference_means(x, labels, L):
+    """Every cluster's mean over all of its rows, summed in ascending row order."""
+    sums = np.stack([np.bincount(labels, weights=x[:, j], minlength=L) for j in range(x.shape[1])], axis=1)
+    return sums / np.bincount(labels, minlength=L)[:, None].astype(np.float64)
+
+
+def _reference_kmeans(data, L, seed):
+    """``kmeans`` with full Lloyd steps: (labels, centroids, inertia history, (labels, d2) of each assignment)."""
+    x = data - data[0]
+    centroids, labels, d2 = _kmeanspp(x, L, np.random.default_rng(np.random.SeedSequence(entropy=[seed, 1])))
+    history, steps = [], []
+    for it in range(clustering.MAX_ITER):
+        if it:
+            labels, d2 = _reference_assign(x, centroids, comp, labels)
+            steps.append((labels.copy(), d2.copy()))
+        _repair_empty(labels, d2, np.zeros(L, dtype=bool))
+        history.append(float(d2.sum()))
+        new = _reference_means(x, labels, L)
+        shifts = np.sqrt(_sq_dist(new, centroids, cols=np.arange(L)))
+        centroids = new
+        if shifts.max() < clustering.SHIFT_TOL:
+            break
+        worst = np.zeros(L)
+        np.maximum.at(worst, labels, d2)
+        comp = _components(centroids, np.sqrt(worst) + shifts)
+    return labels, centroids + data[0], np.asarray(history), steps
+
+
+def _assert_full_steps(data, L, seed):
+    """Every recorded step of ``kmeans`` has the bytes of the reference's full step."""
+    got, calls = _kmeans_recorded(EmbeddingStore(data), L, seed)
+    labels, centroids, history, steps = _reference_kmeans(data, L, seed)
+    assert len(calls) == len(steps)
+    for (_, _, clab, cd2), (rlab, rd2) in zip(calls, steps):
+        assert clab.tobytes() == rlab.tobytes() and cd2.tobytes() == rd2.tobytes()
+    assert got.labels.tobytes() == labels.tobytes()
+    assert got.centroids.tobytes() == centroids.tobytes()
+    assert got.inertia_history.tobytes() == history.tobytes()
+
+
+# 15 values on a line where k-means with L=6 and seed 9054 empties a cluster
+# in its third step, after two assignments, and none before
+_REPAIRED_MID_RUN = [
+    -1.671211364711754, 0.7520193800131516, 0.33101006190552656, 0.3116085681481616, 0.33544782008759244,
+    0.23398137427410928, -2.2994380967352424, -0.07847320841088827, -0.19329044051338581, -0.6338020165673275,
+    -0.20325542637420949, -0.8785478618051551, 1.1077258728322879, 0.23053875326353288, -0.8765660685046452,
+]
+
+
+class TestIncrementalSteps:
+    @settings(max_examples=80, deadline=None)
+    @given(_seeding_inputs())
+    def test_every_step_equals_a_full_step(self, inputs):
+        """Labels, d2, centroids and inertia history as bytes, against full means and whole-component ranks."""
+        x, L, seed, shift = inputs
+        for data in (x, x + shift):
+            _assert_full_steps(data, L, seed)
+
+    def test_a_repair_after_an_assignment_moves_both_clusters(self):
+        empties = []
+
+        def counted(labels, d2, changed):
+            empties.append(int(np.count_nonzero(np.bincount(labels, minlength=changed.size) == 0)))
+            _repair_empty(labels, d2, changed)
+
+        x = np.array(_REPAIRED_MID_RUN)[:, None]
+        with mock.patch.object(clustering, "_repair_empty", counted):
+            _assert_full_steps(x, 6, 9054)
+        assert empties[:2] == [0, 0] and empties[2] > 0
+
+    def test_repair_marks_the_donor_and_the_filled_cluster(self):
+        labels, d2 = np.array([0, 0, 0, 2]), np.array([1.0, 3.0, 2.0, 0.5])
+        changed = np.zeros(3, dtype=bool)
+        _repair_empty(labels, d2, changed)
+        assert labels.tolist() == [0, 1, 0, 2] and d2[1] == 0.0
+        assert changed.tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("own, moved, label", [(1, [True, False], 0), (0, [False, True], 0)])
+    def test_a_static_row_takes_a_tying_moved_centroid_only_at_a_lower_index(self, own, moved, label):
+        # the row sits halfway between the two centroids
+        x, centroids = np.array([[0.0]]), np.array([[-1.0], [1.0]])
+        labels, d2, changed = _assign(x, centroids, [0, 0], moved, [own], [1.0])
+        assert labels.tolist() == [label] and d2.tolist() == [1.0]
+        assert changed.tolist() == [own != label] * 2
+
+    def test_a_static_row_keeps_its_label_against_a_farther_moved_centroid(self):
+        x, centroids = np.array([[0.25]]), np.array([[-1.0], [1.0]])
+        labels, d2, changed = _assign(x, centroids, [0, 0], [True, False], [1], [0.5625])
+        assert labels.tolist() == [1] and d2.tolist() == [0.5625] and not changed.any()
+
+    def test_only_components_with_a_moved_centroid_are_reranked(self):
+        """Component 0 holds a moved centroid its static rows must move to; component 1 holds none."""
+        x = np.array([[-1.0], [0.9], [10.0], [11.5]])
+        centroids = np.array([[1.0], [2.0], [10.0], [12.0]])
+        dist = _explicit(x, centroids)
+        prev = [0, 1, 2, 3]  # centroid 0 moved to 1.0 from beyond 2.0
+        labels, d2, changed = _assign(x, centroids, [0, 0, 1, 1], [True, False, False, False], prev, dist[np.arange(4), prev])
+        assert labels.tolist() == [0, 0, 2, 3]
+        assert d2.tobytes() == dist[np.arange(4), [0, 0, 2, 3]].tobytes()
+        assert changed.tolist() == [True, True, False, False]
+
+    def test_means_are_recomputed_for_changed_clusters_only(self):
+        gen = np.random.default_rng(3)
+        x, labels = gen.normal(size=(50, 3)), gen.integers(4, size=50)
+        stale = gen.normal(size=(4, 3))
+        changed = np.array([True, False, True, False])
+        got = _means_by_label(x, labels, stale, changed)
+        full = _reference_means(x, labels, 4)
+        assert got[changed].tobytes() == full[changed].tobytes()
+        assert got[~changed].tobytes() == stale[~changed].tobytes()
+
+    def test_members_are_sorted_store_rows_for_any_kept_order(self):
+        store, _ = gen_synthetic(300, 4, 3, 0.8, seed=21)
+        kept = np.random.default_rng(1).permutation(300)[:250]
+        a = kmeans(store, kept, 9, seed=2)
+        for c, m in enumerate(a.members):
+            assert m.tobytes() == np.sort(kept[a.labels == c]).tobytes()
 
 
 def test_blas_thread_count_does_not_move_kmeans():

@@ -221,8 +221,9 @@ _ROW_CALLERS = {
 @pytest.mark.parametrize(
     "rows, problem",
     [([], "s must be nonempty"), ([3, -1], r" out of range \[0, 10\)"), ([3, 10], r" out of range \[0, 10\)"),
-     ([3, 5, 3], "s must be distinct")],
-    ids=["empty", "minus_one", "count", "repeated"],
+     ([3, 5, 3], "s must be distinct"), ([0.5, 1.9], "s must be integers, got float64"),
+     ([3.0, 5.0], "s must be integers, got float64"), ([True, False, True], "s must be integers, got bool")],
+    ids=["empty", "minus_one", "count", "repeated", "fractional", "integral_floats", "boolean_mask"],
 )
 def test_store_rows_are_checked_alike_by_every_caller(caller, rows, problem):
     call, what = _ROW_CALLERS[caller]
@@ -235,6 +236,19 @@ def test_store_rows_keep_the_given_order():
     store = EmbeddingStore(np.zeros((10, 2)))
     rows = _store_rows(store, [[7], [2], [5]], "row")
     assert rows.dtype == np.int64 and rows.tolist() == [7, 2, 5]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+def test_store_rows_take_any_integer_dtype(dtype):
+    store = EmbeddingStore(np.zeros((10, 2)))
+    rows = _store_rows(store, np.array([7, 2, 5], dtype=dtype), "row")
+    assert rows.dtype == np.int64 and rows.tolist() == [7, 2, 5]
+
+
+def test_store_rows_reject_a_wrapped_unsigned_row():
+    store = EmbeddingStore(np.zeros((10, 2)))
+    with pytest.raises(InputError, match=r"^row out of range \[0, 10\)$"):
+        _store_rows(store, np.array([2, 2**64 - 1], dtype=np.uint64), "row")
 
 
 class TestSelectionConfig:
