@@ -124,22 +124,21 @@ def _sq_dist(x: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None, cols:
     ``cols``, ``c`` is one centre for every row. This is the one routine
     behind every squared distance of egms: each k-means label and distance
     and each Gaussian kernel entry. A pair's bits depend on its two rows
-    alone, not on the other pairs. Calls that gather one centre per pair go
-    in blocks of ``_BLOCK_ELEMENTS`` values; one-centre calls take one pass.
+    alone, not on the other pairs. Every call goes in blocks of
+    ``_BLOCK_ELEMENTS`` values, so no temporary grows with the pairs.
     """
-    if cols is None:
-        if rows is None:
-            diff = x - c
-        else:
-            diff = x[rows]  # fancy indexing copies; subtracting in place keeps one temporary
-            diff -= c
-        return np.einsum("ij,ij->i", diff, diff)
-    out = np.empty(cols.size, dtype=np.float64)
+    out = np.empty(x.shape[0] if rows is None else rows.size, dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // x.shape[1])
-    for start in range(0, cols.size, step):
+    for start in range(0, out.size, step):
         part = slice(start, start + step)
-        diff = c[cols[part]]  # a gathered copy, which the differences overwrite
-        np.subtract(x[part] if rows is None else x[rows[part]], diff, out=diff)
+        if cols is not None:
+            diff = c[cols[part]]  # a gathered copy, which the differences overwrite
+            np.subtract(x[part] if rows is None else x[rows[part]], diff, out=diff)
+        elif rows is None:
+            diff = x[part] - c  # a view of x: the one block that needs a fresh array
+        else:
+            diff = x[rows[part]]  # fancy indexing copies, so subtract in place
+            diff -= c
         np.einsum("ij,ij->i", diff, diff, out=out[part])
     return out
 
@@ -187,7 +186,7 @@ def _assign_chunked(
     lowest local index is the lowest global one. Returns the mask of the
     clusters that gained or lost a row.
     """
-    n, d = xa.shape[0], xa.shape[1] - 1
+    d = xa.shape[1] - 1
     L = centroids.shape[0]
     K = int(comp.max()) + 1
     reach = np.bincount(comp, weights=moved, minlength=K) > 0
@@ -210,22 +209,16 @@ def _assign_chunked(
     for g in np.flatnonzero(sizes[:-1]):
         k, own_moved = divmod(int(g), 2)
         cids = np.flatnonzero(comp == k if own_moved else (comp == k) & moved)
-        whole = cids.size == L
-        cents = centroids if whole else centroids[cids]
+        cents = centroids[cids]
         keys = np.empty((cids.size, d + 1), dtype=np.float64)
         np.multiply(cents, -2.0, out=keys[:, :d])  # exact
         keys[:, d] = np.einsum("ij,ij->i", cents, cents)
         cmax = float(np.sqrt(keys[:, d].max()))
-        rows = None if sizes[g] == n else order[stops[g] - sizes[g] : stops[g]]
+        rows = order[stops[g] - sizes[g] : stops[g]]
         for start in range(0, sizes[g], block):
-            stop = min(start + block, sizes[g])
-            m = stop - start
-            if rows is None:
-                at = slice(start, stop)
-                xb = xa[at]
-            else:
-                at = rows[start:stop]
-                xb = np.take(xa, at, axis=0, out=scratch[0, : m * (d + 1)].reshape(m, d + 1), mode="clip")
+            at = rows[start : start + block]
+            m = at.size
+            xb = np.take(xa, at, axis=0, out=scratch[0, : m * (d + 1)].reshape(m, d + 1), mode="clip")
             values = np.matmul(xb, keys.T, out=scratch[1, : m * cids.size].reshape(m, cids.size))  # |c|^2 - 2 x.c
             r = np.arange(m)
             lab = np.argmin(values, axis=1)
@@ -241,7 +234,7 @@ def _assign_chunked(
             tight = np.flatnonzero(~(gap > tol))
             if tight.size:
                 _rerank(x, cents, values, best, tol, tight, lab, dist)
-            new = lab if whole else cids[lab]
+            new = cids[lab]
             old = labels[at]
             if not own_moved:
                 # the own centroid is static: its distance keeps its bits and

@@ -244,9 +244,7 @@ def _bordered_entropies(mats: np.ndarray, kern: np.ndarray, owner: np.ndarray) -
     for start in range(0, m, chunk):
         k, o = kern[start : start + chunk], owner[start : start + chunk]
         stack = np.empty((k.shape[0], t + 1, t + 1), dtype=np.float64)
-        cuts = [0, *(np.flatnonzero(o[1:] != o[:-1]) + 1).tolist(), o.size]
-        for a, b in zip(cuts, cuts[1:]):  # runs of one state: no gathered copy of its matrix
-            stack[a:b, :t, :t] = mats[o[a]]
+        stack[:, :t, :t] = mats[o]
         stack[:, t, :t] = k
         stack[:, :t, t] = k
         stack[:, t, t] = 1.0

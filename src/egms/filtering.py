@@ -71,6 +71,8 @@ def filter_extremes(ppls, tail_low: float, tail_high: float) -> FilteredSet:
     arr = np.asarray(ppls, dtype=np.float64)
     if arr.ndim != 1:
         raise InputError("ppls must be a 1-D sequence")
+    if arr.size == 0:
+        raise InputError("no samples: the perplexity sequence is empty")
     if not np.isfinite(arr).all() or (arr <= 0).any():
         raise InputError("all PPL values must be finite and positive")
     if tail_low < 0 or tail_high < 0 or tail_low + tail_high >= 1:

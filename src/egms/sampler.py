@@ -212,7 +212,7 @@ def _greedy_batch(
     cols = np.empty((rows.size, budgets.max()), dtype=np.float64)
     picks = np.empty((len(live), budgets.max()), dtype=np.int64)  # positions into rows
     trace = np.empty((len(live), budgets.max()), dtype=np.float64)
-    taken = np.zeros(rows.size, dtype=bool)  # selected, or in a finished cluster
+    taken = np.zeros(rows.size, dtype=bool)  # selected rows; each pool is cut at both ends of its cluster
     for c, (i, members, budget) in enumerate(live):
         # positions into the sorted members: the same draws as from the rows,
         # and the lowest position is the lowest row
@@ -224,16 +224,15 @@ def _greedy_batch(
         trace[c, : seeds.size] = _entropy_trace(cols[seeds, : seeds.size])
         picks[c, : seeds.size] = seeds
         taken[seeds] = True
-        if budget == seeds.size:
-            taken[offs[c] : offs[c + 1]] = True
     cluster_of = np.repeat(np.arange(len(live)), sizes)
 
     for t in range(2, budgets.max()):
         step = np.flatnonzero(budgets > t)
         unselected = np.flatnonzero(~taken)
-        cuts = [*np.searchsorted(unselected, offs[step]).tolist(), unselected.size]
+        lo = np.searchsorted(unselected, offs[step]).tolist()
+        hi = np.searchsorted(unselected, offs[step + 1]).tolist()
         cands = []
-        for c, a, b in zip(step, cuts, cuts[1:]):
+        for c, a, b in zip(step, lo, hi):
             pool = unselected[a:b]
             cands.append(rngs[live[c][0]].choice(pool, size=m, replace=False) if pool.size > m else pool)
         owner = np.repeat(np.arange(step.size), [pool.size for pool in cands])
@@ -242,8 +241,6 @@ def _greedy_batch(
         picks[step, t] = cands[pos]
         trace[step, t] = entropy
         taken[cands[pos]] = True
-        for c in step[budgets[step] == t + 1]:
-            taken[offs[c] : offs[c + 1]] = True
         grow = np.flatnonzero((budgets > t + 1)[cluster_of])
         cols[grow, t] = _paired_kernel(store.data, store.data, rows[grow], rows[picks[cluster_of[grow], t]], sigma)
 

@@ -252,6 +252,13 @@ def test_budget_over_population_exits_1(dataset, tmp_path, capsys):
     assert "post-filter" in capsys.readouterr().err
 
 
+def _console(argv):
+    """Run the CLI in a separate interpreter, as the console script runs."""
+    src = str(Path(egms.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "egms.cli", *argv], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("command", ["select", "avg-rel"])
 def test_non_utf8_input_exits_1_naming_the_line(dataset, tmp_path, command):
     # a separate interpreter, as the console script runs: an uncaught
@@ -268,9 +275,27 @@ def test_non_utf8_input_exits_1_naming_the_line(dataset, tmp_path, command):
         bad = tmp_path / "bad.csv"
         argv = ["metrics", "avg-rel", "--scores", str(bad)]
     bad.write_bytes(b"\n".join(lines))
-    src = str(Path(egms.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "egms.cli", *argv], capture_output=True, text=True, env=env)
+    proc = _console(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert re.search(r"^error: .*\bline 2\b", proc.stderr, re.M), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--out", "o.txt"],
+        ["baseline", "--strategy", "exam_average_allocation", "--out", "o.txt"],
+        ["diagnose", "--strategy", "exam", "--seeds", "2"],
+    ],
+)
+def test_empty_dataset_exits_1_without_a_traceback(tmp_path, argv):
+    # a 0-row store (magic, version 1, count 0, dim 4) and an empty manifest
+    emb, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+    emb.write_bytes(b"EGMS\x01\x00" + bytes(8) + b"\x04\x00\x00\x00")
+    man.write_bytes(b"")
+    argv = [str(tmp_path / a) if a == "o.txt" else a for a in argv]
+    proc = _console([*argv, "--embeddings", str(emb), "--manifest", str(man), "--budget", "5"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert re.search(r"^error: ", proc.stderr, re.M), proc.stderr

@@ -145,8 +145,30 @@ class TestBuildSimilarity:
             rows, cols = rng.integers(300, size=pairs), rng.integers(200, size=pairs)
             assert _sq_dist(a, b, rows, cols).tobytes() == ref[rows, cols].tobytes()
             assert _sq_dist(a[rows], b, cols=cols).tobytes() == ref[rows, cols].tobytes()
+            # one centre: gathered rows, a contiguous array, and a strided view
+            # like k-means' rows beside their column of ones
+            assert _sq_dist(a, b[5], rows=rows).tobytes() == ref[rows, 5].tobytes()
+            assert _sq_dist(a[rows], b[5]).tobytes() == ref[rows, 5].tobytes()
+            padded = np.ones((pairs, d + 1))
+            padded[:, :d] = a[rows]
+            assert _sq_dist(padded[:, :d], b[5]).tobytes() == ref[rows, 5].tobytes()
         assert _sq_dist(a, b[5]).tobytes() == ref[:, 5].tobytes()
-        assert _sq_dist(a, b[5], rows=rows).tobytes() == ref[rows, 5].tobytes()
+
+    def test_one_centre_distances_stay_within_a_few_blocks(self):
+        """One-centre calls go in blocks too: no temporary of the whole n x d difference."""
+        import tracemalloc
+
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(40_000, 64))
+        rows = np.arange(x.shape[0])
+        for call in (lambda: _sq_dist(x, x[3], rows=rows), lambda: _sq_dist(x, x[3])):
+            tracemalloc.start()
+            try:
+                out = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + 4 * _BLOCK_ELEMENTS * 8
 
 
 class TestVonNeumannEntropy:
@@ -465,6 +487,20 @@ def test_a_stack_entry_has_the_same_bits_in_any_subset(store):
             idx = rng.choice(kern.shape[0], size=min(size, kern.shape[0]), replace=False)
             assert _density_entropies(stack[idx]).tobytes() == whole[idx].tobytes()
         assert _bordered_entropies(state.matrix[None], kern, np.zeros(len(kern), dtype=np.int64)).tobytes() == whole.tobytes()
+
+
+def test_interleaved_owners_match_one_state_calls(store):
+    """A stack whose owners alternate gathers each candidate's own state, with the bits of one-state calls."""
+    rng = np.random.default_rng(61)
+    t, sigma = 7, 0.8
+    states = [build_similarity(store, rng.choice(store.count, size=t, replace=False), sigma) for _ in range(3)]
+    owner = np.array([0, 1, 0, 2, 1])
+    cands = rng.choice(store.count, size=owner.size, replace=False)
+    kern = np.stack([_kern(states[o], store, [c], sigma)[0] for o, c in zip(owner, cands)])
+    got = _bordered_entropies(np.stack([s.matrix for s in states]), kern, owner)
+    for i, o in enumerate(owner):
+        alone = _bordered_entropies(states[o].matrix[None], kern[i : i + 1], np.zeros(1, dtype=np.int64))
+        assert got[i : i + 1].tobytes() == alone.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -81,6 +81,10 @@ class TestFilterExtremes:
         assert fs.kept.size == 90
         assert fs.removed_low.size == 5 and fs.removed_high.size == 5
 
+    def test_empty_sequence_is_an_input_error(self):
+        with pytest.raises(InputError, match="empty"):
+            filter_extremes([], 0.05, 0.05)
+
     def test_zero_tails_keep_everything(self):
         ppls = np.array([3.0, 1.0, 2.0])
         fs = filter_extremes(ppls, 0.0, 0.0)

@@ -498,6 +498,16 @@ class TestLockStep:
         for i in range(len(clusters)):
             assert run([i]) == {i: together[i]}
 
+    def test_clusters_that_finish_early_match_solo_runs(self):
+        """Budgets n_c - 1, 1 and 2 finish at different steps; the pool of the first never reaches the others' rows."""
+        store, _ = gen_synthetic(90, 4, 3, 0.7, seed=12)
+        clusters = [(np.arange(0, 30), 29), (np.arange(30, 60), 1), (np.arange(60, 90), 2)]
+        batch = _greedy_batch(store, clusters, 6, 0.5, [np.random.default_rng(s) for s in (3, 4, 5)])
+        for (members, budget), s, res in zip(clusters, (3, 4, 5), batch):
+            solo = greedy_sample_cluster(store, members, budget, 6, 0.5, np.random.default_rng(s))
+            assert res.selected.tolist() == solo.selected.tolist()
+            assert res.entropy_trace.tobytes() == solo.entropy_trace.tobytes()
+
     def test_select_does_not_depend_on_batching_or_workers(self, pipeline_data, monkeypatch):
         store, metas = pipeline_data
         runs = []
