@@ -11,7 +11,8 @@ File formats owned by this module:
 * Selection manifest: line-structured text with a header block (config
   echo, seed, filtered-out ids, per-cluster summary) followed by one
   record per selected sample, ``id cluster step entropy``, grouped by
-  cluster in summary order; the records must agree with the summary.
+  cluster in summary order. A text loads only if it is, line for line, the
+  serialization of the manifest it describes.
 
 Values are stored as float32 on disk and widened to float64 in memory;
 all downstream kernel and eigenvalue math runs in float64.
@@ -160,9 +161,10 @@ class SelectionConfig:
 class ClusterRecord:
     """One cluster's selection in acceptance order: the only stored copy of it.
 
-    It holds at most ``budget`` ids. ``entropy_trace[t]``, when the strategy records entropy, is the set
-    entropy of ``selected_ids[: t + 1]``; it is None otherwise and for a
-    cluster that selected nothing. ``final_entropy`` is its last entry.
+    It holds at most ``budget`` ids. ``entropy_trace[t]``, when the
+    strategy records entropy, is the set entropy of ``selected_ids[: t + 1]``;
+    it is None otherwise and for a cluster that selected nothing.
+    ``final_entropy`` is its last entry.
     """
 
     cluster_id: int
@@ -377,42 +379,36 @@ def _fmt_float(x: float | None) -> str:
     return "-" if x is None else repr(float(x))
 
 
+def _parse_float(tok: str) -> float | None:
+    return None if tok == "-" else float(tok)
+
+
+# The header's config lines in order: key, SelectionConfig field, formatter,
+# parser. The worker count is an execution detail, not a selection
+# parameter: results are invariant to it, and serialized bytes must be too.
+_CONFIG_LINES = (
+    ("budget", "budget", str, int),
+    ("clusters", "clusters", str, int),
+    ("candidates", "candidate_size", str, int),
+    ("sigma", "sigma", _fmt_float, float),
+    ("tail_low", "tail_low", _fmt_float, float),
+    ("tail_high", "tail_high", _fmt_float, float),
+    ("seed", "seed", str, int),
+    ("normalize", "normalize", lambda flag: str(int(flag)), lambda tok: bool(int(tok))),
+)
+
+
 def serialize_selection_manifest(manifest: SelectionManifest) -> str:
     """Render a manifest to its canonical, byte-stable text form."""
-    cfg = manifest.config
-    # the worker count is an execution detail, not a selection parameter:
-    # results are invariant to it, and serialized bytes must be too
-    lines = [
-        _MANIFEST_HEAD,
-        f"strategy {manifest.strategy}",
-        f"budget {cfg.budget}",
-        f"clusters {cfg.clusters}",
-        f"candidates {cfg.candidate_size}",
-        f"sigma {_fmt_float(cfg.sigma)}",
-        f"tail_low {_fmt_float(cfg.tail_low)}",
-        f"tail_high {_fmt_float(cfg.tail_high)}",
-        f"seed {cfg.seed}",
-        f"normalize {int(cfg.normalize)}",
-    ]
+    lines = [_MANIFEST_HEAD, f"strategy {manifest.strategy}"]
+    lines += [f"{key} {fmt(getattr(manifest.config, field))}" for key, field, fmt, _ in _CONFIG_LINES]
     if manifest.bins is not None:
         lines.append(f"bins {manifest.bins}")
-    lines.append(" ".join(["filtered_out", str(len(manifest.filtered_out))] + list(manifest.filtered_out)))
+    lines.append(" ".join(["filtered_out", str(len(manifest.filtered_out)), *manifest.filtered_out]))
     lines.append(f"per_cluster {len(manifest.per_cluster)}")
     for rec in manifest.per_cluster:
-        lines.append(
-            " ".join(
-                [
-                    "cluster",
-                    str(rec.cluster_id),
-                    "budget",
-                    str(rec.budget),
-                    "entropy",
-                    _fmt_float(rec.final_entropy),
-                    "ids",
-                ]
-                + list(rec.selected_ids)
-            )
-        )
+        head = f"cluster {rec.cluster_id} budget {rec.budget} entropy {_fmt_float(rec.final_entropy)} ids"
+        lines.append(" ".join([head, *rec.selected_ids]))
     lines.append(f"records {len(manifest.selected)}")
     for rec in manifest.per_cluster:
         trace = rec.entropy_trace or (None,) * len(rec.selected_ids)
@@ -426,114 +422,72 @@ def write_selection_manifest(path, manifest: SelectionManifest) -> None:
         fh.write(serialize_selection_manifest(manifest).encode("utf-8"))
 
 
-def _parse_float(tok: str) -> float | None:
-    return None if tok == "-" else float(tok)
-
-
-def _parse_flag(tok: str) -> bool:
-    if tok not in ("0", "1"):
-        raise ValueError("expected 0 or 1")
-    return tok == "1"
-
-
-# header keys, each with the parser of its value
-_HEADER_FIELDS = {
-    "strategy": str, "budget": int, "clusters": int, "candidates": int, "sigma": float,
-    "tail_low": float, "tail_high": float, "seed": int, "normalize": _parse_flag, "bins": int,
-}
-
-
 def parse_selection_manifest(text: str) -> SelectionManifest:
     """Inverse of :func:`serialize_selection_manifest`.
 
-    The cluster lines define the records; the records section must repeat
-    them id for id and step for step, and end each cluster on its final
-    entropy. A malformed or disagreeing line is an InputError naming it.
+    Reads the header, the filtered-out ids, the cluster lines and the
+    entropy of each record, and builds the manifest they describe, whose
+    types check their own invariants. The text must then be that
+    manifest's serialization, line for line. A malformed line, or the first
+    line that differs from the serialization, is an InputError naming it.
     """
     lines = text.splitlines()
     if not lines or lines[0] != _MANIFEST_HEAD:
         raise InputError("not a selection manifest: bad header line")
-    pos = 0  # index of the line being parsed
+    pos = 0  # index of the line being parsed, then of the line being checked
 
     def malformed(why) -> InputError:
         return InputError(f"selection manifest line {pos + 1}: {why}")
 
-    def take(tag: str) -> list[str]:
+    def take(tag: str | None = None) -> list[str]:
+        """The tokens of the next line, which must exist and, given a ``tag``, start with it."""
         nonlocal pos
         pos += 1
-        if pos >= len(lines) or not lines[pos].startswith(tag + " "):
+        if pos >= len(lines):
+            raise malformed("missing; the text ends early")
+        if tag is not None and not lines[pos].startswith(tag + " "):
             raise malformed(f"expected the {tag} section")
         return lines[pos].split(" ")
 
+    parsers = {"strategy": str, "bins": int} | {key: parse for key, _, _, parse in _CONFIG_LINES}
     fields: dict = {}
     try:
-        while pos + 1 < len(lines) and lines[pos + 1].split(" ", 1)[0] in _HEADER_FIELDS:
+        # in any order here: the round trip below puts them in order
+        while pos + 1 < len(lines) and lines[pos + 1].split(" ", 1)[0] in parsers:
             pos += 1
             key, value = lines[pos].split(" ", 1)
             if key in fields:
                 raise malformed(f"repeated header field {key!r}")
-            fields[key] = _HEADER_FIELDS[key](value)
+            fields[key] = parsers[key](value)
         try:
+            config = SelectionConfig(**{field: fields[key] for key, field, _, _ in _CONFIG_LINES})
             strategy = fields["strategy"]
-            config = SelectionConfig(
-                budget=fields["budget"],
-                clusters=fields["clusters"],
-                candidate_size=fields["candidates"],
-                sigma=fields["sigma"],
-                tail_low=fields["tail_low"],
-                tail_high=fields["tail_high"],
-                seed=fields["seed"],
-                normalize=fields["normalize"],
-            )
         except KeyError as exc:
-            raise InputError(f"selection manifest missing header field {exc}") from exc
-
-        toks = take("filtered_out")
-        filtered_out = tuple(toks[2:])
-        if len(filtered_out) != int(toks[1]):
-            raise malformed(f"{len(filtered_out)} ids, expected {toks[1]}")
+            raise InputError(f"selection manifest line {pos + 2}: missing header field {exc}") from None
+        filtered_out = tuple(take("filtered_out")[2:])
         clusters = []
         for _ in range(int(take("per_cluster")[1])):
             toks = take("cluster")
             if toks[2:7:2] != ["budget", "entropy", "ids"]:
                 raise malformed("expected 'cluster ID budget N entropy E ids ...'")
-            clusters.append((int(toks[1]), int(toks[3]), _parse_float(toks[5]), tuple(toks[7:])))
-        n_records = int(take("records")[1])
-        n_ids = sum(len(ids) for *_, ids in clusters)
-        if n_records != n_ids:
-            raise malformed(f"{n_records} records, but the cluster lines hold {n_ids} ids")
+            clusters.append((int(toks[1]), int(toks[3]), tuple(toks[7:])))
+        take("records")
         per_cluster = []
-        for cid, budget, final, ids in clusters:
-            trace = []
-            for step, sid in enumerate(ids):
-                pos += 1
-                if pos >= len(lines):
-                    raise malformed("missing; the records section is truncated")
-                rid, rcl, rstep, ent = lines[pos].split(" ")
-                if (rid, int(rcl), int(rstep)) != (sid, cid, step):
-                    raise malformed(f"the cluster lines give '{sid} {cid} {step}' here")
-                trace.append(_parse_float(ent))
-            if len({e is None for e in trace}) > 1:
-                raise malformed(f"cluster {cid} mixes '-' and numeric record entropies")
-            rec = ClusterRecord(cid, budget, ids, None if not trace or None in trace else tuple(trace))
-            if rec.final_entropy != final:
-                raise malformed(f"cluster {cid} ends on entropy {_fmt_float(rec.final_entropy)}, "
-                                f"but its cluster line says {_fmt_float(final)}")
-            per_cluster.append(rec)
-        if pos + 1 < len(lines):
-            pos += 1
-            raise malformed("unexpected line after the records")
+        for cid, budget, ids in clusters:
+            trace = [_parse_float(take()[3]) for _ in ids]  # a record line is 'id cluster step entropy'
+            per_cluster.append(ClusterRecord(cid, budget, ids, None if not trace or None in trace else tuple(trace)))
     except InputError:
         raise
     except (ValueError, IndexError) as exc:
         raise malformed(f"{lines[pos]!r}: {exc}") from exc
-    return SelectionManifest(
-        config=config,
-        strategy=strategy,
-        per_cluster=tuple(per_cluster),
-        filtered_out=filtered_out,
-        bins=fields.get("bins"),
-    )
+    manifest = SelectionManifest(config, strategy, tuple(per_cluster), filtered_out, fields.get("bins"))
+    canonical = serialize_selection_manifest(manifest).splitlines()
+    # the parse took len(canonical) lines, so a line of the text differs or is extra, never missing
+    for pos, line in enumerate(lines):
+        if pos == len(canonical) or line != canonical[pos]:
+            expected = repr(canonical[pos]) if pos < len(canonical) else "the end of the manifest"
+            raise malformed(f"{line!r}, expected {expected}")
+    return manifest
 
 
 def load_selection_manifest(path) -> SelectionManifest:

@@ -111,7 +111,8 @@ _STACK_ELEMENTS = 1 << 16  # cap on the values of one stack of bordered matrices
 def _paired_kernel(x: np.ndarray, c: np.ndarray, rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel entry of each row pair (``x[rows[i]]``, ``c[cols[i]]``)."""
     out = _sq_dist(x, c, rows, cols)
-    out /= -2.0 * sigma * sigma
+    with np.errstate(over="ignore"):  # d^2 / (2 sigma^2) past the float range is -inf, a kernel entry of 0
+        out /= -2.0 * sigma * sigma
     return np.exp(out, out=out)
 
 

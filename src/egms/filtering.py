@@ -31,11 +31,15 @@ def perplexity_from_nlls(nlls) -> float:
     arr = np.asarray(nlls, dtype=np.float64)
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise InputError("NLL entries must be finite and >= 0")
-    return _perplexity(arr)
+    with np.errstate(over="ignore"):
+        return _perplexity(arr)
 
 
 def _perplexity(nlls) -> float:
-    """:func:`perplexity_from_nlls` for NLLs already known finite and >= 0."""
+    """:func:`perplexity_from_nlls` for NLLs already known finite and >= 0.
+
+    Call it with numpy's overflow warning off: an overflow is its InputError.
+    """
     arr = np.asarray(nlls, dtype=np.float64)
     if arr.size == 0:
         raise InputError("empty NLL sequence")
@@ -49,16 +53,20 @@ def resolve_ppls(metas: list[SampleMeta]) -> np.ndarray:
     """Per-sample perplexity: the stored ppl, else computed from nlls.
 
     A sample carrying neither is an error; silent imputation would corrupt
-    the tail statistics.
+    the tail statistics. Every error names the sample and its row.
     """
     out = np.empty(len(metas), dtype=np.float64)
-    for i, meta in enumerate(metas):
-        if meta.ppl is not None:
-            out[i] = meta.ppl
-        elif meta.nlls is not None:
-            out[i] = _perplexity(meta.nlls)  # SampleMeta validated them
-        else:
-            raise InputError(f"sample {meta.id!r} (row {i}) has neither ppl nor nlls")
+    with np.errstate(over="ignore"):
+        for i, meta in enumerate(metas):
+            if meta.ppl is not None:
+                out[i] = meta.ppl
+            elif meta.nlls is not None:
+                try:
+                    out[i] = _perplexity(meta.nlls)  # SampleMeta validated them
+                except InputError as exc:
+                    raise InputError(f"sample {meta.id!r} (row {i}): {exc}") from None
+            else:
+                raise InputError(f"sample {meta.id!r} (row {i}) has neither ppl nor nlls")
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file plumbing, exit codes."""
 
+import json
 import os
 import re
 import subprocess
@@ -299,3 +300,30 @@ def test_empty_dataset_exits_1_without_a_traceback(tmp_path, argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert re.search(r"^error: ", proc.stderr, re.M), proc.stderr
+
+
+@pytest.mark.parametrize("command", [["select"], ["baseline", "--strategy", "mmd_minimize"]])
+def test_kernel_overflow_prints_only_progress_lines(tmp_path, command):
+    # at spread 1e5 and sigma 1e-150, d^2 / (2 sigma^2) passes the float
+    # range: the kernel entry is 0, and stderr stays the progress stream
+    emb, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+    assert main(["gen-synthetic", "--n", "200", "--dim", "4", "--blobs", "2", "--spread", "1e5",
+                 "--out-embeddings", str(emb), "--out-manifest", str(man)]) == 0
+    proc = _console([*command, "--embeddings", str(emb), "--manifest", str(man), "--budget", "20",
+                     "--clusters", "2", "--sigma", "1e-150", "--out", str(tmp_path / "o.txt")])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("progress ") for line in lines), proc.stderr
+
+
+@pytest.mark.parametrize("nlls, problem", [([], "empty NLL sequence"), ([800.0], "perplexity overflowed to infinity")])
+def test_bad_nll_sequence_is_one_error_line_naming_the_sample(dataset, tmp_path, nlls, problem):
+    emb, man = dataset
+    lines = man.read_text().splitlines()
+    lines[1] = json.dumps({"id": "bad-nlls", "nlls": nlls})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = _console(["select", "--embeddings", str(emb), "--manifest", str(bad), "--budget", "5",
+                     "--out", str(tmp_path / "o.txt"), "--quiet"])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: sample 'bad-nlls' (row 1): {problem}"]

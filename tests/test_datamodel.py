@@ -529,6 +529,62 @@ class TestSelectionManifestFile:
             parse_selection_manifest(corrupt)
 
 
+@pytest.fixture(scope="module")
+def canonical_manifests(selection_corpus):
+    """Canonical texts to edit: ``exam``, ``ccs`` with its ``bins`` line and ``-`` entropies, and budget-0 clusters."""
+    store, metas = selection_corpus
+    cfg = SelectionConfig(budget=20, clusters=4, candidate_size=8, seed=3)
+    return [
+        _selection_text(selection_corpus),
+        serialize_selection_manifest(select(store, metas, "ccs", cfg, bins=7)[0]),
+        serialize_selection_manifest(select(store, metas, "exam", SelectionConfig(budget=3, clusters=8, seed=3))[0]),
+    ]
+
+
+def _one_line_edit(text, edit, i, j, token):
+    """``text`` with one line edited: a token replaced, two lines swapped, a line duplicated or deleted.
+
+    ``i`` picks the line (modulo the line count); ``j`` picks the token of
+    the line, or the other line of a swap or the place of a duplicate. The
+    new token is ``token.format(old)``, so ``'0{}'`` re-spells ``20`` as
+    ``020`` and ``'{}0'`` re-spells ``0.5`` as ``0.50``.
+    """
+    lines = text.splitlines()
+    i %= len(lines)
+    if edit == "token":
+        toks = lines[i].split(" ")
+        toks[j % len(toks)] = token.format(toks[j % len(toks)])
+        lines[i] = " ".join(toks)
+    elif edit == "swap":
+        j %= len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "duplicate":
+        lines.insert(j % (len(lines) + 1), lines[i])
+    else:
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    source=st.integers(0, 2),
+    edit=st.sampled_from(["token", "swap", "duplicate", "delete"]),
+    i=st.integers(0, 10**6),
+    j=st.integers(0, 10**6),
+    token=st.sampled_from(["0{}", "+{}", "{}0", "0", "1", "-1", "7", "-", "", "0.125", "nan", "ids", "s000001", "s999999"]),
+)
+@example(source=0, edit="token", i=5, j=1, token="{}0")  # 'sigma 0.5' as 'sigma 0.50'
+@example(source=0, edit="token", i=2, j=1, token="0{}")  # 'budget 20' as 'budget 020'
+@example(source=0, edit="swap", i=2, j=3, token="")  # the budget and clusters lines out of order
+def test_a_manifest_loads_only_as_its_canonical_text(canonical_manifests, source, edit, i, j, token):
+    text = _one_line_edit(canonical_manifests[source], edit, i, j, token)
+    try:
+        manifest = parse_selection_manifest(text)
+    except InputError:
+        return
+    assert serialize_selection_manifest(manifest) == text
+
+
 def _rebudget(text, deltas):
     """``text`` with ``deltas[i]`` added to the budget of its i-th cluster line."""
 
