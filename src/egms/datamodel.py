@@ -33,6 +33,8 @@ from .errors import InputError
 _MAGIC = b"EGMS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHQI")  # magic, version, count, dim
+# the comparison baselines of egms.sampler.select
+STRATEGIES = ("random", "mid_score", "ccs", "exam_average_allocation", "mmd_minimize")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +82,12 @@ def _check_sigma(sigma: float) -> None:
         raise InputError("sigma must be finite and > 0")
     if 2.0 * sigma * sigma == 0.0:
         raise InputError(f"sigma {sigma!r} is too small: 2*sigma^2 underflows to 0")
+
+
+def _check_strategy(strategy: str) -> None:
+    """A selection's strategy: ``"exam"``, the pipeline, or a baseline of :data:`STRATEGIES`."""
+    if strategy not in ("exam",) + STRATEGIES:
+        raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +171,9 @@ class ClusterRecord:
 
     It holds at most ``budget`` ids. ``entropy_trace[t]``, when the
     strategy records entropy, is the set entropy of ``selected_ids[: t + 1]``;
-    it is None otherwise and for a cluster that selected nothing.
-    ``final_entropy`` is its last entry.
+    it is None otherwise and for a cluster that selected nothing. Every
+    entry is finite and >= 0, as a computed entropy is. ``final_entropy``
+    is its last entry.
     """
 
     cluster_id: int
@@ -177,6 +186,10 @@ class ClusterRecord:
             raise InputError(f"cluster {self.cluster_id}: {len(self.selected_ids)} ids exceed budget {self.budget}")
         if self.entropy_trace is not None and len(self.entropy_trace) != len(self.selected_ids):
             raise InputError(f"cluster {self.cluster_id}: entropy trace must align with selected ids")
+        # a computed entropy is 0.0 - sum(lam ln lam) over eigenvalues clamped
+        # into {0} | [1e-12, 1]: every term is <= 0, so the entropy is >= +0.0
+        if self.entropy_trace is not None and not all(0.0 <= e < math.inf for e in self.entropy_trace):
+            raise InputError(f"cluster {self.cluster_id}: entropies must be finite and >= 0")
 
     @property
     def final_entropy(self) -> float | None:
@@ -188,7 +201,8 @@ class SelectionManifest:
     """Ordered selection with full provenance, stored as per-cluster records.
 
     ``selected`` reads the ids of the records in ``per_cluster`` order.
-    Cluster ids are unique, the cluster budgets sum to ``config.budget``,
+    The strategy is ``"exam"`` or one of :data:`STRATEGIES`. Cluster ids
+    are unique, the cluster budgets sum to ``config.budget``,
     each cluster holds exactly its budget of ids and ``bins``, when set,
     is >= 1. Serialization is byte-identical for identical inputs and seed
     at a fixed BLAS thread count; once a cluster's selection reaches about
@@ -202,6 +216,7 @@ class SelectionManifest:
     bins: int | None = None
 
     def __post_init__(self):
+        _check_strategy(self.strategy)
         if len({rec.cluster_id for rec in self.per_cluster}) != len(self.per_cluster):
             raise InputError("cluster ids are not unique")
         if sum(rec.budget for rec in self.per_cluster) != self.config.budget:

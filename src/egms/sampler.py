@@ -11,6 +11,13 @@ bound proves cannot win are never solved exactly (see
 :func:`egms.entropy._best_bordered`). Each kernel entry is computed
 once per cluster.
 
+Every entropy trace comes from one kernel store and one exact solve. A
+greedy step's pick is either given (a seed, a member of a cluster whose
+budget covers it, or a pick of the MMD baseline) or the argmax's winner;
+either way it fills one column of the batch's kernel store, and its
+entropy is :func:`egms.entropy._bordered_entropies` of a matrix gathered
+from that store.
+
 Clusters are sampled in lock step (:func:`_greedy_batch`): one iteration
 moves every cluster of a batch one step on, with one argmax call for all
 of them, so the per-step Python and numpy call overhead is paid once per
@@ -40,19 +47,19 @@ import numpy as np
 
 from .clustering import ClusterAssignment, kmeans
 from .datamodel import (
+    STRATEGIES,
     ClusterRecord,
     EmbeddingStore,
     SampleMeta,
     SelectionConfig,
     SelectionManifest,
     _check_sigma,
+    _check_strategy,
     _store_rows,
 )
-from .entropy import _best_bordered, _kernel_block, _matrix_entropy, _paired_kernel
+from .entropy import _best_bordered, _bordered_entropies, _kernel_block, _paired_kernel
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
-
-STRATEGIES = ("random", "mid_score", "ccs", "exam_average_allocation", "mmd_minimize")
 
 # SeedSequence stream tags; tag 1 belongs to kmeans (see clustering.py).
 # Keeps per-cluster and global-draw generators independent for one run seed.
@@ -62,6 +69,8 @@ _GLOBAL_STREAM = 3
 _BATCH_ELEMENTS = 1 << 16
 
 ProgressFn = Callable[[int, int, float], None]
+# (members, budget, first) of one cluster of _greedy_batch; first: its given picks or None
+_Cluster = tuple[np.ndarray, int, np.ndarray | None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,107 +169,99 @@ def greedy_sample_cluster(
     unselected candidates: the largest entropy gain, ties to the lowest
     row, found by :func:`egms.entropy._best_bordered`, which solves exactly
     only the candidates its upper bound cannot rule out. A budget covering
-    the whole cluster returns all members in index order.
+    the whole cluster returns all members in index order. The entropy after
+    a seed or a member so taken comes from the same kernel columns and
+    exact solve as the entropy of a greedy pick.
 
     This is :func:`_greedy_batch` on a batch of one, so a cluster gets the
     same result alone or sampled together with others, and takes the
     memory of a batch of one: n_c * budget * 8 bytes of kernel columns.
     """
-    return _greedy_batch(store, [(members, budget)], m, sigma, [rng])[0]
+    return _greedy_batch(store, [(members, budget, None)], m, sigma, [rng])[0]
 
 
 def _greedy_batch(
     store: EmbeddingStore,
-    clusters: list[tuple[np.ndarray, int]],
+    clusters: list[_Cluster],
     m: int,
     sigma: float,
     rngs: list[np.random.Generator],
 ) -> list[ClusterSampleResult]:
-    """:func:`greedy_sample_cluster` for each ``(members, budget)``, in lock step.
+    """Sample each ``(members, budget, first)`` greedily, all in lock step.
 
-    Every cluster with a budget below its size takes its seeds from its own
-    generator, then each iteration moves all clusters still short of their
-    budget one step on: each draws its candidates from its own generator,
-    and one :func:`egms.entropy._best_bordered` call picks every cluster's
-    sample. The clusters share no values, so each result is the same in
-    any batch.
+    ``first`` holds a cluster's given picks in acceptance order, as
+    positions into its sorted members; the greedy picks the rest of its
+    budget. With ``first=None`` they are :func:`greedy_sample_cluster`'s:
+    all members in index order when the budget covers the cluster, else
+    one or two seeds from the cluster's own generator.
 
-    Each kernel entry is computed once: an accepted sample fills one column
-    of the batch's (sum n_c, max budget) array against its cluster's
-    members, and both a candidate's kernel row and a selection's kernel
-    matrix are gathers from it. That array, 8 bytes per entry, is the
-    batch's lasting memory, which :func:`_batches` caps at
-    ``_BATCH_ELEMENTS`` entries; member rows are gathered from the store
-    for each step, not kept, and the argmax stacks its exact solves in
-    chunks of ``egms.entropy._STACK_ELEMENTS`` values.
+    Each iteration, from t = 0, moves every cluster still short of its
+    budget one step on. A cluster takes its next given pick, or draws its
+    candidates from its own generator, and one
+    :func:`egms.entropy._best_bordered` call picks the sample of every
+    such cluster. The entropies of a step's given picks come from one
+    :func:`egms.entropy._bordered_entropies` call, the exact solve of the
+    argmax, so every entropy of a trace comes from the same kernel columns
+    and the same solve. The clusters share no values, so each result is
+    the same in any batch.
+
+    Each kernel entry is computed once: a pick fills one column of the
+    batch's (sum n_c, max budget) array against its cluster's members, and
+    both a candidate's kernel row and a selection's kernel matrix are
+    gathers from it. That array, 8 bytes per entry, is the batch's lasting
+    memory, which :func:`_batches` caps at ``_BATCH_ELEMENTS`` entries;
+    member rows are gathered from the store for each step, not kept, and
+    the exact solves go in stacks of at most ``egms.entropy._STACK_ELEMENTS``
+    values.
     """
-    results: list[ClusterSampleResult | None] = [None] * len(clusters)
-    live = []  # (index, sorted members, budget) of the clusters that need a greedy
-    for i, (members, budget) in enumerate(clusters):
-        members = _cluster_members(store, members, budget, sigma)
-        if budget >= members.size:
-            results[i] = _traced_result(members, store.data[members], sigma)
-        else:
-            live.append((i, members, budget))
-    if not live:
-        return results
-
-    rows = np.concatenate([members for _, members, _ in live])  # cluster c owns positions offs[c]:offs[c + 1]
-    sizes = np.array([members.size for _, members, _ in live])
+    members = [_cluster_members(store, mem, budget, sigma) for mem, budget, _ in clusters]
+    rows = np.concatenate(members)  # cluster c owns positions offs[c]:offs[c + 1]
+    sizes = np.array([mem.size for mem in members])
     offs = np.concatenate([[0], np.cumsum(sizes)])
-    budgets = np.array([budget for _, _, budget in live])
+    budgets = np.minimum([budget for _, budget, _ in clusters], sizes)
     cols = np.empty((rows.size, budgets.max()), dtype=np.float64)
-    picks = np.empty((len(live), budgets.max()), dtype=np.int64)  # positions into rows
-    trace = np.empty((len(live), budgets.max()), dtype=np.float64)
+    picks = np.empty((len(clusters), budgets.max()), dtype=np.int64)  # positions into rows
+    trace = np.empty((len(clusters), budgets.max()), dtype=np.float64)
+    given = np.empty(len(clusters), dtype=np.int64)  # number of given picks of each cluster
     taken = np.zeros(rows.size, dtype=bool)  # selected rows; each pool is cut at both ends of its cluster
-    for c, (i, members, budget) in enumerate(live):
-        # positions into the sorted members: the same draws as from the rows,
-        # and the lowest position is the lowest row
-        seeds = rngs[i].choice(np.arange(members.size), size=1 if budget == 1 else 2, replace=False) + offs[c]
-        pts = store.data[members]
-        cols[offs[c] : offs[c + 1], : seeds.size] = _kernel_block(pts, store.data[rows[seeds]], sigma)
-        # cols[picks, :t] is the selection's kernel matrix: (a - b)^2 and
-        # (b - a)^2 have the same bits, and a diagonal entry is exp(-0.0) = 1.0
-        trace[c, : seeds.size] = _entropy_trace(cols[seeds, : seeds.size])
-        picks[c, : seeds.size] = seeds
-        taken[seeds] = True
-    cluster_of = np.repeat(np.arange(len(live)), sizes)
+    for c, (_, budget, first) in enumerate(clusters):
+        if first is None and budget >= sizes[c]:
+            first = np.arange(sizes[c])
+        elif first is None:
+            # positions into the sorted members: the same draws as from the rows,
+            # and the lowest position is the lowest row
+            first = rngs[c].choice(np.arange(sizes[c]), size=1 if budget == 1 else 2, replace=False)
+        given[c] = len(first)
+        picks[c, : given[c]] = first + offs[c]
+        taken[picks[c, : given[c]]] = True
+    cluster_of = np.repeat(np.arange(len(clusters)), sizes)
 
-    for t in range(2, budgets.max()):
+    for t in range(budgets.max()):
         step = np.flatnonzero(budgets > t)
-        unselected = np.flatnonzero(~taken)
-        lo = np.searchsorted(unselected, offs[step]).tolist()
-        hi = np.searchsorted(unselected, offs[step + 1]).tolist()
-        cands = []
-        for c, a, b in zip(step, lo, hi):
-            pool = unselected[a:b]
-            cands.append(rngs[live[c][0]].choice(pool, size=m, replace=False) if pool.size > m else pool)
-        owner = np.repeat(np.arange(step.size), [pool.size for pool in cands])
-        cands = np.concatenate(cands)
-        pos, entropy = _best_bordered(cols[picks[step, :t], :t], cols[cands, :t], owner, cands, trace[step, t - 1])
-        picks[step, t] = cands[pos]
-        trace[step, t] = entropy
-        taken[cands[pos]] = True
+        fixed, free = step[given[step] > t], step[given[step] <= t]
+        if fixed.size:
+            # cols[picks, :t] is the selection's kernel matrix: (a - b)^2 and
+            # (b - a)^2 have the same bits, and a diagonal entry is exp(-0.0) = 1.0
+            mats, kern = cols[picks[fixed, :t], :t], cols[picks[fixed, t], :t]
+            trace[fixed, t] = _bordered_entropies(mats, kern, np.arange(fixed.size))
+        if free.size:
+            unselected = np.flatnonzero(~taken)
+            lo = np.searchsorted(unselected, offs[free]).tolist()
+            hi = np.searchsorted(unselected, offs[free + 1]).tolist()
+            cands = []
+            for c, a, b in zip(free, lo, hi):
+                pool = unselected[a:b]
+                cands.append(rngs[c].choice(pool, size=m, replace=False) if pool.size > m else pool)
+            owner = np.repeat(np.arange(free.size), [pool.size for pool in cands])
+            cands = np.concatenate(cands)
+            pos, entropy = _best_bordered(cols[picks[free, :t], :t], cols[cands, :t], owner, cands, trace[free, t - 1])
+            picks[free, t] = cands[pos]
+            trace[free, t] = entropy
+            taken[cands[pos]] = True
         grow = np.flatnonzero((budgets > t + 1)[cluster_of])
         cols[grow, t] = _paired_kernel(store.data, store.data, rows[grow], rows[picks[cluster_of[grow], t]], sigma)
 
-    for c, (i, _, budget) in enumerate(live):
-        results[i] = ClusterSampleResult(selected=rows[picks[c, :budget]], entropy_trace=trace[c, :budget].copy())
-    return results
-
-
-def _entropy_trace(matrix: np.ndarray) -> np.ndarray:
-    """Entropy of each leading principal block of a kernel matrix.
-
-    Entry t is the entropy of the set of the first t + 1 rows; the blocks
-    equal the matrices an augment chain over the same order would build.
-    """
-    return np.array([_matrix_entropy(matrix[:t, :t]) for t in range(1, matrix.shape[0] + 1)], dtype=np.float64)
-
-
-def _traced_result(order: np.ndarray, pts: np.ndarray, sigma: float) -> ClusterSampleResult:
-    """A cluster's result for the acceptance order ``order`` of rows ``pts``."""
-    return ClusterSampleResult(selected=order, entropy_trace=_entropy_trace(_kernel_block(pts, pts, sigma)))
+    return [ClusterSampleResult(rows[picks[c, :budget]], trace[c, :budget].copy()) for c, budget in enumerate(budgets)]
 
 
 def _cluster_rng(seed: int, cluster_id: int) -> np.random.Generator:
@@ -343,23 +344,31 @@ def _average_budgets(cluster_sizes, B: int) -> np.ndarray:
     return alloc
 
 
-def mmd_sample_cluster(
-    store: EmbeddingStore,
-    members,
-    budget: int,
-    sigma: float,
-) -> ClusterSampleResult:
+def mmd_sample_cluster(store: EmbeddingStore, members, budget: int, sigma: float) -> ClusterSampleResult:
     """Greedy subset minimizing the squared MMD between subset and cluster.
 
     The objective per candidate drops the subset-independent cluster term:
     ``mean(k within S) - 2 * mean(k between S and the cluster)``. The
-    entropy trace is recorded for provenance just like the other
-    cluster samplers.
+    entropy trace of the acceptance order is recorded for provenance, like
+    the other cluster samplers', by :func:`_greedy_batch` with the picks
+    given. This is a batch of one; :func:`select` traces a run's MMD
+    clusters in lock step.
+    """
+    # every pick is given, so no candidate is drawn: m and the generator go unused
+    return _greedy_batch(store, [_mmd_cluster(store, members, budget, sigma)], 0, sigma, [None])[0]
+
+
+def _mmd_cluster(store: EmbeddingStore, members, budget: int, sigma: float) -> _Cluster:
+    """The squared-MMD selection of one cluster, as a :func:`_greedy_batch` cluster it covers.
+
+    The cluster is the selected rows in index order, with the acceptance
+    order as its given picks, so its trace takes budget^2 kernel entries.
+    A budget covering the cluster takes all members in index order.
     """
     members = _cluster_members(store, members, budget, sigma)
-    pts = store.data[members]
     if budget >= members.size:
-        return _traced_result(members, pts, sigma)
+        return members, budget, None
+    pts = store.data[members]
     mu = np.zeros(members.size, dtype=np.float64)
     # rows per chunk bound each (rows, n_c) kernel block to 2e6 / d values;
     # _sq_dist bounds its own difference blocks
@@ -383,7 +392,7 @@ def mmd_sample_cluster(
         s += k_vec
         order_list.append(pick)
     order = np.asarray(order_list, dtype=np.int64)
-    return _traced_result(members[order], pts[order], sigma)
+    return members[np.sort(order)], budget, np.argsort(np.argsort(order))
 
 
 def _batches(order: list[int], sizes: list[int], budgets: list[int]) -> list[list[int]]:
@@ -391,8 +400,10 @@ def _batches(order: list[int], sizes: list[int], budgets: list[int]) -> list[lis
 
     A run grows while its greedy kernel columns, (sum n_c) x (max budget)
     values, would stay within ``_BATCH_ELEMENTS``; a cluster above it runs
-    alone. MMD runs are cut by the same rule, which for them only sets the
-    task size: an MMD cluster is sampled on its own either way.
+    alone. MMD runs are cut by the same rule. Each MMD cluster's objective
+    loop runs on its own; the run's traces then go in lock step through
+    one :func:`_greedy_batch` call, whose kernel columns cover only the
+    selected rows, (sum budget) x (max budget) values.
     """
     batches, rows, width = [], 0, 0
     for cid in order:
@@ -431,17 +442,16 @@ def select(
 
     Clusters are ordered largest first (then lowest id) and cut into runs
     of consecutive clusters (:func:`_batches`); each run is one task for
-    ``config.workers`` threads, sampled in lock step (one cluster at a time
-    for MMD). Results are collected in that order, and each cluster's
-    entropy trace goes to ``progress`` as ``(cluster id, step, entropy)``
-    once its run is in; the manifest and the progress stream depend
-    neither on the runs nor on scheduling.
+    ``config.workers`` threads, sampled in lock step (for MMD, the traces
+    of its clusters' selections). Results are collected in that order,
+    and each cluster's entropy trace goes to ``progress`` as ``(cluster
+    id, step, entropy)`` once its run is in; the manifest and the progress
+    stream depend neither on the runs nor on scheduling.
 
     Returns the manifest and the k-means assignment of a clustered
     strategy (None for the others).
     """
-    if strategy != "exam" and strategy not in STRATEGIES:
-        raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
+    _check_strategy(strategy)
     if store.count != len(metas):
         raise InputError(f"embedding store has {store.count} rows but sample manifest has {len(metas)}")
     ids = [m.id for m in metas]
@@ -469,9 +479,9 @@ def select(
     budgets = allocate(sizes, config.budget).tolist()
 
     def sample(batch: list[int]) -> list[ClusterSampleResult]:
-        clusters = [(assignment.members[cid], budgets[cid]) for cid in batch]
+        clusters = [(assignment.members[cid], budgets[cid], None) for cid in batch]
         if strategy == "mmd_minimize":
-            return [mmd_sample_cluster(store, members, budget, config.sigma) for members, budget in clusters]
+            clusters = [_mmd_cluster(store, members, budget, config.sigma) for members, budget, _ in clusters]
         rngs = [_cluster_rng(config.seed, cid) for cid in batch]
         return _greedy_batch(store, clusters, config.candidate_size, config.sigma, rngs)
 

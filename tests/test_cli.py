@@ -1,23 +1,34 @@
 """Command-line interface: subcommands, file plumbing, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import egms
 from egms import (
+    STRATEGIES,
+    EmbeddingStore,
+    SampleMeta,
     filter_extremes,
     kmeans,
     load_embedding_store,
     load_sample_manifest,
     load_selection_manifest,
     resolve_ppls,
+    write_embedding_store,
+    write_sample_manifest,
 )
 from egms.cli import main
 
@@ -327,3 +338,73 @@ def test_bad_nll_sequence_is_one_error_line_naming_the_sample(dataset, tmp_path,
                      "--out", str(tmp_path / "o.txt"), "--quiet"])
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: sample 'bad-nlls' (row 1): {problem}"]
+
+
+def _main_in_process(argv):
+    """``main(argv)`` in this process: the exit code and the stderr lines, warnings included as lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, err.getvalue().splitlines() + [f"warning: {w.message}" for w in caught]
+
+
+@st.composite
+def _awkward_runs(draw):
+    """Rows, perplexities and the ``select`` or ``baseline`` arguments of one run at the edges of valid input.
+
+    Rows are blob points, with exact duplicates of one row or all one
+    constant row, scaled and shifted by +-2^k. Sigma spans the range the
+    kernel accepts; L may be |kept|; the budget may be 1, the whole
+    population (every cluster takes its whole budget) or one more; m may be 1.
+    """
+    n, d = draw(st.integers(2, 60)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(3, d))[rng.integers(3, size=n)] + 0.1 * rng.normal(size=(n, d))
+    shape = draw(st.sampled_from(["blobs", "duplicates", "constant"]))
+    if shape == "duplicates":
+        data[rng.random(n) < 0.5] = data[0]
+    elif shape == "constant":
+        data[:] = data[0]
+    offset = draw(st.sampled_from([-1, 0, 1])) * 2.0 ** draw(st.integers(0, 40))
+    data = data * draw(st.sampled_from([1.0, 1e-30, 1e30])) + offset
+    ppls = rng.lognormal(0.8, 0.4, size=n)
+    strategy = draw(st.sampled_from(("exam",) + STRATEGIES))
+    tails = draw(st.sampled_from([(0.0, 0.0), (0.05, 0.05), (0.25, 0.1)]))
+    filtered = strategy in ("exam", "exam_average_allocation")
+    population = filter_extremes(ppls, *tails).kept.size if filtered else n
+    budget = draw(st.one_of(st.sampled_from([1, population, population + 1]), st.integers(1, population)))
+    clusters = draw(st.one_of(st.sampled_from([1, population]), st.integers(1, n)))
+    sigma = draw(st.one_of(st.sampled_from([1e-160, 1e-150, 1e-3, 1e150, 1e300]), st.floats(0.01, 10.0)))
+    m = draw(st.one_of(st.just(1), st.integers(1, n + 2)))
+    argv = ["select"] if strategy == "exam" else ["baseline", "--strategy", strategy]
+    argv += ["--budget", str(budget), "--clusters", str(clusters), "--candidates", str(m), "--sigma", repr(sigma)]
+    argv += ["--tails", f"{tails[0]},{tails[1]}", "--seed", str(draw(st.integers(0, 9)))]
+    return data, ppls, argv + (["--normalize"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=800, deadline=None)
+@given(_awkward_runs())
+def test_awkward_inputs_keep_the_exit_code_and_stderr_contract(run):
+    """Exit 0 or 1; stderr is progress lines, plus one ``error:`` line at exit 1; workers change no output."""
+    data, ppls, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        emb, man = Path(tmp) / "e.bin", Path(tmp) / "m.jsonl"
+        write_embedding_store(emb, EmbeddingStore(data))
+        write_sample_manifest(man, [SampleMeta(id=f"s{i}", ppl=float(p)) for i, p in enumerate(ppls)])
+        runs = []
+        for workers in (1, 2):
+            out = Path(tmp) / f"sel-{workers}.txt"
+            code, lines = _main_in_process(argv + ["--embeddings", str(emb), "--manifest", str(man),
+                                                   "--workers", str(workers), "--out", str(out)])
+            assert code in (0, 1), lines
+            rest = [line for line in lines if not line.startswith("progress ")]
+            assert len(rest) == code and all(line.startswith("error: ") for line in rest), lines
+            if code == 0:
+                load_selection_manifest(out)
+            runs.append((code, lines, out.read_bytes() if code == 0 else None))
+        assert runs[0] == runs[1]

@@ -585,6 +585,32 @@ def test_a_manifest_loads_only_as_its_canonical_text(canonical_manifests, source
     assert serialize_selection_manifest(manifest) == text
 
 
+def _first_entropy(value):
+    """Edit of the first record line, step 0 of a multi-sample cluster, whose entropy no other line repeats."""
+    return "records", 1, lambda line: " ".join(line.split(" ")[:3] + [value])
+
+
+@pytest.mark.parametrize(
+    "where, match",
+    [
+        (("strategy ", 0, lambda line: "strategy no such strategy"), "unknown strategy 'no such strategy'"),
+        (_first_entropy("nan"), "entropies must be finite and >= 0"),
+        (_first_entropy("inf"), "entropies must be finite and >= 0"),
+        (_first_entropy("-3.5"), "entropies must be finite and >= 0"),
+    ],
+    ids=["strategy", "nan", "inf", "negative"],
+)
+def test_a_manifest_no_run_can_write_is_rejected(selection_corpus, where, match):
+    """The edited texts are canonical: only the strategy rule and the entropy rule reject them."""
+    prefix, offset, edit = where
+    text = _selection_text(selection_corpus)
+    index = _line_index(text, prefix) + offset
+    edited = _edit_line(text, index, edit)
+    assert edited != text
+    with pytest.raises(InputError, match=match):
+        parse_selection_manifest(edited)
+
+
 def _rebudget(text, deltas):
     """``text`` with ``deltas[i]`` added to the budget of its i-th cluster line."""
 

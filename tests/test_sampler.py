@@ -29,7 +29,12 @@ from egms import (
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
 from egms import clustering, entropy, sampler
-from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _entropy_trace, _greedy_batch
+from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _greedy_batch
+
+
+def _naive_trace(store, rows, sigma):
+    """Entropy of each prefix of ``rows``, each from its own full kernel matrix."""
+    return np.array([von_neumann_entropy(build_similarity(store, rows[: t + 1], sigma)) for t in range(len(rows))])
 
 
 class TestAllocateBudgets:
@@ -339,20 +344,20 @@ class TestGreedySampleCluster:
             assert res.entropy_trace[t] == pytest.approx(scratch, abs=1e-9)
 
     def test_entropy_trace_equals_augment_chain(self):
-        from egms.sampler import _entropy_trace
-
         store, _ = gen_synthetic(200, 6, 3, 0.7, seed=6)
         rng = np.random.default_rng(4)
         for size in (1, 2, 5, 17, 40):
-            order = rng.choice(store.count, size=size, replace=False)
+            # a budget covering the cluster takes its members in index order
+            order = np.sort(rng.choice(store.count, size=size, replace=False))
             # reference: grow the state one row at a time
             state = build_similarity(store, order[:1], 0.5)
             chain = [von_neumann_entropy(state)]
             for row in order[1:]:
                 state = augment(state, store, int(row), 0.5)
                 chain.append(von_neumann_entropy(state))
-            got = _entropy_trace(build_similarity(store, order, 0.5).matrix)
-            assert got.tobytes() == np.array(chain).tobytes()
+            got = greedy_sample_cluster(store, order, size, 5, 0.5, rng)
+            assert got.selected.tolist() == order.tolist()
+            assert got.entropy_trace.tobytes() == np.array(chain).tobytes()
 
     def test_errors(self):
         store, _ = gen_synthetic(10, 2, 1, 0.5, seed=0)
@@ -364,8 +369,6 @@ class TestGreedySampleCluster:
 
     @pytest.mark.parametrize("sigma", [1e-150, 0.05, 0.5, 4.0, 1e150])
     def test_fixed_order_traces_equal_the_full_kernel_trace(self, sigma):
-        from egms.sampler import _entropy_trace
-
         store, _ = gen_synthetic(120, 5, 3, 0.6, seed=12)
         rng = np.random.default_rng(7)
         for size in (1, 2, 9, 40):
@@ -376,7 +379,7 @@ class TestGreedySampleCluster:
                 mmd_sample_cluster(store, members, max(1, size // 2), sigma),
             ]
             for res in runs:
-                want = _entropy_trace(build_similarity(store, res.selected, sigma).matrix)
+                want = _naive_trace(store, res.selected, sigma)
                 assert res.entropy_trace.tobytes() == want.tobytes()
 
 
@@ -446,7 +449,9 @@ def _cluster_batches(draw):
     kernel entry below e^-50) share the batch with bounded ones (rows
     within about sigma of a centre, some exact duplicates). Sizes include
     singletons; budgets include 1, 2, n_c - 1 and budgets at or above n_c;
-    pools may exceed the unselected count.
+    pools may exceed the unselected count. About one cluster in four comes
+    with given picks that cover it in a random order, as an MMD selection
+    does.
     """
     sigma = draw(st.sampled_from([0.05, 0.5, 3.0]))
     d = draw(st.integers(1, 4))
@@ -463,7 +468,8 @@ def _cluster_batches(draw):
             block[dup] = block[0]
         blocks.append(block)
         budget = draw(st.one_of(st.sampled_from([1, 2, max(1, n - 1), n, n + 3]), st.integers(1, n)))
-        clusters.append((start + rng.permutation(n), budget))
+        first = rng.permutation(n) if draw(st.integers(0, 3)) == 0 else None
+        clusters.append((start + rng.permutation(n), n if first is not None else budget, first))
         start += n
     seeds = [draw(st.integers(0, 2**32 - 1)) for _ in clusters]
     return EmbeddingStore(np.concatenate(blocks)), clusters, draw(st.integers(1, 30)), sigma, seeds
@@ -475,12 +481,12 @@ class TestLockStep:
     def test_each_cluster_equals_the_per_step_reference(self, batch):
         store, clusters, m, sigma, seeds = batch
         results = _greedy_batch(store, clusters, m, sigma, [np.random.default_rng(s) for s in seeds])
-        for (members, budget), seed, res in zip(clusters, seeds, results):
-            if budget >= members.size:
-                selected = np.sort(members)
-                trace = _entropy_trace(build_similarity(store, selected, sigma).matrix)
-            else:
+        for (members, budget, first), seed, res in zip(clusters, seeds, results):
+            if first is None and budget < members.size:
                 selected, trace = _per_step_reference(store, members, budget, m, sigma, np.random.default_rng(seed))
+            else:  # the given picks, or all members in index order
+                selected = np.sort(members)[np.arange(members.size) if first is None else first]
+                trace = _naive_trace(store, selected, sigma)
             assert res.selected.tolist() == selected.tolist()
             assert res.entropy_trace.tobytes() == trace.tobytes()
 
@@ -501,9 +507,9 @@ class TestLockStep:
     def test_clusters_that_finish_early_match_solo_runs(self):
         """Budgets n_c - 1, 1 and 2 finish at different steps; the pool of the first never reaches the others' rows."""
         store, _ = gen_synthetic(90, 4, 3, 0.7, seed=12)
-        clusters = [(np.arange(0, 30), 29), (np.arange(30, 60), 1), (np.arange(60, 90), 2)]
+        clusters = [(np.arange(0, 30), 29, None), (np.arange(30, 60), 1, None), (np.arange(60, 90), 2, None)]
         batch = _greedy_batch(store, clusters, 6, 0.5, [np.random.default_rng(s) for s in (3, 4, 5)])
-        for (members, budget), s, res in zip(clusters, (3, 4, 5), batch):
+        for (members, budget, _), s, res in zip(clusters, (3, 4, 5), batch):
             solo = greedy_sample_cluster(store, members, budget, 6, 0.5, np.random.default_rng(s))
             assert res.selected.tolist() == solo.selected.tolist()
             assert res.entropy_trace.tobytes() == solo.entropy_trace.tobytes()
