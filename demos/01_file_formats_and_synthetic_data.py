@@ -47,7 +47,7 @@ print("round trip exact:", np.array_equal(loaded.data, store.data))
 man_path = workdir / "samples.jsonl"
 write_sample_manifest(man_path, metas)
 print(man_path.read_text().splitlines()[0][:100], "...")
-reloaded = load_sample_manifest(man_path, expected_count=store.count)
+reloaded = load_sample_manifest(man_path)
 print("manifest round trip:", reloaded == metas)
 
 # %%

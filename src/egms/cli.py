@@ -107,9 +107,7 @@ def _config_from(args) -> SelectionConfig:
 
 
 def _load_inputs(args):
-    store = load_embedding_store(args.embeddings)
-    metas = load_sample_manifest(args.manifest, expected_count=store.count)
-    return store, metas
+    return load_embedding_store(args.embeddings), load_sample_manifest(args.manifest)
 
 
 def _cmd_select(args) -> int:

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import EmbeddingStore, _store_rows
+from .datamodel import _KMEANS_STREAM, EmbeddingStore, _store_rows, _stream_rng
 from .errors import InputError, InternalInvariantError
 
 MAX_ITER = 100
@@ -385,10 +385,7 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     for start in range(0, rows.size, step):
         np.subtract(store.data[rows[start : start + step]], origin, out=x[start : start + step])
     xnorm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    # stream tag 1 reserves this generator lineage for kmeans; the sampler
-    # derives its per-cluster generators under other tags from the same seed
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 1]))
-    centroids, labels, d2 = _kmeanspp(x, L, rng)
+    centroids, labels, d2 = _kmeanspp(x, L, _stream_rng(seed, _KMEANS_STREAM))
 
     history = []
     prev = np.inf

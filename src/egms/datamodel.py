@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,10 +77,31 @@ class EmbeddingStore:
         return EmbeddingStore(self.data / norms)
 
 
+# SeedSequence stream tags: each consumer of a run seed draws from its own generator lineage
+_KMEANS_STREAM, _CLUSTER_STREAM, _GLOBAL_STREAM = 1, 2, 3
+
+
+def _stream_rng(seed: int, *tags: int) -> np.random.Generator:
+    """The generator of a run seed's stream ``tags``: SeedSequence entropy ``[seed, *tags]``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), *map(int, tags)]))
+
+
+def _as_int(value, name: str) -> int:
+    """Integer argument rule: a Python or numpy integer, not a bool, returned as ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _is_real(value) -> bool:
+    """A real number argument: a Python or numpy int or float, not a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_sigma(sigma: float) -> None:
-    """Kernel bandwidth rule: finite, > 0, and 2*sigma^2 representable."""
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise InputError("sigma must be finite and > 0")
+    """Kernel bandwidth rule: a finite real > 0, and 2*sigma^2 representable."""
+    if not (_is_real(sigma) and sigma > 0 and math.isfinite(sigma)):
+        raise InputError(f"sigma must be finite and > 0, got {sigma!r}")
     if 2.0 * sigma * sigma == 0.0:
         raise InputError(f"sigma {sigma!r} is too small: 2*sigma^2 underflows to 0")
 
@@ -148,6 +170,11 @@ class SelectionConfig:
     normalize: bool = False
 
     def __post_init__(self):
+        for name in ("budget", "clusters", "candidate_size", "seed", "workers"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise InputError(f"normalize must be a bool, got {self.normalize!r}")
+        object.__setattr__(self, "normalize", bool(self.normalize))
         if self.budget < 1:
             raise InputError("budget must be >= 1")
         if self.clusters < 1:
@@ -157,8 +184,8 @@ class SelectionConfig:
         _check_sigma(self.sigma)
         for name in ("tail_low", "tail_high"):
             v = getattr(self, name)
-            if not (0 <= v < 0.5):
-                raise InputError(f"{name} must lie in [0, 0.5)")
+            if not (_is_real(v) and 0 <= v < 0.5):
+                raise InputError(f"{name} must be a real number in [0, 0.5), got {v!r}")
         if not (0 <= self.seed < 2**64):
             raise InputError("seed must be a 64-bit unsigned integer")
         if self.workers < 1:
@@ -326,12 +353,12 @@ def load_embedding_store(path) -> EmbeddingStore:
 # ---------------------------------------------------------------------------
 
 
-def load_sample_manifest(path, expected_count: int | None = None) -> list[SampleMeta]:
+def load_sample_manifest(path) -> list[SampleMeta]:
     """Parse a JSONL sample manifest in file order.
 
-    File order is the authoritative alignment with embedding rows. Ids are
-    checked unique (the error names both offending lines); a count mismatch
-    against ``expected_count`` is an error.
+    File order is the authoritative alignment with embedding rows; the
+    selection driver checks that the counts match. Ids are checked unique
+    (the error names both offending lines).
     """
     metas: list[SampleMeta] = []
     seen: dict[str, int] = {}
@@ -361,11 +388,6 @@ def load_sample_manifest(path, expected_count: int | None = None) -> list[Sample
             raise InputError(f"duplicate id {meta.id!r} on lines {seen[meta.id]} and {lineno}")
         seen[meta.id] = lineno
         metas.append(meta)
-    if expected_count is not None and len(metas) != expected_count:
-        raise InputError(
-            f"sample manifest has {len(metas)} records but paired embedding store has "
-            f"{expected_count} rows"
-        )
     return metas
 
 
@@ -514,23 +536,15 @@ def load_selection_manifest(path) -> SelectionManifest:
 # ---------------------------------------------------------------------------
 
 
-def gen_synthetic(
-    n: int,
-    dim: int,
-    k_blobs: int,
-    spread: float,
-    seed: int,
-    return_labels: bool = False,
-):
+def gen_synthetic(n: int, dim: int, k_blobs: int, spread: float, seed: int):
     """Deterministic Gaussian-mixture test data with lognormal perplexities.
 
     Blob means sit on concentric shells spaced ``20 * max(spread, 1)``
     apart, so blobs are well separated for any spread. Embeddings are
     rounded through float32 so an on-disk round trip is a no-op. When a
     sample's lognormal ppl is >= 1, a consistent per-token NLL sequence
-    with mean ln(ppl) is attached.
-
-    With ``return_labels=True`` also returns the ground-truth blob labels.
+    with mean ln(ppl) is attached. Blob j's mean lies on the shell of
+    radius ``20 * max(spread, 1) * (j + 1)``.
     """
     if k_blobs < 1 or n < k_blobs:
         raise InputError("need n >= k_blobs >= 1")
@@ -560,6 +574,4 @@ def gen_synthetic(
             raw = rng.exponential(1.0, size=t)
             nlls = tuple((raw * (log_ppl / raw.mean())).tolist())
         metas.append(SampleMeta(id=f"s{i:06d}", nlls=nlls, ppl=float(ppls[i]), score=float(scores[i])))
-    if return_labels:
-        return store, metas, labels
     return store, metas

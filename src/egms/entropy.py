@@ -54,14 +54,17 @@ state's ``best_gain``, pruning and argmax read only its own rows, and a
 solved entropy has the same bits in any stack, so a state's result does
 not depend on the others.
 
-A near-identity step skips the bounds. When ``(t + 1)`` times the largest
-candidate kernel entry is below ``_NEAR_IDENTITY``, all entropies and
-bounds lie within a sliver of each other and few if any candidates are
-ruled out (none at the acceptance scale smoke, where kernel entries are
-about 1e-54), so every candidate is solved in one stack, with no ``eigh``
-or GEMM. That is exact whatever the threshold: the guard only chooses
-which candidates are solved, and each one's entropy has the same bits in
-any stack.
+A state that no bound can help is solved directly: every candidate in
+one stack, with no ``eigh``, GEMM or bound. That is a state whose
+candidates all fit in the first batch of ``_FIRST_BATCH``, which is solved
+before anything is ruled out (a given pick, a set of one, is such a
+state, and so is every state of t = 0 or of ``m <= 2``), and a
+near-identity state: when ``(t + 1)`` times its largest candidate kernel
+entry is below ``_NEAR_IDENTITY``, all entropies and bounds lie within a
+sliver of each other and few if any candidates are ruled out (none at the
+acceptance scale smoke, where kernel entries are about 1e-54). That is
+exact whatever the rule: it only chooses which candidates are solved, and
+each one's entropy has the same bits in any stack.
 
 The margin covers the gap between the computed S and U and the exact
 ones. Each of the three computations involved (the exact stack, the
@@ -311,22 +314,24 @@ def _best_bordered(
     ``mats`` is a (k, t, t) stack of states and ``base_entropy`` their k
     entropies. Row i of ``kern`` is a candidate of state ``owner[i]``;
     ``owner`` is non-decreasing and every state has a candidate. Ties go to
-    the state's lowest ``cands`` (any key ordered like the rows). Only the
-    candidates that the near-identity guard and the bounds of the module
-    docstring do not rule out are solved: per bounded state the
-    ``_FIRST_BATCH`` with the highest 2x2 bound, then every other one whose
-    2x2 bound and then the g-pole bound of each tier of ``_BOUND_POLES``
-    with g < t reach its ``best_gain - margin``. Each stage
-    runs once over the whole stack, and a state's result depends on its
-    own rows alone.
+    the state's lowest ``cands`` (any key ordered like the rows). A state
+    that is near-identity or has at most ``_FIRST_BATCH`` candidates is
+    solved directly (module docstring). Of every other state, only the
+    candidates the bounds do not rule out are solved: the ``_FIRST_BATCH``
+    with the highest 2x2 bound, then every other one whose 2x2 bound and
+    then the g-pole bound of each tier of ``_BOUND_POLES`` with g < t reach
+    its ``best_gain - margin``. Each stage runs once over the whole stack,
+    and a state's result depends on its own rows alone.
     """
     k, t = mats.shape[0], kern.shape[1]
     n = t + 1
     starts = np.searchsorted(owner, np.arange(k + 1))  # state s owns rows starts[s]:starts[s + 1]
-    near = n * np.maximum.reduceat(kern.max(axis=1), starts[:-1]) < _NEAR_IDENTITY
+    # kernel entries are >= 0, so a zero-width row (t = 0) has maximum 0
+    near = n * np.maximum.reduceat(kern.max(axis=1, initial=0.0), starts[:-1]) < _NEAR_IDENTITY
+    direct = near | (np.diff(starts) <= _FIRST_BATCH)  # no bound can rule a candidate out
     entropies = np.full(kern.shape[0], np.nan)
-    solve = np.flatnonzero(near[owner])  # a near-identity state solves every candidate
-    bounded = np.flatnonzero(~near)
+    solve = np.flatnonzero(direct[owner])
+    bounded = np.flatnonzero(~direct)
     if bounded.size:
         margin = _MARGIN_PER_EIGENVALUE * n
         try:
@@ -334,7 +339,7 @@ def _best_bordered(
         except np.linalg.LinAlgError as exc:
             raise InternalInvariantError(f"eigendecomposition failed: {exc}") from exc
         total = 0.0 - _xlogx(lam / n).sum(axis=1)
-        rows = np.flatnonzero(~near[owner])
+        rows = np.flatnonzero(~direct[owner])
         state = np.repeat(np.arange(bounded.size), np.diff(starts)[bounded])  # of each row, among the bounded
         z = np.concatenate([kern[starts[s] : starts[s + 1]] @ q[j] for j, s in enumerate(bounded)])
 

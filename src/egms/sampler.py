@@ -11,12 +11,13 @@ bound proves cannot win are never solved exactly (see
 :func:`egms.entropy._best_bordered`). Each kernel entry is computed
 once per cluster.
 
-Every entropy trace comes from one kernel store and one exact solve. A
-greedy step's pick is either given (a seed, a member of a cluster whose
-budget covers it, or a pick of the MMD baseline) or the argmax's winner;
-either way it fills one column of the batch's kernel store, and its
-entropy is :func:`egms.entropy._bordered_entropies` of a matrix gathered
-from that store.
+Every pick is an argmax winner, and every entropy trace comes from one
+kernel store and one exact solve. A given pick (a seed, a member of a
+cluster whose budget covers it, or a pick of the MMD baseline) is the
+winner of a candidate set of one, which the argmax solves directly; a
+drawn pick wins among its step's candidates. Either way the pick fills
+one column of the batch's kernel store, and its entropy is the exact
+solve of a matrix gathered from that store.
 
 Clusters are sampled in lock step (:func:`_greedy_batch`): one iteration
 moves every cluster of a batch one step on, with one argmax call for all
@@ -47,24 +48,24 @@ import numpy as np
 
 from .clustering import ClusterAssignment, kmeans
 from .datamodel import (
+    _CLUSTER_STREAM,
+    _GLOBAL_STREAM,
     STRATEGIES,
     ClusterRecord,
     EmbeddingStore,
     SampleMeta,
     SelectionConfig,
     SelectionManifest,
+    _as_int,
     _check_sigma,
     _check_strategy,
     _store_rows,
+    _stream_rng,
 )
-from .entropy import _best_bordered, _bordered_entropies, _kernel_block, _paired_kernel
+from .entropy import _best_bordered, _kernel_block, _paired_kernel
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
 
-# SeedSequence stream tags; tag 1 belongs to kmeans (see clustering.py).
-# Keeps per-cluster and global-draw generators independent for one run seed.
-_CLUSTER_STREAM = 2
-_GLOBAL_STREAM = 3
 # cap on the kernel columns of one batch of lock-step greedy clusters (512 KiB)
 _BATCH_ELEMENTS = 1 << 16
 
@@ -149,7 +150,7 @@ def _cluster_members(store: EmbeddingStore, members, budget: int, sigma: float) 
     """The sorted member rows, after the checks both cluster samplers share."""
     _check_sigma(sigma)
     rows = np.sort(_store_rows(store, members, "cluster member"))
-    if budget < 1:
+    if _as_int(budget, "cluster budget") < 1:
         raise InputError("cluster budget must be >= 1")
     return rows
 
@@ -165,13 +166,14 @@ def greedy_sample_cluster(
     """Greedy entropy-gain selection of ``budget`` rows inside one cluster.
 
     Seeds with two random distinct members (one when budget is 1), then
-    fills each remaining slot with the best of up to ``m`` randomly drawn
-    unselected candidates: the largest entropy gain, ties to the lowest
-    row, found by :func:`egms.entropy._best_bordered`, which solves exactly
-    only the candidates its upper bound cannot rule out. A budget covering
-    the whole cluster returns all members in index order. The entropy after
-    a seed or a member so taken comes from the same kernel columns and
-    exact solve as the entropy of a greedy pick.
+    fills each remaining slot with the best of up to ``m`` >= 1 randomly
+    drawn unselected candidates: the largest entropy gain, ties to the
+    lowest row, found by :func:`egms.entropy._best_bordered`, which solves
+    exactly only the candidates its upper bound cannot rule out. A budget
+    covering the whole cluster returns all members in index order. A seed
+    or a member so taken is the argmax winner of a candidate set of one, so
+    its entropy comes from the same kernel columns and exact solve as that
+    of a drawn pick.
 
     This is :func:`_greedy_batch` on a batch of one, so a cluster gets the
     same result alone or sampled together with others, and takes the
@@ -196,14 +198,13 @@ def _greedy_batch(
     one or two seeds from the cluster's own generator.
 
     Each iteration, from t = 0, moves every cluster still short of its
-    budget one step on. A cluster takes its next given pick, or draws its
-    candidates from its own generator, and one
-    :func:`egms.entropy._best_bordered` call picks the sample of every
-    such cluster. The entropies of a step's given picks come from one
-    :func:`egms.entropy._bordered_entropies` call, the exact solve of the
-    argmax, so every entropy of a trace comes from the same kernel columns
-    and the same solve. The clusters share no values, so each result is
-    the same in any batch.
+    budget one step on. A cluster's candidates are its next given pick, a
+    set of one, or up to ``m`` >= 1 rows drawn from its own generator, and
+    one :func:`egms.entropy._best_bordered` call picks the sample of every
+    cluster of the step. It solves a set of one directly, so every entropy
+    of a trace comes from the same kernel columns and the same exact
+    solve. The clusters share no values, so each result is the same in any
+    batch.
 
     Each kernel entry is computed once: a pick fills one column of the
     batch's (sum n_c, max budget) array against its cluster's members, and
@@ -214,6 +215,8 @@ def _greedy_batch(
     the exact solves go in stacks of at most ``egms.entropy._STACK_ELEMENTS``
     values.
     """
+    if _as_int(m, "candidate count m") < 1:
+        raise InputError("candidate count m must be >= 1")
     members = [_cluster_members(store, mem, budget, sigma) for mem, budget, _ in clusters]
     rows = np.concatenate(members)  # cluster c owns positions offs[c]:offs[c + 1]
     sizes = np.array([mem.size for mem in members])
@@ -221,7 +224,8 @@ def _greedy_batch(
     budgets = np.minimum([budget for _, budget, _ in clusters], sizes)
     cols = np.empty((rows.size, budgets.max()), dtype=np.float64)
     picks = np.empty((len(clusters), budgets.max()), dtype=np.int64)  # positions into rows
-    trace = np.empty((len(clusters), budgets.max()), dtype=np.float64)
+    # trace[c, t] is the entropy of cluster c's first t picks, +0.0 for none
+    trace = np.zeros((len(clusters), budgets.max() + 1), dtype=np.float64)
     given = np.empty(len(clusters), dtype=np.int64)  # number of given picks of each cluster
     taken = np.zeros(rows.size, dtype=bool)  # selected rows; each pool is cut at both ends of its cluster
     for c, (_, budget, first) in enumerate(clusters):
@@ -238,34 +242,25 @@ def _greedy_batch(
 
     for t in range(budgets.max()):
         step = np.flatnonzero(budgets > t)
-        fixed, free = step[given[step] > t], step[given[step] <= t]
-        if fixed.size:
-            # cols[picks, :t] is the selection's kernel matrix: (a - b)^2 and
-            # (b - a)^2 have the same bits, and a diagonal entry is exp(-0.0) = 1.0
-            mats, kern = cols[picks[fixed, :t], :t], cols[picks[fixed, t], :t]
-            trace[fixed, t] = _bordered_entropies(mats, kern, np.arange(fixed.size))
-        if free.size:
-            unselected = np.flatnonzero(~taken)
-            lo = np.searchsorted(unselected, offs[free]).tolist()
-            hi = np.searchsorted(unselected, offs[free + 1]).tolist()
-            cands = []
-            for c, a, b in zip(free, lo, hi):
-                pool = unselected[a:b]
-                cands.append(rngs[c].choice(pool, size=m, replace=False) if pool.size > m else pool)
-            owner = np.repeat(np.arange(free.size), [pool.size for pool in cands])
-            cands = np.concatenate(cands)
-            pos, entropy = _best_bordered(cols[picks[free, :t], :t], cols[cands, :t], owner, cands, trace[free, t - 1])
-            picks[free, t] = cands[pos]
-            trace[free, t] = entropy
-            taken[cands[pos]] = True
+        unselected = np.flatnonzero(~taken)
+        lo = np.searchsorted(unselected, offs[step]).tolist()
+        hi = np.searchsorted(unselected, offs[step + 1]).tolist()
+        cands = []
+        for c, a, b in zip(step, lo, hi):
+            # a given pick is the one candidate of its step; m >= 1 never draws from it
+            pool = picks[c, t : t + 1] if given[c] > t else unselected[a:b]
+            cands.append(rngs[c].choice(pool, size=m, replace=False) if pool.size > m else pool)
+        owner = np.repeat(np.arange(step.size), [pool.size for pool in cands])
+        cands = np.concatenate(cands)
+        # cols[picks, :t] is the selection's kernel matrix: (a - b)^2 and
+        # (b - a)^2 have the same bits, and a diagonal entry is exp(-0.0) = 1.0
+        pos, trace[step, t + 1] = _best_bordered(cols[picks[step, :t], :t], cols[cands, :t], owner, cands, trace[step, t])
+        picks[step, t] = cands[pos]
+        taken[cands[pos]] = True
         grow = np.flatnonzero((budgets > t + 1)[cluster_of])
         cols[grow, t] = _paired_kernel(store.data, store.data, rows[grow], rows[picks[cluster_of[grow], t]], sigma)
 
-    return [ClusterSampleResult(rows[picks[c, :budget]], trace[c, :budget].copy()) for c, budget in enumerate(budgets)]
-
-
-def _cluster_rng(seed: int, cluster_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), _CLUSTER_STREAM, int(cluster_id)]))
+    return [ClusterSampleResult(rows[picks[c, :budget]], trace[c, 1 : budget + 1].copy()) for c, budget in enumerate(budgets)]
 
 
 def stderr_progress(cluster_id: int, step: int, entropy: float) -> None:
@@ -289,8 +284,7 @@ def _score_vector(metas: list[SampleMeta]) -> np.ndarray:
 
 
 def _random_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, _GLOBAL_STREAM]))
-    return rng.choice(len(metas), size=config.budget, replace=False)
+    return _stream_rng(config.seed, _GLOBAL_STREAM).choice(len(metas), size=config.budget, replace=False)
 
 
 def _mid_score_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
@@ -318,7 +312,7 @@ def _ccs_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
     # deficit from empty or small bins goes round-robin to bins with capacity;
     # select keeps the budget within the population, so the fill reaches it
     _round_robin(take, sizes, np.arange(bins), config.budget)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, _GLOBAL_STREAM]))
+    rng = _stream_rng(config.seed, _GLOBAL_STREAM)
     rows = []
     for b in range(bins):
         if take[b] > 0:
@@ -351,11 +345,11 @@ def mmd_sample_cluster(store: EmbeddingStore, members, budget: int, sigma: float
     ``mean(k within S) - 2 * mean(k between S and the cluster)``. The
     entropy trace of the acceptance order is recorded for provenance, like
     the other cluster samplers', by :func:`_greedy_batch` with the picks
-    given. This is a batch of one; :func:`select` traces a run's MMD
-    clusters in lock step.
+    given: each is the argmax winner of a candidate set of one. This is a
+    batch of one; :func:`select` traces a run's MMD clusters in lock step.
     """
-    # every pick is given, so no candidate is drawn: m and the generator go unused
-    return _greedy_batch(store, [_mmd_cluster(store, members, budget, sigma)], 0, sigma, [None])[0]
+    # every pick is given, a set of one that m = 1 never draws from: the generator goes unused
+    return _greedy_batch(store, [_mmd_cluster(store, members, budget, sigma)], 1, sigma, [None])[0]
 
 
 def _mmd_cluster(store: EmbeddingStore, members, budget: int, sigma: float) -> _Cluster:
@@ -452,6 +446,7 @@ def select(
     strategy (None for the others).
     """
     _check_strategy(strategy)
+    bins = _as_int(bins, "bins")
     if store.count != len(metas):
         raise InputError(f"embedding store has {store.count} rows but sample manifest has {len(metas)}")
     ids = [m.id for m in metas]
@@ -482,7 +477,7 @@ def select(
         clusters = [(assignment.members[cid], budgets[cid], None) for cid in batch]
         if strategy == "mmd_minimize":
             clusters = [_mmd_cluster(store, members, budget, config.sigma) for members, budget, _ in clusters]
-        rngs = [_cluster_rng(config.seed, cid) for cid in batch]
+        rngs = [_stream_rng(config.seed, _CLUSTER_STREAM, cid) for cid in batch]
         return _greedy_batch(store, clusters, config.candidate_size, config.sigma, rngs)
 
     records = [ClusterRecord(cid, budget, ()) for cid, budget in enumerate(budgets)]

@@ -53,7 +53,7 @@ def dataset(tmp_path):
 def test_gen_synthetic_outputs_load(dataset):
     emb, man = dataset
     store = load_embedding_store(emb)
-    metas = load_sample_manifest(man, expected_count=store.count)
+    metas = load_sample_manifest(man)
     assert store.count == 240 and store.dim == 5
     assert len(metas) == 240
 

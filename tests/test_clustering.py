@@ -38,7 +38,8 @@ class TestKmeans:
         assert np.allclose(a.centroids[0], store.data.mean(axis=0), atol=1e-9)
 
     def test_two_blobs_recovered(self):
-        store, _, truth = gen_synthetic(300, 5, 2, 0.5, seed=8, return_labels=True)
+        store, _ = gen_synthetic(300, 5, 2, 0.5, seed=8)
+        truth = np.rint(np.linalg.norm(store.data, axis=1) / 20.0) - 1  # blob j's shell has radius 20 (j + 1)
         a = kmeans(store, np.arange(300), 2, seed=4)
         same_truth = truth[:, None] == truth[None, :]
         same_found = a.labels[:, None] == a.labels[None, :]

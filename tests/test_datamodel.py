@@ -120,12 +120,6 @@ class TestSampleManifest:
         with pytest.raises(InputError, match="cannot read sample manifest"):
             load_sample_manifest(tmp_path / "absent.jsonl")
 
-    def test_count_mismatch(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text('{"id":"a"}\n{"id":"b"}\n')
-        with pytest.raises(InputError, match="2 records.*3 rows"):
-            load_sample_manifest(path, expected_count=3)
-
     def test_round_trip(self, tmp_path):
         metas = [
             SampleMeta(id="x1", nlls=(0.0, 0.25), ppl=1.25, score=0.5),
@@ -298,7 +292,8 @@ class TestGenSynthetic:
         assert not np.array_equal(a.data, b.data)
 
     def test_kmeans_recovers_blob_partition(self):
-        store, _, labels = gen_synthetic(1000, 8, 10, 1.0, seed=1, return_labels=True)
+        store, _ = gen_synthetic(1000, 8, 10, 1.0, seed=1)
+        labels = np.rint(np.linalg.norm(store.data, axis=1) / 20.0) - 1  # blob j's shell has radius 20 (j + 1)
         assignment = kmeans(store, np.arange(1000), 10, seed=1)
         # pairwise agreement between ground truth and recovered labels
         truth = labels[:, None] == labels[None, :]

@@ -20,14 +20,17 @@ from egms import (
     filter_extremes,
     gaussian_similarity,
     gen_synthetic,
+    greedy_sample_cluster,
     load_benchmark_scores,
     load_embedding_store,
+    mmd_sample_cluster,
     oracle_max_entropy_subset,
     select,
 )
 
 _STORE = EmbeddingStore(np.arange(6.0).reshape(3, 2))
 _METAS = [SampleMeta(id=f"s{i}", ppl=1.0 + i) for i in range(3)]
+_CLUSTER = EmbeddingStore(np.arange(20.0).reshape(10, 2))  # budgets below 10 leave greedy steps to draw for
 
 
 def _write(tmp_path, name, data):
@@ -62,6 +65,26 @@ _CASES = [
     ("meta-ppl", lambda tmp: SampleMeta("a", ppl=np.inf), "ppl must be finite and positive"),
     ("meta-score", lambda tmp: SampleMeta("a", score=np.nan), "score must be finite"),
     ("config-candidates", lambda tmp: SelectionConfig(budget=5, candidate_size=0), "candidate_size must be >= 1"),
+    ("config-seed-float", lambda tmp: SelectionConfig(budget=10, clusters=3, seed=1.5), "seed must be an integer"),
+    ("config-seed-bool", lambda tmp: SelectionConfig(budget=10, clusters=3, seed=True), "seed must be an integer"),
+    ("config-budget-bool", lambda tmp: SelectionConfig(budget=True), "budget must be an integer"),
+    ("config-budget-float", lambda tmp: SelectionConfig(budget=10.0), "budget must be an integer"),
+    ("config-clusters-float", lambda tmp: SelectionConfig(budget=10, clusters=3.0), "clusters must be an integer"),
+    ("config-candidates-float", lambda tmp: SelectionConfig(budget=10, candidate_size=2.5), "candidate_size must be an integer"),
+    ("config-workers-float", lambda tmp: SelectionConfig(budget=10, workers=1.5), "workers must be an integer"),
+    ("config-sigma-string", lambda tmp: SelectionConfig(budget=10, sigma="0.5"), "sigma must be finite and > 0"),
+    ("config-tail-none", lambda tmp: SelectionConfig(budget=10, tail_low=None), "tail_low must be a real number"),
+    ("config-tail-bool", lambda tmp: SelectionConfig(budget=10, tail_high=False), "tail_high must be a real number"),
+    ("config-normalize-string", lambda tmp: SelectionConfig(budget=10, normalize="yes"), "normalize must be a bool"),
+    ("greedy-m-0", lambda tmp: greedy_sample_cluster(_CLUSTER, np.arange(10), 4, 0, 0.5, None), "m must be >= 1"),
+    ("greedy-m-negative", lambda tmp: greedy_sample_cluster(_CLUSTER, np.arange(10), 4, -1, 0.5, None), "m must be >= 1"),
+    ("greedy-m-float", lambda tmp: greedy_sample_cluster(_CLUSTER, np.arange(10), 4, 2.5, 0.5, None), "m must be an integer"),
+    (
+        "greedy-budget-bool",
+        lambda tmp: greedy_sample_cluster(_CLUSTER, np.arange(10), True, 2, 0.5, np.random.default_rng(0)),
+        "cluster budget must be an integer",
+    ),
+    ("mmd-budget-float", lambda tmp: mmd_sample_cluster(_CLUSTER, np.arange(10), 2.5, 0.5), "cluster budget must be an integer"),
     ("record-trace", lambda tmp: ClusterRecord(0, 2, ("a", "b"), (0.0,)), "must align with selected ids"),
     (
         "manifest-ids",
@@ -106,6 +129,11 @@ _CASES = [
         "ccs-bins",
         lambda tmp: select(_STORE, _METAS, "ccs", SelectionConfig(budget=1), bins=0),
         "ccs bin count must be >= 1",
+    ),
+    (
+        "select-bins-float",
+        lambda tmp: select(_STORE, _METAS, "ccs", SelectionConfig(budget=1), bins=2.5),
+        "bins must be an integer",
     ),
 ]
 

@@ -29,7 +29,7 @@ from egms import (
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
 from egms import clustering, entropy, sampler
-from egms.sampler import _average_budgets, _ccs_rows, _cluster_rng, _greedy_batch
+from egms.sampler import _average_budgets, _ccs_rows, _greedy_batch
 
 
 def _naive_trace(store, rows, sigma):
@@ -538,8 +538,8 @@ class TestBoundTiers:
     def test_tiers_change_the_work_not_the_bytes(self, monkeypatch):
         # L2-normalized, so the bounds prune; per-cluster budgets of 90 take
         # the greedy past t = 64, where every tier runs
-        store, metas, labels = gen_synthetic(600, 16, 2, 1.0, seed=1, return_labels=True)
-        members = np.flatnonzero(labels == 0)
+        store, metas = gen_synthetic(600, 16, 2, 1.0, seed=1)
+        members = np.flatnonzero(np.linalg.norm(store.data, axis=1) < 30.0)  # blob 0: its shell has radius 20
         cfg = SelectionConfig(budget=180, clusters=2, seed=3, normalize=True)
         pole_bounds, beaten, bordered = entropy._pole_bounds, entropy._beaten, entropy._bordered_entropies
         default, runs, solves = entropy._BOUND_POLES, {}, {}
@@ -574,6 +574,56 @@ class TestBoundTiers:
             assert all(count >= 1 for count in ruled_out.values()), ruled_out  # no tier is dead code
         assert runs[default] == runs[(4,)]
         assert solves[default] < solves[(4,)]
+
+
+class TestDirectSolve:
+    """A state whose candidates all fit in the first exact batch is solved with no ``eigh``: no bound could rule one out."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.fixture
+    def store(self):
+        return gen_synthetic(60, 4, 2, 0.5, seed=3)[0]
+
+    def test_best_bordered_solves_states_of_one_or_two_candidates_directly(self, store, eigh_calls):
+        rng = np.random.default_rng(14)
+        states = [build_similarity(store, rng.choice(60, size=5, replace=False), 0.5) for _ in range(3)]
+        mats = np.stack([state.matrix for state in states])
+        base = np.array([von_neumann_entropy(state) for state in states])
+
+        def best(counts):
+            cands = [rng.choice(np.setdiff1d(np.arange(60), s.member_rows), size=c, replace=False) for s, c in zip(states, counts)]
+            kern = np.concatenate([_kernel_block(store.data[c], store.data[s.member_rows], 0.5) for s, c in zip(states, cands)])
+            owner = np.repeat(np.arange(3), counts)
+            pos, entropies = _best_bordered(mats, kern, owner, np.concatenate(cands), base)
+            want = entropy._bordered_entropies(mats, kern, owner)  # every candidate solved
+            gains = want - base[owner]
+            assert (owner[pos] == np.arange(3)).all()
+            assert entropies.tobytes() == want[pos].tobytes()
+            assert all(gains[pos[s]] == gains[owner == s].max() for s in range(3))
+
+        best([1, 2, 1])
+        assert eigh_calls == []
+        best([1, 3, 2])  # a state of three candidates is bounded: the states are not near-identity
+        assert eigh_calls == [(1, 5, 5)]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_greedy_at_one_or_two_candidates_runs_no_eigh(self, store, eigh_calls, m):
+        rng = np.random.default_rng(9)
+        res = greedy_sample_cluster(store, np.arange(60), 12, m, 0.5, rng)
+        assert eigh_calls == []
+        assert res.entropy_trace.tobytes() == _naive_trace(store, res.selected, 0.5).tobytes()
+        greedy_sample_cluster(store, np.arange(60), 12, 3, 0.5, rng)
+        assert eigh_calls  # at m = 3 the bounds run: the cluster is not near-identity
 
 
 def _manifest_records(manifest):
@@ -936,7 +986,8 @@ def _assert_all_ties_replay(tmp_path_factory, store, metas, cfg):
         if rec.budget == 0:
             continue
         members = assignment.members[rec.cluster_id]
-        expected = _all_ties_order(members, rec.budget, cfg.candidate_size, _cluster_rng(cfg.seed, rec.cluster_id))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[cfg.seed, 2, rec.cluster_id]))  # stream tag 2
+        expected = _all_ties_order(members, rec.budget, cfg.candidate_size, rng)
         assert rec.selected_ids == tuple(ids[r] for r in expected)
 
     folder = tmp_path_factory.mktemp("ties")
