@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import _KMEANS_STREAM, EmbeddingStore, _store_rows, _stream_rng
+from .datamodel import _KMEANS_STREAM, EmbeddingStore, _as_int, _store_rows, _stream_rng
 from .errors import InputError, InternalInvariantError
 
 MAX_ITER = 100
@@ -372,6 +372,7 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, changed: np.ndarray) -> No
 def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     """Lloyd K-means over ``store.data[kept]``, deterministic given seed."""
     rows = _store_rows(store, kept, "kept row")
+    L, seed = _as_int(L, "cluster count L"), _as_int(seed, "seed")
     if L < 1 or L > rows.size:
         raise InputError(f"need 1 <= L <= |kept|, got L={L}, |kept|={rows.size}")
     d = store.dim

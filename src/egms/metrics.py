@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig, _read_text, _store_rows
+from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig, _as_int, _read_text, _store_rows
 from .entropy import _matrix_entropy, build_similarity, von_neumann_entropy
 from .errors import InputError
 from .sampler import select
@@ -107,7 +107,7 @@ def diversity_report(
     n_seeds: int,
 ) -> DiversityReport:
     """Run ``strategy`` and a uniform-random reference over n_seeds seeds."""
-    if n_seeds < 1:
+    if _as_int(n_seeds, "n_seeds") < 1:
         raise InputError("n_seeds must be >= 1")
     seeds = tuple((config.seed + i) % 2**64 for i in range(n_seeds))
     if config.normalize:
@@ -144,7 +144,7 @@ def oracle_max_entropy_subset(
     rows = _store_rows(store, rows, "row")
     if rows.size > _ORACLE_LIMIT:
         raise InputError(f"oracle instance too large: {rows.size} rows > {_ORACLE_LIMIT}")
-    if not 1 <= k <= rows.size:
+    if not 1 <= _as_int(k, "subset size k") <= rows.size:
         raise InputError(f"need 1 <= k <= {rows.size}")
     ordered = np.sort(rows)
     # one kernel matrix, sliced per subset: entries are bit-identical to a

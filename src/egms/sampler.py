@@ -20,15 +20,25 @@ one column of the batch's kernel store, and its entropy is the exact
 solve of a matrix gathered from that store.
 
 Clusters are sampled in lock step (:func:`_greedy_batch`): one iteration
-moves every cluster of a batch one step on, with one argmax call for all
+moves every cluster of a run one step on, with one argmax call for all
 of them, so the per-step Python and numpy call overhead is paid once per
-batch, not once per cluster. Per-cluster generators are seeded from
+run, not once per cluster. Per-cluster generators are seeded from
 (global seed, cluster id), each cluster draws only from its own, and no
 stage mixes values of two clusters, so a cluster's result is
-byte-identical alone, in any batch and on any worker thread. The cluster
+byte-identical alone, in any run and on any worker thread. The cluster
 samplers are pure functions of their inputs: each returns its selection
 and the entropy after every accepted sample. The threads share the
-immutable embedding store and touch only their own batch's state.
+immutable embedding store and touch only their own run's state.
+
+Runs are few and large (:func:`_batches`), for two reasons. Each step's
+numpy overhead is paid once for all clusters of a run. And the threads
+only run in parallel inside numpy calls that release the GIL: a stack of
+k symmetric matrices of order n goes through ``np.linalg.eigvalsh``
+without the GIL only when k * n > 500, so a run must hold enough
+clusters for its solve stacks to pass that. On 2 threads (2 vCPUs) a
+(7, 71, 71) stack (497) ran 0.8-1.1x as fast as serial and an (8, 71, 71)
+stack (568) 1.25-1.43x; runs of one or two clusters made the two workers
+slower than one.
 
 One driver, :func:`select`, runs every strategy: the pipeline's ``exam``
 and the comparison baselines of :data:`STRATEGIES`. It collects cluster
@@ -66,8 +76,8 @@ from .entropy import _best_bordered, _kernel_block, _paired_kernel
 from .errors import InputError, InternalInvariantError
 from .filtering import filter_extremes, resolve_ppls
 
-# cap on the kernel columns of one batch of lock-step greedy clusters (512 KiB)
-_BATCH_ELEMENTS = 1 << 16
+# cap on the kernel columns of one run of lock-step greedy clusters (1 MiB)
+_BATCH_ELEMENTS = 1 << 17
 
 ProgressFn = Callable[[int, int, float], None]
 # (members, budget, first) of one cluster of _greedy_batch; first: its given picks or None
@@ -104,7 +114,7 @@ def allocate_budgets(cluster_sizes, B: int) -> np.ndarray:
         raise InputError("cluster size list is empty")
     if (sizes < 1).any():
         raise InputError("cluster sizes must be >= 1")
-    if B < 1:
+    if _as_int(B, "budget") < 1:
         raise InputError("budget must be >= 1")
     total = int(sizes.sum())
     if B > total:
@@ -389,22 +399,38 @@ def _mmd_cluster(store: EmbeddingStore, members, budget: int, sigma: float) -> _
     return members[np.sort(order)], budget, np.argsort(np.argsort(order))
 
 
-def _batches(order: list[int], sizes: list[int], budgets: list[int]) -> list[list[int]]:
-    """Split ``order`` into runs of consecutive clusters, one pool task each.
+def _batches(order: list[int], sizes: list[int], budgets: list[int], workers: int) -> list[list[int]]:
+    """Split ``order`` into runs of consecutive clusters, one task each of ``workers``.
 
-    A run grows while its greedy kernel columns, (sum n_c) x (max budget)
-    values, would stay within ``_BATCH_ELEMENTS``; a cluster above it runs
-    alone. MMD runs are cut by the same rule. Each MMD cluster's objective
-    loop runs on its own; the run's traces then go in lock step through
-    one :func:`_greedy_batch` call, whose kernel columns cover only the
+    A run grows while two limits hold: its greedy kernel columns, (sum n_c)
+    x (max budget) values, stay within ``_BATCH_ELEMENTS``, and its greedy
+    work, sum n_c * budget, stays within 1/``workers`` of the whole. A
+    cluster above either limit runs alone. A cluster also starts a run when
+    the clusters left are no more than the runs still short of ``workers``,
+    so there are at least min(workers, clusters) runs and no worker idles
+    for want of one.
+
+    Larger runs pay each step's numpy overhead once for more clusters, and
+    their eigensolve stacks pass the k * n > 500 rule under which
+    ``np.linalg.eigvalsh`` releases the GIL (see the module docstring); do
+    not cut runs smaller for the sake of more of them. On the 24 clusters
+    of perfbench's ``select_few_clusters`` (2 vCPUs, 1 BLAS thread), 2
+    threads did the greedy 0.81x as fast as 1 thread with one cluster per
+    run, 1.17x with three and 1.45x with twelve.
+
+    MMD runs are cut by the same rule. Each MMD cluster's objective loop
+    runs on its own; the run's traces then go in lock step through one
+    :func:`_greedy_batch` call, whose kernel columns cover only the
     selected rows, (sum budget) x (max budget) values.
     """
-    batches, rows, width = [], 0, 0
-    for cid in order:
-        rows, width = rows + sizes[cid], max(width, budgets[cid])
-        if not batches or rows * width > _BATCH_ELEMENTS:
+    total = sum(sizes[cid] * budgets[cid] for cid in order)
+    batches, rows, width, work = [], 0, 0, 0
+    for i, cid in enumerate(order):
+        rows, width, work = rows + sizes[cid], max(width, budgets[cid]), work + sizes[cid] * budgets[cid]
+        full = rows * width > _BATCH_ELEMENTS or work * workers > total
+        if not batches or full or len(order) - i <= workers - len(batches):
             batches.append([])
-            rows, width = sizes[cid], budgets[cid]
+            rows, width, work = sizes[cid], budgets[cid], sizes[cid] * budgets[cid]
         batches[-1].append(cid)
     return batches
 
@@ -435,12 +461,14 @@ def select(
     with squared-MMD minimization in place of the entropy objective.
 
     Clusters are ordered largest first (then lowest id) and cut into runs
-    of consecutive clusters (:func:`_batches`); each run is one task for
-    ``config.workers`` threads, sampled in lock step (for MMD, the traces
-    of its clusters' selections). Results are collected in that order,
-    and each cluster's entropy trace goes to ``progress`` as ``(cluster
-    id, step, entropy)`` once its run is in; the manifest and the progress
-    stream depend neither on the runs nor on scheduling.
+    of consecutive clusters (:func:`_batches`), each sampled in lock step
+    (for MMD, the traces of its clusters' selections). The calling thread
+    is worker 0 of ``config.workers``: it samples runs 0, w, 2w, ...
+    itself, and a pool of w - 1 threads samples the others, so at w = 1 no
+    thread starts. Results are collected in run order, and each cluster's
+    entropy trace goes to ``progress`` as ``(cluster id, step, entropy)``
+    once its run is in; the manifest and the progress stream depend
+    neither on the runs nor on scheduling.
 
     Returns the manifest and the k-means assignment of a clustered
     strategy (None for the others).
@@ -482,9 +510,15 @@ def select(
 
     records = [ClusterRecord(cid, budget, ()) for cid, budget in enumerate(budgets)]
     order = sorted((cid for cid, budget in enumerate(budgets) if budget >= 1), key=lambda cid: (-sizes[cid], cid))
-    batches = _batches(order, sizes, budgets)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        for batch, results in zip(batches, pool.map(sample, batches)):
+    workers = config.workers
+    batches = _batches(order, sizes, budgets, workers)
+    # the pool starts its threads on submit, so at one worker it starts none;
+    # glibc gives pool threads malloc arenas of their own, while the calling
+    # thread reuses the heap k-means freed, so its share adds less to the peak
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        pending = {i: pool.submit(sample, batch) for i, batch in enumerate(batches) if i % workers}
+        for i, batch in enumerate(batches):
+            results = pending.pop(i).result() if i % workers else sample(batch)
             for cid, res in zip(batch, results):
                 trace = res.entropy_trace.tolist()
                 records[cid] = ClusterRecord(cid, budgets[cid], tuple(ids[r] for r in res.selected), tuple(trace))

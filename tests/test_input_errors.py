@@ -17,10 +17,12 @@ from egms import (
     allocate_budgets,
     augment,
     build_similarity,
+    diversity_report,
     filter_extremes,
     gaussian_similarity,
     gen_synthetic,
     greedy_sample_cluster,
+    kmeans,
     load_benchmark_scores,
     load_embedding_store,
     mmd_sample_cluster,
@@ -120,6 +122,16 @@ _CASES = [
     ("oracle-k-high", lambda tmp: oracle_max_entropy_subset(_STORE, [0, 1, 2], 4, 0.5), "need 1 <= k <= 3"),
     ("oracle-k-0", lambda tmp: oracle_max_entropy_subset(_STORE, [0, 1, 2], 0, 0.5), "need 1 <= k <= 3"),
     ("budget-sizes", lambda tmp: allocate_budgets([3, 0], 2), "cluster sizes must be >= 1"),
+    ("budget-bool", lambda tmp: allocate_budgets([3, 4], True), "budget must be an integer"),
+    ("budget-float", lambda tmp: allocate_budgets([3, 4], 2.5), "budget must be an integer"),
+    ("kmeans-seed-float", lambda tmp: kmeans(_CLUSTER, np.arange(10), 2, 1.5), "seed must be an integer"),
+    ("kmeans-L-float", lambda tmp: kmeans(_CLUSTER, np.arange(10), 2.5, 0), "cluster count L must be an integer"),
+    ("oracle-k-float", lambda tmp: oracle_max_entropy_subset(_STORE, [0, 1, 2], 1.5, 0.5), "subset size k must be an integer"),
+    (
+        "diversity-seeds-float",
+        lambda tmp: diversity_report(_STORE, _METAS, "random", SelectionConfig(budget=1), 1.5),
+        "n_seeds must be an integer",
+    ),
     (
         "select-count",
         lambda tmp: select(_STORE, _METAS[:2], "random", SelectionConfig(budget=1)),

@@ -1,5 +1,7 @@
 """Budget allocation, greedy cluster sampling, pipeline, and baselines."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -522,7 +524,7 @@ class TestLockStep:
         for cap in (1, sampler._BATCH_ELEMENTS, 1 << 40):
             monkeypatch.setattr(sampler, "_BATCH_ELEMENTS", cap)
             for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
-                for workers in (1, 2, 8):
+                for workers in (1, 2, 3, 8):  # 3: the calling thread's i % workers share is odd-sized
                     events = []
                     cfg = SelectionConfig(budget=90, clusters=12, candidate_size=15, seed=4, workers=workers)
                     manifest, _ = select(store, metas, strategy, cfg, progress=lambda c, s, e: events.append((c, s, e)))
@@ -530,6 +532,56 @@ class TestLockStep:
         for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
             same = [(text, events) for _, s, _, text, events in runs if s == strategy]
             assert all(run == same[0] for run in same), strategy
+
+
+@st.composite
+def _run_plans(draw):
+    """Cluster sizes and budgets (1 <= budget <= size), a cluster order, a worker count and a run memory cap."""
+    sizes, budgets = [], []
+    for _ in range(draw(st.integers(0, 40))):
+        sizes.append(draw(st.integers(1, 400)))
+        budgets.append(draw(st.integers(1, sizes[-1])))
+    order = draw(st.permutations(range(len(sizes))))
+    return order, sizes, budgets, draw(st.integers(1, 8)), draw(st.sampled_from([1, 500, 1 << 12, 1 << 17, 1 << 40]))
+
+
+class TestRuns:
+    """``_batches`` cuts the cluster order into runs; ``select`` samples run i on worker i % workers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_run_plans())
+    def test_runs_cover_the_order_within_their_limits(self, plan):
+        order, sizes, budgets, workers, cap = plan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_BATCH_ELEMENTS", cap)
+            runs = sampler._batches(order, sizes, budgets, workers)
+        assert all(runs) and [cid for run in runs for cid in run] == order
+        total = sum(sizes[cid] * budgets[cid] for cid in order)
+        for run in runs:
+            if len(run) > 1:  # a cluster above a limit runs alone
+                assert sum(sizes[cid] for cid in run) * max(budgets[cid] for cid in run) <= cap
+                assert sum(sizes[cid] * budgets[cid] for cid in run) * workers <= total
+        assert len(runs) >= min(workers, len(order))
+
+    def test_the_calling_thread_samples_its_share_of_the_runs(self, pipeline_data, monkeypatch):
+        store, metas = pipeline_data
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return _greedy_batch(*args)
+
+        monkeypatch.setattr(sampler, "_greedy_batch", recording)
+        caller = threading.get_ident()
+        for workers in (1, 2):
+            threads.clear()
+            cfg = SelectionConfig(budget=90, clusters=12, candidate_size=15, seed=4, workers=workers)
+            select(store, metas, "exam", cfg)
+            if workers == 1:  # no pool thread samples a run
+                assert threads and set(threads) == {caller}
+            else:  # runs 0, 2, 4, ... on the calling thread, the others on the pool's one thread
+                assert len(threads) >= 2 and threads.count(caller) == (len(threads) + 1) // 2
+                assert len(set(threads)) == 2
 
 
 class TestBoundTiers:
