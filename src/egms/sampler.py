@@ -42,13 +42,14 @@ slower than one.
 
 One driver, :func:`select`, runs every strategy: the pipeline's ``exam``
 and the comparison baselines of :data:`STRATEGIES`. It collects cluster
-results in submission order and is the only place that reports progress,
+results in run order and is the only place that reports progress,
 replaying each finished cluster's entropy trace from the calling thread,
 so the progress stream is the same for every worker count.
 """
 
 from __future__ import annotations
 
+import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -399,16 +400,12 @@ def _mmd_cluster(store: EmbeddingStore, members, budget: int, sigma: float) -> _
     return members[np.sort(order)], budget, np.argsort(np.argsort(order))
 
 
-def _batches(order: list[int], sizes: list[int], budgets: list[int], workers: int) -> list[list[int]]:
-    """Split ``order`` into runs of consecutive clusters, one task each of ``workers``.
+def _batches(order: list[int], sizes: list[int], budgets: list[int]) -> list[list[int]]:
+    """Split ``order`` into runs of consecutive clusters, one task each.
 
-    A run grows while two limits hold: its greedy kernel columns, (sum n_c)
-    x (max budget) values, stay within ``_BATCH_ELEMENTS``, and its greedy
-    work, sum n_c * budget, stays within 1/``workers`` of the whole. A
-    cluster above either limit runs alone. A cluster also starts a run when
-    the clusters left are no more than the runs still short of ``workers``,
-    so there are at least min(workers, clusters) runs and no worker idles
-    for want of one.
+    A run grows while its greedy kernel columns, (sum n_c) x (max budget)
+    values, stay within ``_BATCH_ELEMENTS``; a cluster above it runs alone.
+    The cap alone cuts the runs, whatever the worker count.
 
     Larger runs pay each step's numpy overhead once for more clusters, and
     their eigensolve stacks pass the k * n > 500 rule under which
@@ -423,14 +420,12 @@ def _batches(order: list[int], sizes: list[int], budgets: list[int], workers: in
     :func:`_greedy_batch` call, whose kernel columns cover only the
     selected rows, (sum budget) x (max budget) values.
     """
-    total = sum(sizes[cid] * budgets[cid] for cid in order)
-    batches, rows, width, work = [], 0, 0, 0
-    for i, cid in enumerate(order):
-        rows, width, work = rows + sizes[cid], max(width, budgets[cid]), work + sizes[cid] * budgets[cid]
-        full = rows * width > _BATCH_ELEMENTS or work * workers > total
-        if not batches or full or len(order) - i <= workers - len(batches):
+    batches, rows, width = [], 0, 0
+    for cid in order:
+        rows, width = rows + sizes[cid], max(width, budgets[cid])
+        if not batches or rows * width > _BATCH_ELEMENTS:
             batches.append([])
-            rows, width, work = sizes[cid], budgets[cid], sizes[cid] * budgets[cid]
+            rows, width = sizes[cid], budgets[cid]
         batches[-1].append(cid)
     return batches
 
@@ -463,12 +458,15 @@ def select(
     Clusters are ordered largest first (then lowest id) and cut into runs
     of consecutive clusters (:func:`_batches`), each sampled in lock step
     (for MMD, the traces of its clusters' selections). The calling thread
-    is worker 0 of ``config.workers``: it samples runs 0, w, 2w, ...
-    itself, and a pool of w - 1 threads samples the others, so at w = 1 no
-    thread starts. Results are collected in run order, and each cluster's
-    entropy trace goes to ``progress`` as ``(cluster id, step, entropy)``
-    once its run is in; the manifest and the progress stream depend
-    neither on the runs nor on scheduling.
+    is one of the ``config.workers`` threads, and a pool of w - 1 threads
+    the others, so at w = 1 no thread starts. The calling thread samples
+    run 0, the largest, and pool thread j run j + 1; then each thread that
+    is done takes the next run not yet taken, so no thread waits on another
+    while runs are left. Results are replayed in run order by the calling
+    thread: each cluster's entropy trace goes to ``progress`` as
+    ``(cluster id, step, entropy)`` once its run and every run before it
+    are in, so the manifest and the progress stream depend neither on the
+    runs nor on scheduling.
 
     Returns the manifest and the k-means assignment of a clustered
     strategy (None for the others).
@@ -510,20 +508,41 @@ def select(
 
     records = [ClusterRecord(cid, budget, ()) for cid, budget in enumerate(budgets)]
     order = sorted((cid for cid, budget in enumerate(budgets) if budget >= 1), key=lambda cid: (-sizes[cid], cid))
-    workers = config.workers
-    batches = _batches(order, sizes, budgets, workers)
-    # the pool starts its threads on submit, so at one worker it starts none;
-    # glibc gives pool threads malloc arenas of their own, while the calling
-    # thread reuses the heap k-means freed, so its share adds less to the peak
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        pending = {i: pool.submit(sample, batch) for i, batch in enumerate(batches) if i % workers}
-        for i, batch in enumerate(batches):
-            results = pending.pop(i).result() if i % workers else sample(batch)
-            for cid, res in zip(batch, results):
+    batches = _batches(order, sizes, budgets)
+    results: list[list[ClusterSampleResult] | None] = [None] * len(batches)
+    replayed = 0  # runs whose records and progress are in
+
+    def replay() -> None:
+        nonlocal replayed
+        while replayed < len(batches) and results[replayed] is not None:
+            for cid, res in zip(batches[replayed], results[replayed]):
                 trace = res.entropy_trace.tolist()
                 records[cid] = ClusterRecord(cid, budgets[cid], tuple(ids[r] for r in res.selected), tuple(trace))
                 if progress is not None:
                     for step, entropy in enumerate(trace):
                         progress(cid, step, entropy)
+            results[replayed] = None  # its records hold it now
+            replayed += 1
+
+    # runs 1, 2, ... in order, then one end mark per thread
+    todo = queue.SimpleQueue()
+    for i in [*range(1, len(batches)), *[None] * config.workers]:
+        todo.put(i)
+
+    def work(i: int | None, after_run: Callable[[], None]) -> None:
+        while i is not None:
+            results[i] = sample(batches[i])
+            after_run()
+            i = todo.get()
+
+    # the pool starts its threads on submit, so at one worker it starts none;
+    # glibc gives pool threads malloc arenas of their own, while the calling
+    # thread reuses the heap k-means freed, so its runs add less to the peak
+    with ThreadPoolExecutor(max(1, config.workers - 1)) as pool:
+        helpers = [pool.submit(work, todo.get(), lambda: None) for _ in range(config.workers - 1)]
+        work(0, replay)
+        for helper in helpers:
+            helper.result()
+    replay()
     manifest = SelectionManifest(config, strategy, tuple(records), tuple(ids[r] for r in filtered_out))
     return manifest, assignment

@@ -524,7 +524,7 @@ class TestLockStep:
         for cap in (1, sampler._BATCH_ELEMENTS, 1 << 40):
             monkeypatch.setattr(sampler, "_BATCH_ELEMENTS", cap)
             for strategy in ("exam", "exam_average_allocation", "mmd_minimize"):
-                for workers in (1, 2, 3, 8):  # 3: the calling thread's i % workers share is odd-sized
+                for workers in (1, 2, 3, 8):  # 3: an odd number of threads share the runs
                     events = []
                     cfg = SelectionConfig(budget=90, clusters=12, candidate_size=15, seed=4, workers=workers)
                     manifest, _ = select(store, metas, strategy, cfg, progress=lambda c, s, e: events.append((c, s, e)))
@@ -536,34 +536,35 @@ class TestLockStep:
 
 @st.composite
 def _run_plans(draw):
-    """Cluster sizes and budgets (1 <= budget <= size), a cluster order, a worker count and a run memory cap."""
+    """Cluster sizes and budgets (1 <= budget <= size), a cluster order and a run memory cap."""
     sizes, budgets = [], []
     for _ in range(draw(st.integers(0, 40))):
         sizes.append(draw(st.integers(1, 400)))
         budgets.append(draw(st.integers(1, sizes[-1])))
     order = draw(st.permutations(range(len(sizes))))
-    return order, sizes, budgets, draw(st.integers(1, 8)), draw(st.sampled_from([1, 500, 1 << 12, 1 << 17, 1 << 40]))
+    return order, sizes, budgets, draw(st.sampled_from([1, 500, 1 << 12, 1 << 17, 1 << 40]))
 
 
 class TestRuns:
-    """``_batches`` cuts the cluster order into runs; ``select`` samples run i on worker i % workers."""
+    """``_batches`` cuts the cluster order into runs; ``select`` hands them to its threads."""
 
     @settings(max_examples=300, deadline=None)
     @given(_run_plans())
-    def test_runs_cover_the_order_within_their_limits(self, plan):
-        order, sizes, budgets, workers, cap = plan
+    def test_runs_cover_the_order_within_the_cap(self, plan):
+        order, sizes, budgets, cap = plan
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampler, "_BATCH_ELEMENTS", cap)
-            runs = sampler._batches(order, sizes, budgets, workers)
-        assert all(runs) and [cid for run in runs for cid in run] == order
-        total = sum(sizes[cid] * budgets[cid] for cid in order)
-        for run in runs:
-            if len(run) > 1:  # a cluster above a limit runs alone
-                assert sum(sizes[cid] for cid in run) * max(budgets[cid] for cid in run) <= cap
-                assert sum(sizes[cid] * budgets[cid] for cid in run) * workers <= total
-        assert len(runs) >= min(workers, len(order))
+            runs = sampler._batches(order, sizes, budgets)
 
-    def test_the_calling_thread_samples_its_share_of_the_runs(self, pipeline_data, monkeypatch):
+        def columns(run):
+            return sum(sizes[cid] for cid in run) * max(budgets[cid] for cid in run)
+
+        assert all(runs) and [cid for run in runs for cid in run] == order
+        # a cluster above the cap runs alone, and a run ends only where the next cluster would pass it
+        assert all(len(run) == 1 or columns(run) <= cap for run in runs)
+        assert all(columns(run + nxt[:1]) > cap for run, nxt in zip(runs, runs[1:]))
+
+    def test_the_calling_thread_samples_runs_with_the_pool(self, pipeline_data, monkeypatch):
         store, metas = pipeline_data
         threads = []
 
@@ -572,16 +573,15 @@ class TestRuns:
             return _greedy_batch(*args)
 
         monkeypatch.setattr(sampler, "_greedy_batch", recording)
+        monkeypatch.setattr(sampler, "_BATCH_ELEMENTS", 1)  # one run per cluster
         caller = threading.get_ident()
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             threads.clear()
             cfg = SelectionConfig(budget=90, clusters=12, candidate_size=15, seed=4, workers=workers)
             select(store, metas, "exam", cfg)
-            if workers == 1:  # no pool thread samples a run
-                assert threads and set(threads) == {caller}
-            else:  # runs 0, 2, 4, ... on the calling thread, the others on the pool's one thread
-                assert len(threads) >= 2 and threads.count(caller) == (len(threads) + 1) // 2
-                assert len(set(threads)) == 2
+            # the calling thread samples run 0 and pool thread j run j + 1, then each takes the next run left
+            assert len(threads) == 12 and caller in threads
+            assert len(set(threads)) == workers
 
 
 class TestBoundTiers:
