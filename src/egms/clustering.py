@@ -9,7 +9,11 @@ another cluster). Inertia is asserted non-increasing across iterations.
 The kept rows are translated so that the first of them sits at the origin
 before seeding and Lloyd. Subtracting a data row (rather than the mean)
 gives bitwise-identical translated data for any shift the input holds
-exactly, so the clustering ignores it.
+exactly, so the clustering ignores it. No translated copy is kept: every
+pass gathers its block of rows from the store and subtracts the origin
+there, the same subtraction for every pass, so each translated value has
+one set of bits. Beyond the store, k-means holds per-row vectors and
+blocks of about 1 MiB, no n x d array.
 
 Label contract: :func:`_sq_dist` is the one routine that computes an
 explicit squared distance sum_k (x_k - c_k)^2, here and in the Gaussian
@@ -21,19 +25,22 @@ depend neither on the GEMM block shape nor on the BLAS thread count. The
 first Lloyd step takes the labels k-means++ already holds; later steps use
 the shortlist below.
 
-Certified shortlist. A GEMM against [-2c, |c|^2] (one column of ones on
-the rows) ranks the centroids by v_j = |c_j|^2 - 2 x.c_j, which differs
-from the squared distance by |x|^2 only. A dot product of length n has an
-error of at most gamma_n times the dot product of the absolute values
-(Higham 2002, "Accuracy and Stability of Numerical Algorithms", section 3.1,
-gamma_n = n u / (1 - n u)), so each computed v_j is within 2 gamma_{d+1} S
-of the exact one, with S = (|x| + max_j |c_j|)^2, and each explicit
-distance is within gamma_{d+2} S of the exact one. So if the runner-up
-value exceeds the smallest by more than 6 gamma_{d+2} S, the smallest one's
-explicit distance is strictly the least and it is the label; the test uses
-8 gamma_{d+2} S, which also covers the rounding of S. Rows that fail it are
-re-ranked by explicit distances over every centroid whose value lies within
-that slack of the smallest; the others cannot win or tie.
+Certified shortlist. A GEMM of each translated block of rows against -2c,
+with |c|^2 added after it, ranks the centroids by v_j = |c_j|^2 - 2 x.c_j,
+which differs from the squared distance by |x|^2 only. A dot product of
+length n has an error of at most gamma_n times the dot product of the
+absolute values (Higham 2002, "Accuracy and Stability of Numerical
+Algorithms", section 3.1, gamma_n = n u / (1 - n u)). That bound holds for
+a sum of n terms in any order, so it covers the d products and the added
+|c|^2 as one sum of d + 1 terms, whatever order the GEMM's blocking and
+threads take. So each computed v_j is within 2 gamma_{d+1} S of the exact
+one, with S = (|x| + max_j |c_j|)^2, and each explicit distance is within
+gamma_{d+2} S of the exact one. So if the runner-up value exceeds the
+smallest by more than 6 gamma_{d+2} S, the smallest one's explicit distance
+is strictly the least and it is the label; the test uses 8 gamma_{d+2} S,
+which also covers the rounding of S. Rows that fail it are re-ranked by
+explicit distances over every centroid whose value lies within that slack
+of the smallest; the others cannot win or tie.
 
 Component pruning (Elkan 2003, "Using the triangle inequality to accelerate
 k-means"). After a step, every row of cluster a lies within
@@ -50,15 +57,18 @@ data forms one component, which is a full pass.
 
 Incremental steps. A cluster whose member set did not change keeps its
 centroid's bits: :func:`_means_by_label` recomputes only the clusters that
-gained or lost a row, empty-cluster repairs included, and ``bincount`` sums
-each of them in ascending row order, as a full pass does. Every other
-centroid counts as moved; in the first step all do, since the seeds are no
-member means. A row's previous label is the lowest-index explicit argmin
-over all the previous centroids, and a static centroid's explicit distance
-keeps its bits, so that label still beats every other static centroid. A
-row whose own centroid is static is therefore ranked against the moved
-centroids of its component only, and takes their winner only when it is
-strictly closer, or equally close at a lower index. A row whose component
+gained or lost a row, empty-cluster repairs included. It adds each block of
+their rows, in ascending row order, into flat (cluster, feature) sums with
+one ``np.add.at``, which adds in index order; so each sum takes its rows in
+ascending row order from 0.0, as a full pass's per-feature ``bincount``
+does, and blocks chain with no sort. Every other centroid counts as moved;
+in the first step all do, since the seeds are no member means. A row's
+previous label is the lowest-index explicit argmin over all the previous
+centroids, and a static centroid's explicit distance keeps its bits, so
+that label still beats every other static centroid. A row whose own
+centroid is static is therefore ranked against the moved centroids of its
+component only, and takes their winner only when it is strictly closer, or
+equally close at a lower index. A row whose component
 holds no moved centroid keeps its label and distance. A row whose own
 centroid moved is ranked against its whole component; a repaired row is no
 argmin of its new cluster, which is why a repair marks both clusters as
@@ -117,27 +127,48 @@ class ClusterAssignment:
     inertia_history: np.ndarray
 
 
-def _sq_dist(x: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> np.ndarray:
+def _sq_dist(
+    x: np.ndarray,
+    c: np.ndarray,
+    rows: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
+    origin: np.ndarray | None = None,
+) -> np.ndarray:
     """Explicit squared distance sum_k (x_k - c_k)^2 of each pair (``x[rows[i]]``, ``c[cols[i]]``).
 
     Without ``rows`` the pairs take the rows of ``x`` in order; without
-    ``cols``, ``c`` is one centre for every row. This is the one routine
-    behind every squared distance of egms: each k-means label and distance
-    and each Gaussian kernel entry. A pair's bits depend on its two rows
-    alone, not on the other pairs. Every call goes in blocks of
-    ``_BLOCK_ELEMENTS`` values, so no temporary grows with the pairs.
+    ``cols``, ``c`` is one centre for every row. With ``rows``, ``origin``
+    translates each gathered row first, so the pair takes
+    ``x[rows[i]] - origin``: the bits of a translated copy, with none made.
+    This is the one routine behind every squared distance of egms: each
+    k-means label and distance and each Gaussian kernel entry. A pair's
+    bits depend on its two rows alone, not on the other pairs. Every call
+    goes in blocks of ``_BLOCK_ELEMENTS`` values, so no temporary grows
+    with the pairs.
     """
     out = np.empty(x.shape[0] if rows is None else rows.size, dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // x.shape[1])
+    if rows is not None:
+        # one gather buffer for every block; np.take writes into it directly
+        # only with mode="clip" (the indices are valid), and reads x in place
+        # only when x is C-contiguous, as every caller's is (else it copies x)
+        gathered = np.empty((min(step, out.size), x.shape[1]), dtype=np.float64)
     for start in range(0, out.size, step):
         part = slice(start, start + step)
+        if rows is None:
+            xs = x[part]  # a view of x, never written
+        else:
+            at = rows[part]
+            xs = np.take(x, at, axis=0, out=gathered[: at.size], mode="clip")
+            if origin is not None:
+                xs -= origin
         if cols is not None:
             diff = c[cols[part]]  # a gathered copy, which the differences overwrite
-            np.subtract(x[part] if rows is None else x[rows[part]], diff, out=diff)
+            np.subtract(xs, diff, out=diff)
         elif rows is None:
-            diff = x[part] - c  # a view of x: the one block that needs a fresh array
+            diff = xs - c  # the one block that needs a fresh array
         else:
-            diff = x[rows[part]]  # fancy indexing copies, so subtract in place
+            diff = xs  # the gather buffer, overwritten by the differences
             diff -= c
         np.einsum("ij,ij->i", diff, diff, out=out[part])
     return out
@@ -162,7 +193,9 @@ def _rerank(x, centroids, values, best, tol, tight, lab, dist) -> None:
 
 
 def _assign_chunked(
-    xa: np.ndarray,
+    data: np.ndarray,
+    kept: np.ndarray,
+    origin: np.ndarray,
     centroids: np.ndarray,
     xnorm: np.ndarray,
     comp: np.ndarray,
@@ -172,21 +205,22 @@ def _assign_chunked(
 ) -> np.ndarray:
     """Re-rank the rows a moved centroid can reach, updating ``labels`` and ``d2`` in place.
 
-    ``xa`` holds the rows with a column of ones appended, which the GEMM
-    against [-2c, |c|^2] reads, and ``xnorm`` their norms. ``moved`` marks
-    the clusters whose member set, and so possibly centroid, changed since
-    the previous step. On entry, each row of any other cluster holds in
-    ``labels`` and ``d2`` its lowest-index explicit argmin over the previous
-    centroids and its distance. A row whose own centroid moved is ranked
-    against every centroid of its component (``comp``, one id per centroid,
-    from :func:`_components`); any other row only against the moved
-    centroids of its component, whose winner it takes on a smaller distance
-    or on an equal one at a lower index; a row whose component holds no
-    moved centroid keeps its label. Centroids go in ascending order, so the
-    lowest local index is the lowest global one. Returns the mask of the
-    clusters that gained or lost a row.
+    Row i is ``data[kept[i]] - origin``; each block of rows is gathered and
+    translated into one buffer, which the GEMM against -2c reads, and
+    ``xnorm`` holds their norms. ``moved`` marks the clusters whose member
+    set, and so possibly centroid, changed since the previous step. On
+    entry, each row of any other cluster holds in ``labels`` and ``d2`` its
+    lowest-index explicit argmin over the previous centroids and its
+    distance. A row whose own centroid moved is ranked against every
+    centroid of its component (``comp``, one id per centroid, from
+    :func:`_components`); any other row only against the moved centroids of
+    its component, whose winner it takes on a smaller distance or on an
+    equal one at a lower index; a row whose component holds no moved
+    centroid keeps its label. Centroids go in ascending order, so the lowest
+    local index is the lowest global one. Returns the mask of the clusters
+    that gained or lost a row.
     """
-    d = xa.shape[1] - 1
+    d = data.shape[1]
     L = centroids.shape[0]
     K = int(comp.max()) + 1
     reach = np.bincount(comp, weights=moved, minlength=K) > 0
@@ -202,24 +236,25 @@ def _assign_chunked(
     # one set of block buffers for every group, so their pages fault in
     # once; np.take writes into them directly only with mode="clip" (the
     # indices are valid), while the default mode buffers a copy
-    scratch = np.empty((2, max(_BLOCK_ELEMENTS, L, d + 1)), dtype=np.float64)
+    scratch = np.empty((2, max(_BLOCK_ELEMENTS, L, d)), dtype=np.float64)
     # blocks are sized for all L centroids even where a group ranks fewer,
     # which keeps the temporaries of _sq_dist as small as in a full step
-    block = max(1, _BLOCK_ELEMENTS // max(L, d + 1))
+    block = max(1, _BLOCK_ELEMENTS // max(L, d))
     for g in np.flatnonzero(sizes[:-1]):
         k, own_moved = divmod(int(g), 2)
         cids = np.flatnonzero(comp == k if own_moved else (comp == k) & moved)
         cents = centroids[cids]
-        keys = np.empty((cids.size, d + 1), dtype=np.float64)
-        np.multiply(cents, -2.0, out=keys[:, :d])  # exact
-        keys[:, d] = np.einsum("ij,ij->i", cents, cents)
-        cmax = float(np.sqrt(keys[:, d].max()))
+        keys = cents * -2.0  # exact
+        cnorm = np.einsum("ij,ij->i", cents, cents)
+        cmax = float(np.sqrt(cnorm.max()))
         rows = order[stops[g] - sizes[g] : stops[g]]
         for start in range(0, sizes[g], block):
             at = rows[start : start + block]
             m = at.size
-            xb = np.take(xa, at, axis=0, out=scratch[0, : m * (d + 1)].reshape(m, d + 1), mode="clip")
-            values = np.matmul(xb, keys.T, out=scratch[1, : m * cids.size].reshape(m, cids.size))  # |c|^2 - 2 x.c
+            x = np.take(data, kept[at], axis=0, out=scratch[0, : m * d].reshape(m, d), mode="clip")
+            x -= origin
+            values = np.matmul(x, keys.T, out=scratch[1, : m * cids.size].reshape(m, cids.size))
+            values += cnorm  # |c|^2 - 2 x.c
             r = np.arange(m)
             lab = np.argmin(values, axis=1)
             best = values[r, lab]
@@ -229,7 +264,6 @@ def _assign_chunked(
             tol *= tol
             tol *= slack
             tol += _FLOOR
-            x = xb[:, :d]
             dist = _sq_dist(x, cents, cols=lab)
             tight = np.flatnonzero(~(gap > tol))
             if tight.size:
@@ -282,26 +316,39 @@ def _components(centroids: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _means_by_label(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray, changed: np.ndarray) -> np.ndarray:
+def _means_by_label(
+    data: np.ndarray, kept: np.ndarray, origin: np.ndarray, labels: np.ndarray, centroids: np.ndarray, changed: np.ndarray
+) -> np.ndarray:
     """Member means of the ``changed`` clusters; every other centroid keeps its bits.
 
-    ``bincount`` adds each cluster's rows in ascending row order, and the
-    rows of other clusters do not enter its sum, so a mean taken over the
-    rows of the changed clusters alone has the bits of a full pass.
+    Row i is ``data[kept[i]] - origin``. The rows of the changed clusters
+    are gathered and translated in blocks, in ascending row order, and each
+    block goes into the flat (cluster, feature) sums in one ``np.add.at``,
+    which adds in index order. So each sum takes its cluster's rows in
+    ascending row order from 0.0, as a per-feature ``bincount`` over every
+    row does, and a mean taken over the changed clusters alone has the bits
+    of a full pass.
     """
-    L = centroids.shape[0]
+    L, d = centroids.shape
     sub = np.flatnonzero(changed[labels])
     lab = labels[sub]
-    sums = np.empty((L, x.shape[1]), dtype=np.float64)
-    for j in range(x.shape[1]):
-        sums[:, j] = np.bincount(lab, weights=x[sub, j], minlength=L)
+    sums = np.zeros(L * d, dtype=np.float64)
+    feature = np.arange(d)
+    step = max(1, _BLOCK_ELEMENTS // d)
+    for start in range(0, sub.size, step):
+        part = slice(start, start + step)
+        x = data[kept[sub[part]]]  # fancy indexing copies, so translate in place
+        x -= origin
+        np.add.at(sums, np.add.outer(lab[part] * d, feature).ravel(), x.ravel())
     out = centroids.copy()
-    out[changed] = sums[changed] / np.bincount(lab, minlength=L)[changed, None].astype(np.float64)
+    out[changed] = sums.reshape(L, d)[changed] / np.bincount(lab, minlength=L)[changed, None].astype(np.float64)
     return out
 
 
-def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k-means++ seeds, bit-identical to recomputing every row each round.
+def _kmeanspp(
+    data: np.ndarray, kept: np.ndarray, origin: np.ndarray, L: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means++ seeds of the rows ``data[kept] - origin``, bit-identical to recomputing every row each round.
 
     Returns the seeds, ``near`` and ``d2``: each row's nearest seed and its
     squared distance to it. Each round replaces ``near`` only on a strictly
@@ -319,11 +366,11 @@ def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> tuple[np.ndarr
     :func:`_sq_dist` as a full pass, so ``d2`` and with it every draw of
     ``rng.choice(n, p=d2 / total)`` keep their bits.
     """
-    n = x.shape[0]
-    centroids = np.empty((L, x.shape[1]), dtype=np.float64)
+    n = kept.size
+    centroids = np.empty((L, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
-    centroids[0] = x[first]
-    d2 = _sq_dist(x, centroids[0])
+    np.subtract(data[kept[first]], origin, out=centroids[0])
+    d2 = _sq_dist(data, centroids[0], rows=kept, origin=origin)
     near = np.zeros(n, dtype=np.int64)
     for j in range(1, L):
         total = d2.sum()
@@ -331,10 +378,10 @@ def _kmeanspp(x: np.ndarray, L: int, rng: np.random.Generator) -> tuple[np.ndarr
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
-        centroids[j] = x[idx]
+        np.subtract(data[kept[idx]], origin, out=centroids[j])
         half2 = _sq_dist(centroids[:j], centroids[j]) * 0.25
         rows = np.flatnonzero(half2[near] < d2 * (1.0 + _PRUNE_MARGIN))
-        new = _sq_dist(x, centroids[j], rows=rows)
+        new = _sq_dist(data, centroids[j], rows=kept[rows], origin=origin)
         closer = new < d2[rows]
         rows = rows[closer]
         d2[rows] = new[closer]
@@ -375,18 +422,11 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     L, seed = _as_int(L, "cluster count L"), _as_int(seed, "seed")
     if L < 1 or L > rows.size:
         raise InputError(f"need 1 <= L <= |kept|, got L={L}, |kept|={rows.size}")
-    d = store.dim
-    origin = store.data[rows[0]].copy()
-    # the translated rows with a column of ones (the layout the assignment
-    # GEMM reads), filled in blocks so no second n x d array is made
-    xa = np.empty((rows.size, d + 1), dtype=np.float64)
-    xa[:, d] = 1.0
-    x = xa[:, :d]
-    step = max(1, _BLOCK_ELEMENTS // d)
-    for start in range(0, rows.size, step):
-        np.subtract(store.data[rows[start : start + step]], origin, out=x[start : start + step])
-    xnorm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    centroids, labels, d2 = _kmeanspp(x, L, _stream_rng(seed, _KMEANS_STREAM))
+    data = store.data
+    # every pass reads row i as data[rows[i]] - origin, translated per block
+    origin = data[rows[0]].copy()
+    xnorm = np.sqrt(_sq_dist(data, np.zeros(store.dim), rows=rows, origin=origin))
+    centroids, labels, d2 = _kmeanspp(data, rows, origin, L, _stream_rng(seed, _KMEANS_STREAM))
 
     history = []
     prev = np.inf
@@ -394,14 +434,14 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     changed = np.ones(L, dtype=bool)
     for it in range(MAX_ITER):
         if it:
-            changed = _assign_chunked(xa, centroids, xnorm, comp, changed, labels, d2)
+            changed = _assign_chunked(data, rows, origin, centroids, xnorm, comp, changed, labels, d2)
         _repair_empty(labels, d2, changed)
         inertia = float(d2.sum())
         if inertia > prev * (1.0 + 1e-12) + 1e-12:
             raise InternalInvariantError(f"inertia increased: {prev} -> {inertia}")
         prev = inertia
         history.append(inertia)
-        new_centroids = _means_by_label(x, labels, centroids, changed)
+        new_centroids = _means_by_label(data, rows, origin, labels, centroids, changed)
         shifts = np.sqrt(_sq_dist(new_centroids, centroids, cols=np.arange(L)))
         centroids = new_centroids
         if float(shifts.max()) < SHIFT_TOL:
@@ -413,7 +453,7 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
 
     # final labels were computed against the previous centroids; the final
     # centroids are exactly the member means of those labels
-    inertia = float(_sq_dist(x, centroids, cols=labels).sum())
+    inertia = float(_sq_dist(data, centroids, rows=rows, cols=labels, origin=origin).sum())
     counts = np.bincount(labels, minlength=L)
     if not counts.all():
         raise InternalInvariantError("empty cluster at convergence")

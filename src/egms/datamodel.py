@@ -112,7 +112,7 @@ def _check_strategy(strategy: str) -> None:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleMeta:
     """Per-sample identity plus optional difficulty signals.
 
@@ -131,7 +131,10 @@ class SampleMeta:
             raise InputError(f"sample id must be non-empty without whitespace, got {self.id!r}")
         if self.nlls is not None:
             vals = tuple(map(float, self.nlls))
-            if not all(0.0 <= v < math.inf for v in vals):
+            # a finite sum rules out NaN and inf, so min can be trusted; an
+            # empty tuple or an overflowing sum takes the per-value check
+            fast = vals and min(vals) >= 0.0 and math.isfinite(sum(vals))
+            if not fast and not all(0.0 <= v < math.inf for v in vals):
                 raise InputError(f"sample {self.id}: nlls must be finite and >= 0")
             object.__setattr__(self, "nlls", vals)
         if self.ppl is not None:

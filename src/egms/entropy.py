@@ -49,7 +49,8 @@ every candidate, bit for bit.
 The argmax runs over a stack of states of one size t, one per cluster
 that the greedy moves in lock step: one ``eigh`` of the (k, t, t) stack,
 bounds over the ragged candidate rows, each tagged with its state, and
-exact solves in stacks of at most ``_STACK_ELEMENTS`` values. Each
+exact solves in stacks of at most ``_STACK_ELEMENTS`` values (or of just
+enough matrices that ``eigvalsh`` releases the GIL). Each
 state's ``best_gain``, pruning and argmax read only its own rows, and a
 solved entropy has the same bits in any stack, so a state's result does
 not depend on the others.
@@ -108,7 +109,11 @@ _BOUND_POLES = (4, 16, 64)  # g of each refined bound tier, rising: z components
 _FIRST_BATCH = 2  # candidates solved exactly before any is ruled out
 _MARGIN_PER_EIGENVALUE = 1e-9  # bound slack per eigenvalue (module docstring)
 _NEAR_IDENTITY = 1e-3  # (t + 1) * max kernel entry below which no bound is tried
-_STACK_ELEMENTS = 1 << 16  # cap on the values of one stack of bordered matrices (512 KiB)
+# cap on the values of one stack of bordered matrices (512 KiB); an exact
+# solve stack also holds at least 501 // (t + 1) + 1 matrices, so that
+# eigvalsh releases the GIL (stacks of k matrices of order n with
+# k * n > 500), which lifts it to about 2 MiB near t + 1 = 500
+_STACK_ELEMENTS = 1 << 16
 
 
 def _paired_kernel(x: np.ndarray, c: np.ndarray, rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
@@ -240,11 +245,12 @@ def _bordered_entropies(mats: np.ndarray, kern: np.ndarray, owner: np.ndarray) -
 
     Every bordered matrix is solved on its own, so a candidate's entropy has
     the same bits whichever other candidates share the stack. Stacks hold
-    at most ``_STACK_ELEMENTS`` values.
+    at most ``_STACK_ELEMENTS`` values, or else the fewest matrices, more
+    than 500 // (t + 1), for which ``eigvalsh`` releases the GIL.
     """
     m, t = kern.shape
     out = np.empty(m, dtype=np.float64)
-    chunk = max(1, _STACK_ELEMENTS // (t + 1) ** 2)
+    chunk = max(1, _STACK_ELEMENTS // (t + 1) ** 2, 501 // (t + 1) + 1)
     for start in range(0, m, chunk):
         k, o = kern[start : start + chunk], owner[start : start + chunk]
         stack = np.empty((k.shape[0], t + 1, t + 1), dtype=np.float64)

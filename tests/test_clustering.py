@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -136,19 +137,22 @@ def _kmeanspp_full_pass(x, L, rng):
     return centroids
 
 
-def _assign(x, centroids, comp, moved, labels, d2):
-    """``_assign_chunked`` of the rows in the layout its GEMM reads; returns (labels, d2, changed)."""
-    xa = np.hstack([x, np.ones((x.shape[0], 1))])
-    xnorm = np.sqrt(np.einsum("ij,ij->i", x, x))
+def _assign(x, centroids, comp, moved, labels, d2, kept=None, origin=None):
+    """``_assign_chunked`` of the rows ``x[kept] - origin`` (all of ``x``, untranslated, by default); returns (labels, d2, changed)."""
+    kept = np.arange(x.shape[0]) if kept is None else kept
+    origin = np.zeros(x.shape[1]) if origin is None else origin
+    rows = x[kept] - origin
+    xnorm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     labels, d2 = np.array(labels, dtype=np.int64), np.array(d2, dtype=np.float64)
-    changed = _assign_chunked(xa, centroids, xnorm, np.asarray(comp, dtype=np.int64), np.asarray(moved), labels, d2)
+    comp, moved = np.asarray(comp, dtype=np.int64), np.asarray(moved)
+    changed = _assign_chunked(x, kept, origin, centroids, xnorm, comp, moved, labels, d2)
     return labels, d2, changed
 
 
-def _assign_all(x, centroids):
+def _assign_all(x, centroids, kept=None, origin=None):
     """``_assign_chunked`` of the rows against every centroid, all moved and in one component."""
-    L, n = len(centroids), len(x)
-    labels, d2, _ = _assign(x, centroids, np.zeros(L), np.ones(L, dtype=bool), np.zeros(n), np.zeros(n))
+    L, n = len(centroids), len(x) if kept is None else len(kept)
+    labels, d2, _ = _assign(x, centroids, np.zeros(L), np.ones(L, dtype=bool), np.zeros(n), np.zeros(n), kept, origin)
     return labels, d2
 
 
@@ -228,16 +232,21 @@ class TestKmeansppPruning:
     @given(_seeding_inputs())
     def test_pruned_seeding_equals_a_full_pass_bit_for_bit(self, inputs):
         x, L, seed, shift = inputs
-        for data in (x, x + shift):
+        # the rows as they are, and shifted rows in a shuffled order read
+        # through the store rows and translated by the first of them
+        kept = np.random.default_rng(seed).permutation(x.shape[0])
+        x2 = x + shift
+        for data, rows, origin in ((x, np.arange(x.shape[0]), np.zeros(x.shape[1])), (x2, kept, x2[kept[0]])):
+            translated = data[rows] - origin
             ref_rng, rng = _RecordingRng(seed), _RecordingRng(seed)
-            expected = _kmeanspp_full_pass(data, L, ref_rng)
-            got, near, d2 = _kmeanspp(data, L, rng)
+            expected = _kmeanspp_full_pass(translated, L, ref_rng)
+            got, near, d2 = _kmeanspp(data, rows, origin, L, rng)
             assert got.tobytes() == expected.tobytes()
             # every round's d2 / total, so every d2, keeps its bits
             assert rng.weights == ref_rng.weights
             assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
             # the seeding's nearest seeds are the first Lloyd step's labels
-            _assert_explicit_argmin(data, got, near, d2)
+            _assert_explicit_argmin(translated, got, near, d2)
 
     def test_equidistant_rows_take_the_lower_seed(self):
         # the middle row sits exactly between seeds at -1 and +1; a round
@@ -245,7 +254,7 @@ class TestKmeansppPruning:
         x = np.array([[0.0], [-1.0], [1.0], [-1.0], [1.0]])
         ties = 0
         for seed in range(40):
-            centroids, near, d2 = _kmeanspp(x, 2, np.random.default_rng(seed))
+            centroids, near, d2 = _kmeanspp(x, np.arange(5), np.zeros(1), 2, np.random.default_rng(seed))
             ties += bool(np.abs(centroids[:, 0]).tolist() == [1.0, 1.0])
             _assert_explicit_argmin(x, centroids, near, d2)
         assert ties > 0
@@ -257,9 +266,9 @@ class _Recorder:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, xa, centroids, xnorm, comp, moved, labels, d2):
-        changed = _assign_chunked(xa, centroids, xnorm, comp, moved, labels, d2)
-        self.calls.append((xa[:, :-1].copy(), centroids.copy(), labels.copy(), d2.copy()))
+    def __call__(self, data, kept, origin, centroids, xnorm, comp, moved, labels, d2):
+        changed = _assign_chunked(data, kept, origin, centroids, xnorm, comp, moved, labels, d2)
+        self.calls.append((data[kept] - origin, centroids.copy(), labels.copy(), d2.copy()))
         return changed
 
 
@@ -300,7 +309,7 @@ class TestAssignChunked:
     def test_keeps_the_explicit_bits_across_block_edges(self, L, which):
         """Rows on either side of a block edge get the explicit argmin and the winner's explicit bits."""
         d = 64
-        block = _BLOCK_ELEMENTS // max(L, d + 1)
+        block = _BLOCK_ELEMENTS // max(L, d)
         n = {"one": 1, "below": block - 1, "block": block, "above": block + 1}[which]
         gen = np.random.default_rng(L * 7 + n)
         centres = gen.normal(size=(20, d))
@@ -321,6 +330,11 @@ class TestAssignChunked:
         for dx, dc in ((x, centroids), (x + shift, centroids + shift)):
             labels, d2 = _assign_all(dx, dc)
             _assert_explicit_argmin(dx, dc, labels, d2)
+        # shifted rows in a shuffled order, translated by the first of them
+        kept = gen.permutation(x.shape[0])
+        origin = x[kept[0]] + shift
+        labels, d2 = _assign_all(x + shift, centroids, kept, origin)
+        _assert_explicit_argmin(x[kept] + shift - origin, centroids, labels, d2)
 
     @settings(max_examples=60, deadline=None)
     @given(_seeding_inputs())
@@ -424,7 +438,8 @@ def _reference_means(x, labels, L):
 def _reference_kmeans(data, L, seed):
     """``kmeans`` with full Lloyd steps: (labels, centroids, inertia history, (labels, d2) of each assignment)."""
     x = data - data[0]
-    centroids, labels, d2 = _kmeanspp(x, L, np.random.default_rng(np.random.SeedSequence(entropy=[seed, 1])))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 1]))
+    centroids, labels, d2 = _kmeanspp(x, np.arange(x.shape[0]), np.zeros(x.shape[1]), L, rng)
     history, steps = [], []
     for it in range(clustering.MAX_ITER):
         if it:
@@ -521,8 +536,31 @@ class TestIncrementalSteps:
         x, labels = gen.normal(size=(50, 3)), gen.integers(4, size=50)
         stale = gen.normal(size=(4, 3))
         changed = np.array([True, False, True, False])
-        got = _means_by_label(x, labels, stale, changed)
+        got = _means_by_label(x, np.arange(50), np.zeros(3), labels, stale, changed)
         full = _reference_means(x, labels, 4)
+        assert got[changed].tobytes() == full[changed].tobytes()
+        assert got[~changed].tobytes() == stale[~changed].tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_block_sums_equal_per_feature_bincount_bit_for_bit(self, data):
+        """Any changed set (none included), -0.0 entries, singletons and clusters spanning several blocks."""
+        n = data.draw(st.integers(1, 150))
+        d = data.draw(st.integers(1, 5))
+        L = data.draw(st.integers(1, n))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = gen.normal(size=(n + 3, d)) * 10.0 ** gen.integers(-3, 4, size=(n + 3, d))
+        x[gen.random(x.shape) < 0.2] = -0.0  # -0.0 - 0.0 stays -0.0, and sums of them from 0.0 give 0.0
+        kept = gen.permutation(n + 3)[:n]
+        origin = np.zeros(d) if data.draw(st.booleans()) else x[kept[0]].copy()
+        # every cluster non-empty; small L gives large clusters, L near n singletons
+        labels = np.concatenate([gen.permutation(L), gen.integers(L, size=n - L)])[gen.permutation(n)]
+        changed = gen.random(L) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        stale = gen.normal(size=(L, d))
+        block = data.draw(st.integers(1, 4 * d))  # rows per block: _BLOCK_ELEMENTS // d
+        with mock.patch.object(clustering, "_BLOCK_ELEMENTS", block * d):
+            got = _means_by_label(x, kept, origin, labels, stale, changed)
+        full = _reference_means(x[kept] - origin, labels, L)
         assert got[changed].tobytes() == full[changed].tobytes()
         assert got[~changed].tobytes() == stale[~changed].tobytes()
 
@@ -550,3 +588,17 @@ def test_blas_thread_count_does_not_move_kmeans():
         assert run.returncode == 0, run.stderr
         digests.add(run.stdout.strip())
     assert len(digests) == 1
+
+
+def test_kmeans_holds_no_copy_of_the_rows():
+    """Beyond the store, k-means allocates less than one n x d float64 array at its peak."""
+    n, d = 20_000, 64
+    store, _ = gen_synthetic(n, d, 10, 1.0, seed=909)
+    kept = np.arange(n)
+    tracemalloc.start()
+    try:
+        kmeans(store, kept, 200, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8, peak

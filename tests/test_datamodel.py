@@ -1,5 +1,9 @@
 """Data types, file formats, and the synthetic generator."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -194,8 +198,27 @@ class TestSampleManifest:
 
     def test_negative_nll_rejected(self):
         for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(InputError, match="nlls"):
-                SampleMeta(id="a", nlls=(0.5, bad))
+            for at in range(4):  # a NaN after the first value hides from min()
+                nlls = [0.5, 2.0, 0.0, 1.0]
+                nlls[at] = bad
+                with pytest.raises(InputError, match="nlls"):
+                    SampleMeta(id="a", nlls=tuple(nlls))
+
+    def test_finite_nlls_whose_sum_overflows_accepted(self):
+        meta = SampleMeta(id="a", nlls=(1e308, 0.0, 1e308))
+        assert meta.nlls == (1e308, 0.0, 1e308)
+
+    def test_copy_pickle_and_replace_keep_the_record(self):
+        meta = SampleMeta(id="a", nlls=(0.5, 1.0), ppl=2.0, score=-1.0)
+        assert not hasattr(meta, "__dict__")  # slots: no per-record dict
+        assert copy.copy(meta) == meta
+        assert copy.deepcopy(meta) == meta
+        assert pickle.loads(pickle.dumps(meta)) == meta
+        assert dataclasses.replace(meta, score=3.0) == SampleMeta(id="a", nlls=(0.5, 1.0), ppl=2.0, score=3.0)
+        with pytest.raises(InputError, match="nlls"):
+            dataclasses.replace(meta, nlls=(0.5, -1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            meta.score = 3.0
 
 
 # each caller of the shared store-row check: (call on a 10-row store, the argument it names)

@@ -503,6 +503,28 @@ def test_interleaved_owners_match_one_state_calls(store):
         assert got[i : i + 1].tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("order", [115, 200, 499])
+def test_exact_solve_stacks_are_large_enough_to_release_the_gil(order, monkeypatch):
+    """Stacks of k bordered matrices of order t + 1 have k (t + 1) > 500, with the bits of one-at-a-time solves."""
+    t, sigma = order - 1, 2.0
+    store, _ = gen_synthetic(order + 30, 8, 4, 1.0, seed=order)
+    state = build_similarity(store, np.arange(t), sigma)
+    kern = _kern(state, store, np.arange(t, t + 30), sigma)
+    owner = np.zeros(30, dtype=np.int64)
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = _bordered_entropies(state.matrix[None], kern, owner)
+    assert stacks and all(len(shape) == 3 and shape[0] * shape[1] > 500 for shape in stacks), stacks
+    for i in range(30):
+        assert got[i : i + 1].tobytes() == _bordered_entropies(state.matrix[None], kern[i : i + 1], owner[:1]).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 300),
