@@ -136,24 +136,28 @@ def _sq_dist(
 ) -> np.ndarray:
     """Explicit squared distance sum_k (x_k - c_k)^2 of each pair (``x[rows[i]]``, ``c[cols[i]]``).
 
-    Without ``rows`` the pairs take the rows of ``x`` in order; without
-    ``cols``, ``c`` is one centre for every row. With ``rows``, ``origin``
-    translates each gathered row first, so the pair takes
-    ``x[rows[i]] - origin``: the bits of a translated copy, with none made.
-    This is the one routine behind every squared distance of egms: each
-    k-means label and distance and each Gaussian kernel entry. A pair's
-    bits depend on its two rows alone, not on the other pairs. Every call
-    goes in blocks of ``_BLOCK_ELEMENTS`` values, so no temporary grows
-    with the pairs.
+    Without ``rows`` the pairs take the rows of ``x`` in order. Without
+    ``cols``, a 1-D ``c`` is one centre for every row, and a 2-D ``c`` pairs
+    each row with every row of ``c``: the result is then the (rows, len(c))
+    grid, with no index arrays. With ``rows``, ``origin`` translates each
+    gathered row first, so the pair takes ``x[rows[i]] - origin``: the bits
+    of a translated copy, with none made. This is the one routine behind
+    every squared distance of egms: each k-means label and distance and each
+    Gaussian kernel entry. A pair's bits depend on its two rows alone, not
+    on the other pairs. Every call goes in blocks of ``_BLOCK_ELEMENTS``
+    values, or of one row's grid of pairs where that is larger, so no
+    temporary grows with the rows.
     """
-    out = np.empty(x.shape[0] if rows is None else rows.size, dtype=np.float64)
-    step = max(1, _BLOCK_ELEMENTS // x.shape[1])
+    n, d = x.shape[0] if rows is None else rows.size, x.shape[1]
+    grid = cols is None and c.ndim == 2
+    out = np.empty((n, c.shape[0]) if grid else n, dtype=np.float64)
+    step = max(1, _BLOCK_ELEMENTS // max(1, d * c.shape[0] if grid else d))  # rows per block
     if rows is not None:
         # one gather buffer for every block; np.take writes into it directly
         # only with mode="clip" (the indices are valid), and reads x in place
         # only when x is C-contiguous, as every caller's is (else it copies x)
-        gathered = np.empty((min(step, out.size), x.shape[1]), dtype=np.float64)
-    for start in range(0, out.size, step):
+        gathered = np.empty((min(step, n), d), dtype=np.float64)
+    for start in range(0, n, step):
         part = slice(start, start + step)
         if rows is None:
             xs = x[part]  # a view of x, never written
@@ -162,15 +166,18 @@ def _sq_dist(
             xs = np.take(x, at, axis=0, out=gathered[: at.size], mode="clip")
             if origin is not None:
                 xs -= origin
-        if cols is not None:
+        if grid:
+            # a fresh (block rows * len(c), d) array: one pair's differences a row, as below
+            diff = (xs[:, None, :] - c).reshape(-1, d)
+        elif cols is not None:
             diff = c[cols[part]]  # a gathered copy, which the differences overwrite
             np.subtract(xs, diff, out=diff)
         elif rows is None:
-            diff = xs - c  # the one block that needs a fresh array
+            diff = xs - c  # a fresh array: x is never written
         else:
             diff = xs  # the gather buffer, overwritten by the differences
             diff -= c
-        np.einsum("ij,ij->i", diff, diff, out=out[part])
+        np.einsum("ij,ij->i", diff, diff, out=out[part].reshape(-1))
     return out
 
 

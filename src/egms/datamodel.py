@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,12 +70,26 @@ class EmbeddingStore:
         return self.data.shape[1]
 
     def l2_normalized(self) -> "EmbeddingStore":
-        """Return a copy with unit-norm rows (opt-in preprocessing)."""
-        norms = np.linalg.norm(self.data, axis=1, keepdims=True)
-        if (norms == 0).any():
-            bad = int(np.flatnonzero(norms[:, 0] == 0)[0])
-            raise InputError(f"cannot L2-normalize zero embedding row {bad}")
-        return EmbeddingStore(self.data / norms)
+        """Return a copy with unit-norm rows (opt-in preprocessing).
+
+        A row whose sum of squares is 0, subnormal or infinite is first
+        divided by its largest absolute value, so rows of any finite scale
+        normalize; every other row is divided by its plain norm. A row of
+        zeros is an error.
+        """
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # such rows are redone below
+            norms = np.linalg.norm(self.data, axis=1, keepdims=True)
+            unit = self.data / norms
+        # sqrt(2^-1022): below it the sum of squares was subnormal or 0
+        odd = np.flatnonzero(~((norms[:, 0] >= 2.0**-511) & (norms[:, 0] < np.inf)))
+        if odd.size:
+            peak = np.abs(self.data[odd]).max(axis=1, keepdims=True)
+            zero = odd[peak[:, 0] == 0]
+            if zero.size:
+                raise InputError(f"cannot L2-normalize zero embedding row {int(zero[0])}")
+            scaled = self.data[odd] / peak
+            unit[odd] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+        return EmbeddingStore(unit)
 
 
 # SeedSequence stream tags: each consumer of a run seed draws from its own generator lineage
@@ -112,31 +127,78 @@ def _check_strategy(strategy: str) -> None:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
 
 
+class _PackedFloats(Sequence):
+    """An immutable sequence of float64 values packed in one ``bytes``: 8 bytes a value.
+
+    It reads as the tuple of its values: it compares equal to that tuple,
+    hashes and prints as it does, and a slice of it is a tuple. ``np.asarray``
+    views the buffer with no copy, read-only.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw: bytes):
+        self._raw = raw  # native-endian float64 values, as struct's "d" packs them
+
+    def _view(self) -> memoryview:
+        return memoryview(self._raw).cast("d")
+
+    def __len__(self) -> int:
+        return len(self._raw) // 8
+
+    def __getitem__(self, index):
+        item = self._view()[index]
+        return tuple(item) if isinstance(index, slice) else item
+
+    def __iter__(self):
+        return iter(self._view())
+
+    def __eq__(self, other):
+        if isinstance(other, _PackedFloats):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        view = np.frombuffer(self._raw, dtype=np.float64)
+        return view.astype(view.dtype if dtype is None else dtype, copy=bool(copy))
+
+    def __reduce__(self):
+        return type(self), (self._raw,)
+
+
 @dataclass(frozen=True, slots=True)
 class SampleMeta:
     """Per-sample identity plus optional difficulty signals.
 
-    ``nlls`` holds per-token negative log-likelihoods in nats; ``ppl`` is
-    a precomputed perplexity; ``score`` is a generic difficulty score used
-    by the score-based baseline strategies.
+    ``nlls`` holds per-token negative log-likelihoods in nats, packed as
+    float64 at 8 bytes a token: an immutable sequence that equals, hashes
+    and prints as the tuple of its values, and that ``np.asarray`` reads
+    with no copy. ``ppl`` is a precomputed perplexity; ``score`` is a
+    generic difficulty score used by the score-based baseline strategies.
     """
 
     id: str
-    nlls: tuple[float, ...] | None = None
+    nlls: Sequence[float] | None = None
     ppl: float | None = None
     score: float | None = None
 
     def __post_init__(self):
         if self.id.split() != [self.id]:  # empty, or has whitespace
             raise InputError(f"sample id must be non-empty without whitespace, got {self.id!r}")
-        if self.nlls is not None:
-            vals = tuple(map(float, self.nlls))
+        if self.nlls is not None and not isinstance(self.nlls, _PackedFloats):  # packed ones were checked
+            vals = list(map(float, self.nlls))
             # a finite sum rules out NaN and inf, so min can be trusted; an
-            # empty tuple or an overflowing sum takes the per-value check
+            # empty list or an overflowing sum takes the per-value check
             fast = vals and min(vals) >= 0.0 and math.isfinite(sum(vals))
             if not fast and not all(0.0 <= v < math.inf for v in vals):
                 raise InputError(f"sample {self.id}: nlls must be finite and >= 0")
-            object.__setattr__(self, "nlls", vals)
+            object.__setattr__(self, "nlls", _PackedFloats(struct.pack(f"{len(vals)}d", *vals)))
         if self.ppl is not None:
             p = float(self.ppl)
             if not math.isfinite(p) or p <= 0:
@@ -311,8 +373,16 @@ def _read_text(path, what: str) -> str:
 
 
 def write_embedding_store(path, store: EmbeddingStore) -> None:
-    """Write a store in the binary EGMS format (float32 payload)."""
-    payload = np.ascontiguousarray(store.data, dtype="<f4")
+    """Write a store in the binary EGMS format (float32 payload).
+
+    A value past float32's range is an InputError naming its row, and no
+    file is written.
+    """
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        payload = np.ascontiguousarray(store.data, dtype="<f4")
+    if not np.isfinite(payload).all():
+        row = int(np.flatnonzero(~np.isfinite(payload).all(axis=1))[0])
+        raise InputError(f"embedding row {row} has a value past float32's range")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, store.count, store.dim))
         fh.write(payload.tobytes())
@@ -384,7 +454,7 @@ def load_sample_manifest(path) -> list[SampleMeta]:
             if v is not None and type(v) not in (int, float):
                 raise InputError(f"malformed line {lineno}: {name} must be a number, got {v!r}")
         try:
-            meta = SampleMeta(str(sid), None if nlls is None else tuple(nlls), ppl, score)
+            meta = SampleMeta(str(sid), nlls, ppl, score)
         except (InputError, OverflowError) as exc:  # OverflowError: an integer too large for a float
             raise InputError(f"malformed line {lineno}: {exc}") from exc
         if meta.id in seen:
@@ -575,6 +645,6 @@ def gen_synthetic(n: int, dim: int, k_blobs: int, spread: float, seed: int):
         if log_ppl >= 0:
             t = int(rng.integers(4, 33))
             raw = rng.exponential(1.0, size=t)
-            nlls = tuple((raw * (log_ppl / raw.mean())).tolist())
+            nlls = (raw * (log_ppl / raw.mean())).tolist()
         metas.append(SampleMeta(id=f"s{i:06d}", nlls=nlls, ppl=float(ppls[i]), score=float(scores[i])))
     return store, metas

@@ -85,13 +85,14 @@ eigenvalues of norm <= 1, computed from the reused ``lam`` (the second
 computation) and one small solve (the third). g only sets that solve's
 size, and its g+1 eigenvalues are fewer than the t+1 the margin covers.
 
-Every kernel entry goes through :func:`_paired_kernel`, and with it
-through :func:`egms.clustering._sq_dist`, the one routine that computes a
-squared distance in egms (explicit differences summed over the feature
-axis). A pair's bits depend on its two rows alone, so a pair of rows gives
-the same kernel entry whichever code path asks, in either order and in any
-block: the greedy's kernel columns, the matrices of ``build_similarity``
-and ``augment``, and the MMD baseline.
+Every kernel entry goes through :func:`egms.clustering._sq_dist`, the one
+routine that computes a squared distance in egms (explicit differences
+summed over the feature axis): :func:`_paired_kernel` for listed pairs and
+:func:`_kernel_block` for the grid of two row sets, with no index arrays.
+A pair's bits depend on its two rows alone, and (a - b)^2 = (b - a)^2
+exactly, so a pair of rows gives the same kernel entry whichever code path
+asks, in either order and in any block: the greedy's kernel columns, the
+matrices of ``build_similarity`` and ``augment``, and the MMD baseline.
 """
 
 from __future__ import annotations
@@ -116,18 +117,21 @@ _NEAR_IDENTITY = 1e-3  # (t + 1) * max kernel entry below which no bound is trie
 _STACK_ELEMENTS = 1 << 16
 
 
+def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-d^2 / (2 sigma^2)) of each squared distance, in place."""
+    with np.errstate(over="ignore"):  # d^2 / (2 sigma^2) past the float range is -inf, a kernel entry of 0
+        sq /= -2.0 * sigma * sigma
+    return np.exp(sq, out=sq)
+
+
 def _paired_kernel(x: np.ndarray, c: np.ndarray, rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel entry of each row pair (``x[rows[i]]``, ``c[cols[i]]``)."""
-    out = _sq_dist(x, c, rows, cols)
-    with np.errstate(over="ignore"):  # d^2 / (2 sigma^2) past the float range is -inf, a kernel entry of 0
-        out /= -2.0 * sigma * sigma
-    return np.exp(out, out=out)
+    return _gaussian(_sq_dist(x, c, rows, cols), sigma)
 
 
 def _kernel_block(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """(na, nb) kernel matrix between the rows of ``a`` and of ``b``: the grid of their pairs."""
-    rows, cols = np.indices((a.shape[0], b.shape[0])).reshape(2, -1)
-    return _paired_kernel(a, b, rows, cols, sigma).reshape(a.shape[0], b.shape[0])
+    return _gaussian(_sq_dist(a, b), sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +177,8 @@ def gaussian_similarity(u, v, sigma: float) -> float:
     va = np.asarray(v, dtype=np.float64).reshape(1, -1)
     if ua.shape != va.shape:
         raise InputError(f"dimension mismatch: {ua.shape[1]} vs {va.shape[1]}")
+    if ua.shape[1] == 0:
+        raise InputError("vectors must be non-empty")
     if not (np.isfinite(ua).all() and np.isfinite(va).all()):
         raise InputError("vectors must be finite")
     return float(_kernel_block(ua, va, sigma)[0, 0])

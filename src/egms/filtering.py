@@ -39,6 +39,8 @@ def _perplexity(nlls) -> float:
     """:func:`perplexity_from_nlls` for NLLs already known finite and >= 0.
 
     Call it with numpy's overflow warning off: an overflow is its InputError.
+    A ``SampleMeta.nlls`` sequence is read as a view of its packed buffer,
+    with no per-value conversion.
     """
     arr = np.asarray(nlls, dtype=np.float64)
     if arr.size == 0:

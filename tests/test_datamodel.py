@@ -2,7 +2,10 @@
 
 import copy
 import dataclasses
+import json
+import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +86,12 @@ class TestEmbeddingFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             load_embedding_store(tmp_path / "absent.bin")
+
+    def test_value_past_float32_range_writes_no_file(self, tmp_path):
+        path = tmp_path / "e.bin"
+        with pytest.raises(InputError, match="embedding row 2 has a value past float32's range"):
+            write_embedding_store(path, EmbeddingStore([[1.0], [3.4e38], [3.5e38]]))
+        assert not path.exists()
 
     def test_store_rejects_nonfinite(self):
         with pytest.raises(InputError, match="non-finite"):
@@ -220,6 +229,54 @@ class TestSampleManifest:
         with pytest.raises(dataclasses.FrozenInstanceError):
             meta.score = 3.0
 
+    def test_nlls_read_as_the_tuple_of_their_values(self):
+        meta = SampleMeta(id="a", nlls=[0.5, 1, 2.25])
+        assert meta.nlls == (0.5, 1.0, 2.25) and (0.5, 1.0, 2.25) == meta.nlls
+        assert meta.nlls != [0.5, 1.0, 2.25] and meta.nlls != (0.5, 1.0)  # as the tuple compares
+        assert hash(meta.nlls) == hash((0.5, 1.0, 2.25))
+        assert repr(meta.nlls) == "(0.5, 1.0, 2.25)"
+        assert len(meta.nlls) == 3 and meta.nlls[-1] == 2.25 and meta.nlls[1:] == (1.0, 2.25)
+        assert list(meta.nlls) == [0.5, 1.0, 2.25] and 1.0 in meta.nlls
+        for other in (copy.copy(meta), copy.deepcopy(meta), pickle.loads(pickle.dumps(meta)), dataclasses.replace(meta)):
+            assert other == meta and hash(other) == hash(meta) and other.nlls == (0.5, 1.0, 2.25)
+        with pytest.raises(TypeError):
+            meta.nlls[0] = -1.0
+        arr = np.asarray(meta.nlls)
+        assert arr.dtype == np.float64 and arr.tolist() == [0.5, 1.0, 2.25]
+        assert not arr.flags.writeable and np.shares_memory(arr, np.asarray(meta.nlls))  # views, no copies
+
+    def test_nlls_keep_negative_zero(self, tmp_path):
+        meta = SampleMeta(id="a", nlls=(-0.0, 1.0))
+        assert math.copysign(1.0, meta.nlls[0]) == -1.0
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id":"a","nlls":[-0.0,1.0]}\n')
+        write_sample_manifest(tmp_path / "out.jsonl", load_sample_manifest(path))
+        assert (tmp_path / "out.jsonl").read_text() == path.read_text()
+
+    def test_load_and_write_reproduce_a_synthetic_manifest(self, tmp_path):
+        _, metas = gen_synthetic(300, 2, 3, 1.0, seed=5)
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_sample_manifest(first, metas)
+        write_sample_manifest(second, load_sample_manifest(first))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_loaded_nlls_keep_about_8_bytes_a_token(self, tmp_path):
+        # packed float64 takes 8 bytes a token plus a fixed cost a record; a
+        # tuple of Python floats would take about 32 bytes a token
+        n, tokens = 2000, 32
+        path = tmp_path / "m.jsonl"
+        nlls = [0.25 + j / 64 for j in range(tokens)]
+        path.write_text("".join(json.dumps({"id": f"s{i}", "nlls": nlls}) + "\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            metas = load_sample_manifest(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(metas) == n and metas[-1].nlls == tuple(nlls)
+        assert retained / (n * tokens) < 16
+
 
 # each caller of the shared store-row check: (call on a 10-row store, the argument it names)
 _ROW_CALLERS = {
@@ -266,6 +323,25 @@ def test_store_rows_reject_a_wrapped_unsigned_row():
     store = EmbeddingStore(np.zeros((10, 2)))
     with pytest.raises(InputError, match=r"^row out of range \[0, 10\)$"):
         _store_rows(store, np.array([2, 2**64 - 1], dtype=np.uint64), "row")
+
+
+class TestL2Normalized:
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-160, 1e-170, 1e-300, 1e-320])
+    def test_rows_of_any_finite_scale_normalize(self, scale):
+        rng = np.random.default_rng(3)
+        plain = rng.standard_normal((6, 5))
+        odd = np.array([[3.0, -4.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 2.0]]) * scale
+        unit = EmbeddingStore(np.vstack([plain[:3], odd, plain[3:]])).l2_normalized().data
+        rest = np.vstack([unit[:3], unit[5:]])
+        # every row whose sum of squares is a normal float keeps its bits
+        assert np.array_equal(rest, plain / np.linalg.norm(plain, axis=1, keepdims=True))
+        direction = odd / np.abs(odd).max(axis=1, keepdims=True)
+        assert np.allclose(unit[3:5], direction / np.linalg.norm(direction, axis=1, keepdims=True), rtol=1e-15, atol=0)
+        assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=1e-15, atol=0)
+
+    def test_zero_row_still_rejected(self):
+        with pytest.raises(InputError, match="cannot L2-normalize zero embedding row 2"):
+            EmbeddingStore([[1e-320, 0.0], [1e300, 1.0], [0.0, -0.0]]).l2_normalized()
 
 
 class TestSelectionConfig:

@@ -154,6 +154,37 @@ class TestBuildSimilarity:
             assert _sq_dist(padded[:, :d], b[5]).tobytes() == ref[rows, 5].tobytes()
         assert _sq_dist(a, b[5]).tobytes() == ref[:, 5].tobytes()
 
+    def test_grid_distances_match_one_block(self):
+        """``_sq_dist``'s grid of every row against every row of ``c`` keeps the one-block bits at its block edges."""
+        d = 40
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(60, d))
+        b = rng.normal(size=(200, d))
+        wide = rng.normal(size=(4000, d))  # one row's pairs pass _BLOCK_ELEMENTS
+        for left, right in ((a, b), (a[:3], wide)):
+            diff = left[:, None, :] - right[None, :, :]
+            ref = np.einsum("ijk,ijk->ij", diff, diff)
+            step = max(1, _BLOCK_ELEMENTS // (right.shape[0] * d))
+            for n in {1, step - 1, step, step + 1, 2 * step + 3, left.shape[0]} - {0}:
+                n = min(n, left.shape[0])
+                assert _sq_dist(left[:n], right).tobytes() == ref[:n].tobytes()
+                rows = rng.permutation(left.shape[0])[:n]
+                assert _sq_dist(left, right, rows=rows).tobytes() == ref[rows].tobytes()
+
+    def test_kernel_block_holds_no_pair_index_arrays(self):
+        """The kernel grid takes its matrix and about one block beside it, not 24 bytes an entry more."""
+        import tracemalloc
+
+        x = np.random.default_rng(21).normal(size=(1000, 64))
+        tracemalloc.start()
+        try:
+            block = _kernel_block(x, x, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (1000, 1000)
+        assert peak < block.nbytes + 3 * _BLOCK_ELEMENTS * 8
+
     def test_one_centre_distances_stay_within_a_few_blocks(self):
         """One-centre calls go in blocks too: no temporary of the whole n x d difference."""
         import tracemalloc

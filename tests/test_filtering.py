@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from egms import InputError, SampleMeta, filter_extremes, perplexity_from_nlls, resolve_ppls
 
@@ -49,6 +51,18 @@ class TestResolvePpls:
         rng = np.random.default_rng(7)
         metas = [SampleMeta(id=f"n{i}", nlls=tuple(rng.exponential(1.0, size=i % 9 + 1))) for i in range(50)]
         assert resolve_ppls(metas).tolist() == [perplexity_from_nlls(m.nlls) for m in metas]
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e308) | st.just(-0.0), min_size=1, max_size=40))
+    def test_packed_nlls_give_the_bits_of_a_tuple(self, nlls):
+        meta = SampleMeta(id="a", nlls=nlls)
+        try:
+            expected = perplexity_from_nlls(tuple(nlls))
+        except InputError as exc:  # an overflow: the same error, naming the sample
+            with pytest.raises(InputError) as info:
+                resolve_ppls([meta])
+            assert str(info.value) == f"sample 'a' (row 0): {exc}"
+        else:
+            assert resolve_ppls([meta])[0].tobytes() == np.float64(expected).tobytes()
 
     def test_empty_nlls_rejected(self):
         with pytest.raises(InputError, match="empty NLL"):

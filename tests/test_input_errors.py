@@ -28,6 +28,7 @@ from egms import (
     mmd_sample_cluster,
     oracle_max_entropy_subset,
     select,
+    write_embedding_store,
 )
 
 _STORE = EmbeddingStore(np.arange(6.0).reshape(3, 2))
@@ -63,6 +64,11 @@ _CASES = [
         "store-zero-row",
         lambda tmp: EmbeddingStore([[1.0, 0.0], [0.0, 0.0]]).l2_normalized(),
         "cannot L2-normalize zero embedding row 1",
+    ),
+    (
+        "store-write-past-float32",
+        lambda tmp: write_embedding_store(tmp / "e.bin", EmbeddingStore([[1.0, 2.0], [0.0, -1e39]])),
+        "embedding row 1 has a value past float32's range",
     ),
     ("meta-ppl", lambda tmp: SampleMeta("a", ppl=np.inf), "ppl must be finite and positive"),
     ("meta-score", lambda tmp: SampleMeta("a", score=np.nan), "score must be finite"),
@@ -111,6 +117,7 @@ _CASES = [
     ),
     ("gen-spread", lambda tmp: gen_synthetic(10, 2, 1, -1.0, seed=0), "spread must be finite and >= 0"),
     ("pair-finite", lambda tmp: gaussian_similarity([0.0, np.nan], [0.0, 0.0], 0.5), "vectors must be finite"),
+    ("pair-empty", lambda tmp: gaussian_similarity([], [], 0.5), "vectors must be non-empty"),
     (
         "augment-row",
         lambda tmp: augment(build_similarity(_STORE, [0], 0.5), _STORE, 5, 0.5),
