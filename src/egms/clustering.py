@@ -10,10 +10,12 @@ The kept rows are translated so that the first of them sits at the origin
 before seeding and Lloyd. Subtracting a data row (rather than the mean)
 gives bitwise-identical translated data for any shift the input holds
 exactly, so the clustering ignores it. No translated copy is kept: every
-pass gathers its block of rows from the store and subtracts the origin
-there, the same subtraction for every pass, so each translated value has
-one set of bits. Beyond the store, k-means holds per-row vectors and
-blocks of about 1 MiB, no n x d array.
+pass gathers its block of rows from the store, widens float32 rows exactly
+to float64 (:func:`_rows64`), and subtracts the origin there, the same
+subtraction for every pass, so each translated value has one set of bits,
+the same for a float32 store as for a float64 store of its values. Beyond
+the store, k-means holds per-row vectors and blocks of about 1 MiB, no
+n x d array.
 
 Label contract: :func:`_sq_dist` is the one routine that computes an
 explicit squared distance sum_k (x_k - c_k)^2, here and in the Gaussian
@@ -127,6 +129,38 @@ class ClusterAssignment:
     inertia_history: np.ndarray
 
 
+def _stage(x: np.ndarray, size: int) -> np.ndarray | None:
+    """Staging buffer of ``size`` values of ``x``'s dtype for :func:`_rows64`, or None for float64 ``x``."""
+    return None if x.dtype == np.float64 else np.empty(size, dtype=x.dtype)
+
+
+def _rows64(x: np.ndarray, at, buf: np.ndarray, stage: np.ndarray | None) -> np.ndarray:
+    """The rows ``x[at]`` (an index array or a slice) as float64, widened exactly.
+
+    Every block of store rows that :func:`_sq_dist` and the k-means passes
+    read comes through here. The rows land in the front of the flat float64
+    buffer ``buf``, except that a slice of a float64 ``x`` is returned as a
+    view of it, never to be written. ``np.take`` writes into a buffer
+    directly only with mode="clip" (the indices are valid) and only into
+    one of ``x``'s dtype, so rows of a float32 ``x`` are gathered into
+    ``stage`` (from :func:`_stage`) and then widened into ``buf`` with one
+    copy. Widening float32 to float64 is exact, so every value keeps the
+    bits a float64 store of it would give.
+    """
+    d = x.shape[1]
+    if isinstance(at, slice):
+        block = x[at]
+        if x.dtype == np.float64:
+            return block
+    elif stage is None:
+        return np.take(x, at, axis=0, out=buf[: at.size * d].reshape(at.size, d), mode="clip")
+    else:
+        block = np.take(x, at, axis=0, out=stage[: at.size * d].reshape(at.size, d), mode="clip")
+    out = buf[: block.size].reshape(block.shape)
+    np.copyto(out, block)
+    return out
+
+
 def _sq_dist(
     x: np.ndarray,
     c: np.ndarray,
@@ -147,30 +181,36 @@ def _sq_dist(
     on the other pairs. Every call goes in blocks of ``_BLOCK_ELEMENTS``
     values, or of one row's grid of pairs where that is larger, so no
     temporary grows with the rows.
+
+    ``x`` and ``c`` may be float32 (a store's rows): each block of rows and
+    of gathered centres widens exactly to float64 through :func:`_rows64`,
+    and a centre set without ``cols`` widens once, so every value, and with
+    it every distance, has the bits of the same call on float64 copies.
     """
     n, d = x.shape[0] if rows is None else rows.size, x.shape[1]
     grid = cols is None and c.ndim == 2
+    if cols is None:
+        c = c.astype(np.float64, copy=False)  # the centre set: a float32 one widens once
     out = np.empty((n, c.shape[0]) if grid else n, dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // max(1, d * c.shape[0] if grid else d))  # rows per block
-    if rows is not None:
-        # one gather buffer for every block; np.take writes into it directly
-        # only with mode="clip" (the indices are valid), and reads x in place
-        # only when x is C-contiguous, as every caller's is (else it copies x)
-        gathered = np.empty((min(step, n), d), dtype=np.float64)
+    # one float64 buffer for every block of x and one for every block of
+    # gathered centres, each with its staging buffer for float32 rows
+    # (np.take reads x in place only when x is C-contiguous, as every
+    # caller's is; else it copies x)
+    size = min(step, n) * d
+    xbuf, xstage = np.empty(size), _stage(x, size)
+    if cols is not None:
+        cbuf, cstage = np.empty(size), _stage(c, size)
     for start in range(0, n, step):
         part = slice(start, start + step)
-        if rows is None:
-            xs = x[part]  # a view of x, never written
-        else:
-            at = rows[part]
-            xs = np.take(x, at, axis=0, out=gathered[: at.size], mode="clip")
-            if origin is not None:
-                xs -= origin
+        xs = _rows64(x, part if rows is None else rows[part], xbuf, xstage)
+        if rows is not None and origin is not None:
+            xs -= origin
         if grid:
             # a fresh (block rows * len(c), d) array: one pair's differences a row, as below
             diff = (xs[:, None, :] - c).reshape(-1, d)
         elif cols is not None:
-            diff = c[cols[part]]  # a gathered copy, which the differences overwrite
+            diff = _rows64(c, cols[part], cbuf, cstage)  # overwritten by the differences
             np.subtract(xs, diff, out=diff)
         elif rows is None:
             diff = xs - c  # a fresh array: x is never written
@@ -212,13 +252,13 @@ def _assign_chunked(
 ) -> np.ndarray:
     """Re-rank the rows a moved centroid can reach, updating ``labels`` and ``d2`` in place.
 
-    Row i is ``data[kept[i]] - origin``; each block of rows is gathered and
-    translated into one buffer, which the GEMM against -2c reads, and
-    ``xnorm`` holds their norms. ``moved`` marks the clusters whose member
-    set, and so possibly centroid, changed since the previous step. On
-    entry, each row of any other cluster holds in ``labels`` and ``d2`` its
-    lowest-index explicit argmin over the previous centroids and its
-    distance. A row whose own centroid moved is ranked against every
+    Row i is ``data[kept[i]] - origin``; each block of rows is gathered,
+    widened and translated into one buffer, which the GEMM against -2c
+    reads, and ``xnorm`` holds their norms. ``moved`` marks the clusters
+    whose member set, and so possibly centroid, changed since the previous
+    step. On entry, each row of any other cluster holds in ``labels`` and
+    ``d2`` its lowest-index explicit argmin over the previous centroids and
+    its distance. A row whose own centroid moved is ranked against every
     centroid of its component (``comp``, one id per centroid, from
     :func:`_components`); any other row only against the moved centroids of
     its component, whose winner it takes on a smaller distance or on an
@@ -241,9 +281,9 @@ def _assign_chunked(
     changed = np.zeros(L, dtype=bool)
     slack = _slack(d)
     # one set of block buffers for every group, so their pages fault in
-    # once; np.take writes into them directly only with mode="clip" (the
-    # indices are valid), while the default mode buffers a copy
+    # once: the rows, their GEMM values, and the staging of float32 rows
     scratch = np.empty((2, max(_BLOCK_ELEMENTS, L, d)), dtype=np.float64)
+    stage = _stage(data, scratch.shape[1])
     # blocks are sized for all L centroids even where a group ranks fewer,
     # which keeps the temporaries of _sq_dist as small as in a full step
     block = max(1, _BLOCK_ELEMENTS // max(L, d))
@@ -258,7 +298,7 @@ def _assign_chunked(
         for start in range(0, sizes[g], block):
             at = rows[start : start + block]
             m = at.size
-            x = np.take(data, kept[at], axis=0, out=scratch[0, : m * d].reshape(m, d), mode="clip")
+            x = _rows64(data, kept[at], scratch[0], stage)
             x -= origin
             values = np.matmul(x, keys.T, out=scratch[1, : m * cids.size].reshape(m, cids.size))
             values += cnorm  # |c|^2 - 2 x.c
@@ -342,9 +382,11 @@ def _means_by_label(
     sums = np.zeros(L * d, dtype=np.float64)
     feature = np.arange(d)
     step = max(1, _BLOCK_ELEMENTS // d)
+    size = min(step, sub.size) * d
+    buf, stage = np.empty(size), _stage(data, size)
     for start in range(0, sub.size, step):
         part = slice(start, start + step)
-        x = data[kept[sub[part]]]  # fancy indexing copies, so translate in place
+        x = _rows64(data, kept[sub[part]], buf, stage)
         x -= origin
         np.add.at(sums, np.add.outer(lab[part] * d, feature).ravel(), x.ravel())
     out = centroids.copy()
@@ -430,8 +472,10 @@ def kmeans(store: EmbeddingStore, kept, L: int, seed: int) -> ClusterAssignment:
     if L < 1 or L > rows.size:
         raise InputError(f"need 1 <= L <= |kept|, got L={L}, |kept|={rows.size}")
     data = store.data
-    # every pass reads row i as data[rows[i]] - origin, translated per block
-    origin = data[rows[0]].copy()
+    # every pass reads row i as data[rows[i]] - origin, widened and
+    # translated per block; a float64 origin also widens the single rows
+    # that k-means++ subtracts it from
+    origin = data[rows[0]].astype(np.float64)
     xnorm = np.sqrt(_sq_dist(data, np.zeros(store.dim), rows=rows, origin=origin))
     centroids, labels, d2 = _kmeanspp(data, rows, origin, L, _stream_rng(seed, _KMEANS_STREAM))
 

@@ -14,8 +14,9 @@ File formats owned by this module:
   cluster in summary order. A text loads only if it is, line for line, the
   serialization of the manifest it describes.
 
-Values are stored as float32 on disk and widened to float64 in memory;
-all downstream kernel and eigenvalue math runs in float64.
+Values are stored as float32 on disk and stay float32 in memory, 4 bytes
+a value; every read widens its rows exactly to float64 first, so all
+downstream distance, kernel and eigenvalue math runs in float64.
 """
 
 from __future__ import annotations
@@ -43,14 +44,20 @@ STRATEGIES = ("random", "mid_score", "ccs", "exam_average_allocation", "mmd_mini
 class EmbeddingStore:
     """Immutable dense matrix of per-sample embedding vectors.
 
-    ``data`` is a (count, dim) float64 array; every value must be finite.
-    Safe to share read-only across worker threads.
+    ``data`` is a (count, dim) array; every value must be finite. float32
+    input stays float32, 4 bytes a value, as :func:`load_embedding_store`
+    hands it over; any other input becomes float64. Readers widen rows of
+    a float32 store exactly to float64 before any arithmetic (see
+    :func:`egms.clustering._sq_dist`), so both dtypes of the same values
+    give the same bits everywhere. Safe to share read-only across worker
+    threads.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C")
+        src = np.asarray(self.data)
+        arr = np.array(src, dtype=np.float32 if src.dtype.type is np.float32 else np.float64, order="C")
         if arr.ndim != 2:
             raise InputError(f"embedding data must be 2-D, got shape {arr.shape}")
         if arr.shape[1] < 1:
@@ -77,17 +84,19 @@ class EmbeddingStore:
         normalize; every other row is divided by its plain norm. A row of
         zeros is an error.
         """
+        unit = self.data.astype(np.float64)  # exact; the math and the result are float64
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # such rows are redone below
-            norms = np.linalg.norm(self.data, axis=1, keepdims=True)
-            unit = self.data / norms
+            norms = np.linalg.norm(unit, axis=1, keepdims=True)
+            unit /= norms
         # sqrt(2^-1022): below it the sum of squares was subnormal or 0
         odd = np.flatnonzero(~((norms[:, 0] >= 2.0**-511) & (norms[:, 0] < np.inf)))
         if odd.size:
-            peak = np.abs(self.data[odd]).max(axis=1, keepdims=True)
+            rows = self.data[odd].astype(np.float64)
+            peak = np.abs(rows).max(axis=1, keepdims=True)
             zero = odd[peak[:, 0] == 0]
             if zero.size:
                 raise InputError(f"cannot L2-normalize zero embedding row {int(zero[0])}")
-            scaled = self.data[odd] / peak
+            scaled = rows / peak
             unit[odd] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
         return EmbeddingStore(unit)
 
@@ -412,13 +421,12 @@ def load_embedding_store(path) -> EmbeddingStore:
             f"(byte offset {len(raw)})"
         )
     values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(count, dim)
-    finite = np.isfinite(values)
-    if not finite.all():
-        flat = int(np.flatnonzero(~finite.ravel())[0])
+    if not np.isfinite(values).all():
+        flat = int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
         row = flat // dim
         offset = _HEADER.size + flat * 4
         raise InputError(f"non-finite value in row {row} (byte offset {offset})")
-    return EmbeddingStore(values)  # the constructor widens to float64 in one copy
+    return EmbeddingStore(values)  # one float32 copy: 4 bytes a value
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _sq_dist
+from .clustering import _BLOCK_ELEMENTS, _sq_dist
 from .datamodel import EmbeddingStore, _check_sigma, _store_rows
 from .errors import InputError, InternalInvariantError
 
@@ -158,7 +158,7 @@ class SimilarityState:
             raise InputError("similarity matrix contains non-finite values")
         if not (np.diag(m) == 1.0).all():
             raise InputError("similarity matrix diagonal must be exactly 1")
-        if np.abs(m - m.T).max(initial=0.0) > 1e-12:
+        if _asymmetry(m) > 1e-12:
             raise InputError("similarity matrix must be symmetric within 1e-12")
         m.setflags(write=False)
         rows.setflags(write=False)
@@ -168,6 +168,17 @@ class SimilarityState:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m.T| of a square matrix, taken over row blocks of about 1 MiB, not whole copies."""
+    n = m.shape[0]
+    step = max(1, _BLOCK_ELEMENTS // max(1, n))
+    worst = 0.0
+    for a in range(0, n, step):
+        gap = m[a : a + step] - m[:, a : a + step].T
+        worst = max(worst, float(np.abs(gap, out=gap).max()))
+    return worst
 
 
 def gaussian_similarity(u, v, sigma: float) -> float:

@@ -373,7 +373,7 @@ def _mmd_cluster(store: EmbeddingStore, members, budget: int, sigma: float) -> _
     members = _cluster_members(store, members, budget, sigma)
     if budget >= members.size:
         return members, budget, None
-    pts = store.data[members]
+    pts = store.data[members].astype(np.float64, copy=False)  # widened once for every kernel block below
     mu = np.zeros(members.size, dtype=np.float64)
     # rows per chunk bound each (rows, n_c) kernel block to 2e6 / d values;
     # _sq_dist bounds its own difference blocks

@@ -132,6 +132,31 @@ class TestBuildSimilarity:
         assert st.size == 1000
         assert peak < 64 * 2**20
 
+    def test_build_holds_about_one_matrix(self):
+        """The symmetry check goes over row blocks: no whole m - m.T or |m - m.T| beside the matrix."""
+        import tracemalloc
+
+        from egms import EmbeddingStore
+
+        big = EmbeddingStore(np.random.default_rng(9).normal(size=(1000, 64)))
+        tracemalloc.start()
+        try:
+            st = build_similarity(big, np.arange(1000), 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * st.matrix.nbytes, peak / st.matrix.nbytes
+
+    def test_asymmetry_is_checked_in_every_row_block(self):
+        m = np.eye(700)
+        for i, j in ((0, 699), (699, 0), (350, 351), (698, 699)):
+            bad = m.copy()
+            bad[i, j] = 2e-12
+            with pytest.raises(InputError, match="symmetric"):
+                SimilarityState(bad, np.arange(700))
+            bad[i, j] = 1e-12
+            assert SimilarityState(bad, np.arange(700)).size == 700
+
     def test_chunked_distances_match_one_block(self, store):
         """``_sq_dist`` of gathered pairs on either side of its block edges keeps the one-block bits."""
         d = 40
