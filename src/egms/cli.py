@@ -15,8 +15,8 @@ from .datamodel import (
     EmbeddingStore,
     SelectionConfig,
     gen_synthetic,
+    _load_sample_table,
     load_embedding_store,
-    load_sample_manifest,
     write_embedding_store,
     write_sample_manifest,
     write_selection_manifest,
@@ -107,15 +107,16 @@ def _config_from(args) -> SelectionConfig:
 
 
 def _load_inputs(args):
-    return load_embedding_store(args.embeddings), load_sample_manifest(args.manifest)
+    """The embedding store and the sample manifest, as a table with no object per record."""
+    return load_embedding_store(args.embeddings), _load_sample_table(args.manifest)
 
 
 def _cmd_select(args) -> int:
     """``select`` and ``baseline``: run a strategy and write its manifest."""
-    store, metas = _load_inputs(args)
+    store, table = _load_inputs(args)
     config = _config_from(args)
     progress = None if args.quiet else stderr_progress
-    manifest, assignment = select(store, metas, args.strategy, config, args.bins, progress)
+    manifest, assignment = select(store, table, args.strategy, config, args.bins, progress)
     write_selection_manifest(args.out, manifest)
     if args.dump_centroids:
         write_embedding_store(args.dump_centroids, EmbeddingStore(assignment.centroids))
@@ -125,9 +126,9 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    store, metas = _load_inputs(args)
+    store, table = _load_inputs(args)
     config = _config_from(args)
-    report = diversity_report(store, metas, args.strategy, config, args.seeds)
+    report = diversity_report(store, table, args.strategy, config, args.seeds)
     print(f"strategy {report.strategy}")
     print(f"seeds {len(report.seeds)}")
     print(f"entropy_mean_nats {report.mean_entropy!r}")

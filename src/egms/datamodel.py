@@ -7,7 +7,10 @@ File formats owned by this module:
 * Sample manifest: UTF-8 JSON lines, one record per sample with fields
   ``id`` (required string or integer), ``nlls`` (optional array of
   nonnegative reals), ``ppl`` (optional positive real), ``score``
-  (optional real).
+  (optional real). One parser checks it line by line into columns
+  (:class:`_SampleTable`, a few bytes a record, which the CLI and
+  :func:`egms.sampler.select` run on); :func:`load_sample_manifest`
+  hands the same records out as one :class:`SampleMeta` each.
 * Selection manifest: line-structured text with a header block (config
   echo, seed, filtered-out ids, per-cluster summary) followed by one
   record per selected sample, ``id cluster step entropy``, grouped by
@@ -15,8 +18,9 @@ File formats owned by this module:
   serialization of the manifest it describes.
 
 Values are stored as float32 on disk and stay float32 in memory, 4 bytes
-a value; every read widens its rows exactly to float64 first, so all
-downstream distance, kernel and eigenvalue math runs in float64.
+a value, read from the file straight into the store's array; every read
+widens its rows exactly to float64 first, so all downstream distance,
+kernel and eigenvalue math runs in float64.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import struct
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,6 +73,18 @@ class EmbeddingStore:
             raise InputError(f"non-finite embedding value in row {bad}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "EmbeddingStore":
+        """A store that keeps ``arr`` itself, with no copy and no second check.
+
+        ``arr`` must be a C-contiguous 2-D float32 array of finite values,
+        with dim >= 1, that no one else holds; it becomes read-only.
+        """
+        arr.setflags(write=False)
+        store = cls.__new__(cls)
+        object.__setattr__(store, "data", arr)
+        return store
 
     @property
     def count(self) -> int:
@@ -181,6 +199,32 @@ class _PackedFloats(Sequence):
         return type(self), (self._raw,)
 
 
+def _sample_fields(sid: str, nlls, ppl, score) -> tuple[list[float] | None, float | None, float | None]:
+    """A sample's checked fields: ``nlls`` as a list of floats, ``ppl`` and ``score`` as floats.
+
+    An absent field (None) stays None. The checks run in field order, and
+    an integer too large for a float raises OverflowError.
+    """
+    if sid.split() != [sid]:  # empty, or has whitespace
+        raise InputError(f"sample id must be non-empty without whitespace, got {sid!r}")
+    if nlls is not None:
+        nlls = list(map(float, nlls))
+        # a finite sum rules out NaN and inf, so min can be trusted; an
+        # empty list or an overflowing sum takes the per-value check
+        fast = nlls and min(nlls) >= 0.0 and math.isfinite(sum(nlls))
+        if not fast and not all(0.0 <= v < math.inf for v in nlls):
+            raise InputError(f"sample {sid}: nlls must be finite and >= 0")
+    if ppl is not None:
+        ppl = float(ppl)
+        if not math.isfinite(ppl) or ppl <= 0:
+            raise InputError(f"sample {sid}: ppl must be finite and positive")
+    if score is not None:
+        score = float(score)
+        if not math.isfinite(score):
+            raise InputError(f"sample {sid}: score must be finite")
+    return nlls, ppl, score
+
+
 @dataclass(frozen=True, slots=True)
 class SampleMeta:
     """Per-sample identity plus optional difficulty signals.
@@ -198,26 +242,88 @@ class SampleMeta:
     score: float | None = None
 
     def __post_init__(self):
-        if self.id.split() != [self.id]:  # empty, or has whitespace
-            raise InputError(f"sample id must be non-empty without whitespace, got {self.id!r}")
-        if self.nlls is not None and not isinstance(self.nlls, _PackedFloats):  # packed ones were checked
-            vals = list(map(float, self.nlls))
-            # a finite sum rules out NaN and inf, so min can be trusted; an
-            # empty list or an overflowing sum takes the per-value check
-            fast = vals and min(vals) >= 0.0 and math.isfinite(sum(vals))
-            if not fast and not all(0.0 <= v < math.inf for v in vals):
-                raise InputError(f"sample {self.id}: nlls must be finite and >= 0")
-            object.__setattr__(self, "nlls", _PackedFloats(struct.pack(f"{len(vals)}d", *vals)))
-        if self.ppl is not None:
-            p = float(self.ppl)
-            if not math.isfinite(p) or p <= 0:
-                raise InputError(f"sample {self.id}: ppl must be finite and positive")
-            object.__setattr__(self, "ppl", p)
-        if self.score is not None:
-            s = float(self.score)
-            if not math.isfinite(s):
-                raise InputError(f"sample {self.id}: score must be finite")
-            object.__setattr__(self, "score", s)
+        packed = isinstance(self.nlls, _PackedFloats)  # packed ones were checked
+        nlls, ppl, score = _sample_fields(self.id, None if packed else self.nlls, self.ppl, self.score)
+        if nlls is not None:
+            object.__setattr__(self, "nlls", _PackedFloats(struct.pack(f"{len(nlls)}d", *nlls)))
+        object.__setattr__(self, "ppl", ppl)
+        object.__setattr__(self, "score", score)
+
+
+class _SampleTable:
+    """A sample manifest held as columns: a few bytes a record, not an object per record.
+
+    Record i's id is ``ids[id_offs[i] : id_offs[i + 1] - 1]``: the ids are
+    one string, each followed by a newline that no id can hold. ``ppl``
+    and ``score`` are float64 columns with NaN where a record has no value;
+    a stored value is finite, so NaN means absent. Record i's NLLs are
+    ``nlls[nll_offs[i] : nll_offs[i + 1]]`` when ``has_nlls[i]``; when no
+    record has NLLs, ``nll_offs`` and ``has_nlls`` are None. Every column
+    is read-only.
+    """
+
+    __slots__ = ("ids", "id_offs", "ppl", "score", "nlls", "nll_offs", "has_nlls")
+
+    def __init__(self, fields: Iterable[tuple[str, Iterable[float] | None, float | None, float | None]]):
+        """Build the columns from the checked ``(id, nlls, ppl, score)`` of each record, in order."""
+        ids, id_offs, nll_offs = [], array("q", [0]), array("q", [0])
+        ppl, score, nlls, has_nlls = array("d"), array("d"), array("d"), array("b")
+        for sid, rec_nlls, rec_ppl, rec_score in fields:
+            ids.append(sid)
+            id_offs.append(id_offs[-1] + len(sid) + 1)
+            ppl.append(math.nan if rec_ppl is None else rec_ppl)
+            score.append(math.nan if rec_score is None else rec_score)
+            has_nlls.append(rec_nlls is not None)
+            if rec_nlls is not None:
+                nlls.extend(rec_nlls)
+            nll_offs.append(len(nlls))
+        ids.append("")  # each id then ends with a newline
+        self.ids = "\n".join(ids)
+        # each column views its array's buffer, with no copy
+        self.id_offs = np.frombuffer(id_offs, dtype=np.int64)
+        self.ppl = np.frombuffer(ppl, dtype=np.float64)
+        self.score = np.frombuffer(score, dtype=np.float64)
+        self.nlls = np.frombuffer(nlls, dtype=np.float64)
+        self.has_nlls = np.frombuffer(has_nlls, dtype=bool) if 1 in has_nlls else None
+        self.nll_offs = None if self.has_nlls is None else np.frombuffer(nll_offs, dtype=np.int64)
+        for col in (self.id_offs, self.ppl, self.score, self.nlls, self.has_nlls, self.nll_offs):
+            if col is not None:
+                col.setflags(write=False)
+
+    @classmethod
+    def of(cls, metas) -> "_SampleTable":
+        """``metas`` as a table: a table as it is, or a sequence of :class:`SampleMeta` converted."""
+        if isinstance(metas, cls):
+            return metas
+        return cls((meta.id, meta.nlls, meta.ppl, meta.score) for meta in metas)
+
+    def __len__(self) -> int:
+        return self.id_offs.size - 1
+
+    def ids_of(self, rows) -> tuple[str, ...]:
+        """The ids of ``rows``, in their order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, ends = self.id_offs[rows].tolist(), (self.id_offs[rows + 1] - 1).tolist()
+        return tuple(self.ids[a:b] for a, b in zip(starts, ends))
+
+    def nlls_of(self, row: int) -> np.ndarray | None:
+        """Record ``row``'s NLLs as a read-only view, or None when it has none."""
+        if self.has_nlls is None or not self.has_nlls[row]:
+            return None
+        return self.nlls[self.nll_offs[row] : self.nll_offs[row + 1]]
+
+    def metas(self) -> list[SampleMeta]:
+        """The table as one :class:`SampleMeta` a record."""
+        out = []
+        for i, (sid, ppl, score) in enumerate(zip(self.ids.split("\n"), self.ppl.tolist(), self.score.tolist())):
+            nlls = self.nlls_of(i)
+            out.append(SampleMeta(
+                sid,
+                None if nlls is None else _PackedFloats(nlls.tobytes()),
+                None if math.isnan(ppl) else ppl,
+                None if math.isnan(score) else score,
+            ))
+        return out
 
 
 @dataclass(frozen=True)
@@ -356,18 +462,13 @@ def _store_rows(store: EmbeddingStore, rows, what: str) -> np.ndarray:
     return rows
 
 
-def _read(path, what: str) -> bytes:
-    """The bytes of an input file; a file that cannot be read is an InputError naming ``what``."""
+def _read_text(path, what: str) -> str:
+    """A UTF-8 input file as text; an unreadable file or an undecodable byte is an InputError naming ``what``."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _read_text(path, what: str) -> str:
-    """A UTF-8 input file as text; an undecodable byte is an InputError naming its line."""
-    raw = _read(path, what)
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -401,32 +502,45 @@ def load_embedding_store(path) -> EmbeddingStore:
     """Read a binary EGMS embedding file, validating every value.
 
     Errors report the byte offset of the problem: bad magic, unsupported
-    version, truncated payload, or a non-finite value.
+    version, truncated payload, or a non-finite value. The payload is read
+    straight into the store's float32 array: a load holds about 5 bytes a
+    value at its peak, the array and a finiteness mask.
     """
-    raw = _read(path, "embedding file")
-    if len(raw) < _HEADER.size:
-        raise InputError(f"truncated header: {len(raw)} bytes, need {_HEADER.size} (byte offset 0)")
-    magic, version, count, dim = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise InputError(f"bad magic {magic!r} at byte offset 0, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise InputError(f"unsupported version {version} at byte offset 4")
-    if dim < 1:
-        raise InputError("dim must be >= 1 (byte offset 14)")
-    expected = count * dim * 4
-    got = len(raw) - _HEADER.size
-    if got != expected:
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise InputError(f"truncated header: {len(head)} bytes, need {_HEADER.size} (byte offset 0)")
+            magic, version, count, dim = _HEADER.unpack(head)
+            if magic != _MAGIC:
+                raise InputError(f"bad magic {magic!r} at byte offset 0, expected {_MAGIC!r}")
+            if version != _VERSION:
+                raise InputError(f"unsupported version {version} at byte offset 4")
+            if dim < 1:
+                raise InputError("dim must be >= 1 (byte offset 14)")
+            expected = count * dim * 4
+            size = os.fstat(fh.fileno()).st_size
+            if size - _HEADER.size != expected:
+                raise InputError(
+                    f"truncated payload: expected {expected} bytes after header, got {size - _HEADER.size} "
+                    f"(byte offset {size})"
+                )
+            values = np.empty((count, dim), dtype="<f4")
+            got = fh.readinto(values)
+    except OSError as exc:
+        raise InputError(f"cannot read embedding file {path}: {exc}") from exc
+    if got != expected:  # the file shrank after its size was read
         raise InputError(
             f"truncated payload: expected {expected} bytes after header, got {got} "
-            f"(byte offset {len(raw)})"
+            f"(byte offset {_HEADER.size + got})"
         )
-    values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(count, dim)
-    if not np.isfinite(values).all():
-        flat = int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        flat = int(np.flatnonzero(~finite.ravel())[0])
         row = flat // dim
         offset = _HEADER.size + flat * 4
         raise InputError(f"non-finite value in row {row} (byte offset {offset})")
-    return EmbeddingStore(values)  # one float32 copy: 4 bytes a value
+    return EmbeddingStore._adopt(values)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +555,16 @@ def load_sample_manifest(path) -> list[SampleMeta]:
     selection driver checks that the counts match. Ids are checked unique
     (the error names both offending lines).
     """
-    metas: list[SampleMeta] = []
+    return _load_sample_table(path).metas()
+
+
+def _load_sample_table(path) -> _SampleTable:
+    """:func:`load_sample_manifest` as columns, with no object per record: what the CLI runs on."""
+    return _SampleTable(_manifest_fields(path))
+
+
+def _manifest_fields(path):
+    """The checked ``(id, nlls, ppl, score)`` of each record of a sample manifest, in file order."""
     seen: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path, "sample manifest").splitlines(), start=1):
         if not line.strip():
@@ -461,15 +584,15 @@ def load_sample_manifest(path) -> list[SampleMeta]:
         for name, v in (("ppl", ppl), ("score", score)):
             if v is not None and type(v) not in (int, float):
                 raise InputError(f"malformed line {lineno}: {name} must be a number, got {v!r}")
+        sid = str(sid)
         try:
-            meta = SampleMeta(str(sid), nlls, ppl, score)
+            fields = _sample_fields(sid, nlls, ppl, score)
         except (InputError, OverflowError) as exc:  # OverflowError: an integer too large for a float
             raise InputError(f"malformed line {lineno}: {exc}") from exc
-        if meta.id in seen:
-            raise InputError(f"duplicate id {meta.id!r} on lines {seen[meta.id]} and {lineno}")
-        seen[meta.id] = lineno
-        metas.append(meta)
-    return metas
+        if sid in seen:
+            raise InputError(f"duplicate id {sid!r} on lines {seen[sid]} and {lineno}")
+        seen[sid] = lineno
+        yield (sid, *fields)
 
 
 def write_sample_manifest(path, metas: list[SampleMeta]) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import SampleMeta
+from .datamodel import SampleMeta, _SampleTable
 from .errors import InputError
 
 
@@ -39,8 +39,8 @@ def _perplexity(nlls) -> float:
     """:func:`perplexity_from_nlls` for NLLs already known finite and >= 0.
 
     Call it with numpy's overflow warning off: an overflow is its InputError.
-    A ``SampleMeta.nlls`` sequence is read as a view of its packed buffer,
-    with no per-value conversion.
+    A ``SampleMeta.nlls`` sequence or a sample table's NLLs are read as a
+    view of their packed buffer, with no per-value conversion.
     """
     arr = np.asarray(nlls, dtype=np.float64)
     if arr.size == 0:
@@ -55,20 +55,20 @@ def resolve_ppls(metas: list[SampleMeta]) -> np.ndarray:
     """Per-sample perplexity: the stored ppl, else computed from nlls.
 
     A sample carrying neither is an error; silent imputation would corrupt
-    the tail statistics. Every error names the sample and its row.
+    the tail statistics. Every error names the sample and its row, the
+    first bad row in order. ``metas`` may also be the CLI's sample table.
     """
-    out = np.empty(len(metas), dtype=np.float64)
+    table = _SampleTable.of(metas)
+    out = table.ppl.copy()
     with np.errstate(over="ignore"):
-        for i, meta in enumerate(metas):
-            if meta.ppl is not None:
-                out[i] = meta.ppl
-            elif meta.nlls is not None:
-                try:
-                    out[i] = _perplexity(meta.nlls)  # SampleMeta validated them
-                except InputError as exc:
-                    raise InputError(f"sample {meta.id!r} (row {i}): {exc}") from None
-            else:
-                raise InputError(f"sample {meta.id!r} (row {i}) has neither ppl nor nlls")
+        for i in np.flatnonzero(np.isnan(out)).tolist():  # the rows with no stored ppl
+            nlls = table.nlls_of(i)
+            if nlls is None:
+                raise InputError(f"sample {table.ids_of([i])[0]!r} (row {i}) has neither ppl nor nlls")
+            try:
+                out[i] = _perplexity(nlls)  # the loader checked them
+            except InputError as exc:
+                raise InputError(f"sample {table.ids_of([i])[0]!r} (row {i}): {exc}") from None
     return out
 
 

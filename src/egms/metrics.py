@@ -18,12 +18,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig, _as_int, _read_text, _store_rows
+from .datamodel import EmbeddingStore, SampleMeta, SelectionConfig, _as_int, _read_text, _SampleTable, _store_rows
 from .entropy import _matrix_entropy, build_similarity, von_neumann_entropy
 from .errors import InputError
-from .sampler import select
+from .sampler import _select
 
 _ORACLE_LIMIT = 20
+# The entropy of a B-sample selection peaks at about 3.05 float64 B x B
+# matrices (the kernel, its trace-normalized copy and LAPACK's copy): RSS
+# rose 372 MiB at B = 4,000 on random 64-d rows. At 12,000 that is about
+# 3.3 GiB, which with the criterion-9 corpus stays within 4 GiB; 13,000
+# would not.
+_DIAGNOSE_BUDGET_LIMIT = 12_000
 
 
 @dataclass(frozen=True)
@@ -91,11 +97,9 @@ class DiversityReport:
     gain_ratio_pct: float
 
 
-def _run_strategy(store, metas, strategy: str, config: SelectionConfig) -> float:
+def _run_strategy(store, table: _SampleTable, strategy: str, config: SelectionConfig) -> float:
     """Entropy of the subset ``strategy`` selects, measured in ``store``."""
-    manifest, _ = select(store, metas, strategy, config)
-    row_of = {meta.id: i for i, meta in enumerate(metas)}
-    rows = np.array([row_of[sid] for sid in manifest.selected], dtype=np.int64)
+    rows = _select(store, table, strategy, config)[2]
     return von_neumann_entropy(build_similarity(store, rows, config.sigma))
 
 
@@ -106,9 +110,20 @@ def diversity_report(
     config: SelectionConfig,
     n_seeds: int,
 ) -> DiversityReport:
-    """Run ``strategy`` and a uniform-random reference over n_seeds seeds."""
+    """Run ``strategy`` and a uniform-random reference over n_seeds seeds.
+
+    ``metas`` may also be the CLI's sample table. A budget past 12,000
+    samples is an InputError before any run: the entropy of a selection
+    that large would not fit in 4 GiB.
+    """
     if _as_int(n_seeds, "n_seeds") < 1:
         raise InputError("n_seeds must be >= 1")
+    if config.budget > _DIAGNOSE_BUDGET_LIMIT:
+        raise InputError(
+            f"budget {config.budget} is past diagnose's limit of {_DIAGNOSE_BUDGET_LIMIT} samples: "
+            "the entropy of a selection that large would not fit in 4 GiB"
+        )
+    table = _SampleTable.of(metas)
     seeds = tuple((config.seed + i) % 2**64 for i in range(n_seeds))
     if config.normalize:
         # once for every run: selection and entropy both see the normalized rows
@@ -116,8 +131,8 @@ def diversity_report(
     ents, rand_ents = [], []
     for s in seeds:
         cfg = replace(config, seed=s)
-        ents.append(_run_strategy(store, metas, strategy, cfg))
-        rand_ents.append(_run_strategy(store, metas, "random", cfg))
+        ents.append(_run_strategy(store, table, strategy, cfg))
+        rand_ents.append(_run_strategy(store, table, "random", cfg))
     ents_arr = np.asarray(ents)
     mean_exp = float(np.exp(ents_arr).mean())
     rand_mean_exp = float(np.exp(np.asarray(rand_ents)).mean())

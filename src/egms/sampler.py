@@ -67,6 +67,7 @@ from .datamodel import (
     SampleMeta,
     SelectionConfig,
     SelectionManifest,
+    _SampleTable,
     _as_int,
     _check_sigma,
     _check_strategy,
@@ -284,34 +285,34 @@ def stderr_progress(cluster_id: int, step: int, entropy: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _score_vector(metas: list[SampleMeta]) -> np.ndarray:
-    """Difficulty scores for score-based baselines: score field, else ppl."""
-    if all(m.score is not None for m in metas):
-        return np.array([m.score for m in metas], dtype=np.float64)
+def _score_vector(table: _SampleTable) -> np.ndarray:
+    """Difficulty scores for score-based baselines: the score column when full, else ppl."""
+    if not np.isnan(table.score).any():
+        return table.score
     try:
-        return resolve_ppls(metas)
+        return resolve_ppls(table)
     except InputError as exc:
         raise InputError(f"strategy needs a score or ppl for every sample: {exc}") from exc
 
 
-def _random_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
-    return _stream_rng(config.seed, _GLOBAL_STREAM).choice(len(metas), size=config.budget, replace=False)
+def _random_rows(table: _SampleTable, config: SelectionConfig, bins: int) -> np.ndarray:
+    return _stream_rng(config.seed, _GLOBAL_STREAM).choice(len(table), size=config.budget, replace=False)
 
 
-def _mid_score_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
-    n = len(metas)
-    scores = _score_vector(metas)
+def _mid_score_rows(table: _SampleTable, config: SelectionConfig, bins: int) -> np.ndarray:
+    n = len(table)
+    scores = _score_vector(table)
     ranks_of_rows = np.lexsort((np.arange(n), scores))  # row index per ascending rank
     median_rank = (n - 1) / 2.0
     rank_order = np.lexsort((np.arange(n), np.abs(np.arange(n) - median_rank)))
     return ranks_of_rows[rank_order[: config.budget]]
 
 
-def _ccs_rows(metas, config: SelectionConfig, bins: int) -> np.ndarray:
-    n = len(metas)
+def _ccs_rows(table: _SampleTable, config: SelectionConfig, bins: int) -> np.ndarray:
+    n = len(table)
     if bins < 1:
         raise InputError("ccs bin count must be >= 1")
-    scores = _score_vector(metas)
+    scores = _score_vector(table)
     lo, hi = float(scores.min()), float(scores.max())
     if hi > lo:
         bin_of = np.minimum((((scores - lo) / (hi - lo)) * bins).astype(np.int64), bins - 1)
@@ -430,7 +431,7 @@ def _batches(order: list[int], sizes: list[int], budgets: list[int]) -> list[lis
     return batches
 
 
-# strategies that draw from the whole dataset: (metas, config, bins) -> selected rows
+# strategies that draw from the whole dataset: (table, config, bins) -> selected rows
 _GLOBAL_ROWS = {"random": _random_rows, "mid_score": _mid_score_rows, "ccs": _ccs_rows}
 
 
@@ -468,20 +469,35 @@ def select(
     are in, so the manifest and the progress stream depend neither on the
     runs nor on scheduling.
 
-    Returns the manifest and the k-means assignment of a clustered
-    strategy (None for the others).
+    ``metas`` may also be the CLI's sample table, which the driver runs on;
+    a list of records is converted to one first. Returns the manifest and
+    the k-means assignment of a clustered strategy (None for the others).
+    """
+    return _select(store, _SampleTable.of(metas), strategy, config, bins, progress)[:2]
+
+
+def _select(
+    store: EmbeddingStore,
+    table: _SampleTable,
+    strategy: str,
+    config: SelectionConfig,
+    bins: int = 50,
+    progress: ProgressFn | None = None,
+) -> tuple[SelectionManifest, ClusterAssignment | None, np.ndarray]:
+    """:func:`select` on a sample table; also returns the selected rows in manifest order.
+
+    Ids are read from the table only for the selected and filtered-out rows.
     """
     _check_strategy(strategy)
     bins = _as_int(bins, "bins")
-    if store.count != len(metas):
-        raise InputError(f"embedding store has {store.count} rows but sample manifest has {len(metas)}")
-    ids = [m.id for m in metas]
+    if store.count != len(table):
+        raise InputError(f"embedding store has {store.count} rows but sample manifest has {len(table)}")
     if strategy in _GLOBAL_ROWS:
         if config.budget > store.count:
             raise InputError(f"budget {config.budget} exceeds dataset size {store.count}")
-        rows = _GLOBAL_ROWS[strategy](metas, config, bins)
-        record = ClusterRecord(-1, config.budget, tuple(ids[r] for r in rows))
-        return SelectionManifest(config, strategy, (record,), (), bins if strategy == "ccs" else None), None
+        rows = _GLOBAL_ROWS[strategy](table, config, bins)
+        record = ClusterRecord(-1, config.budget, table.ids_of(rows))
+        return SelectionManifest(config, strategy, (record,), (), bins if strategy == "ccs" else None), None, rows
 
     if config.normalize:
         store = store.l2_normalized()
@@ -489,7 +505,7 @@ def select(
         rows, population = np.arange(store.count, dtype=np.int64), "dataset size"
         filtered_out = np.empty(0, dtype=np.int64)
     else:
-        fs = filter_extremes(resolve_ppls(metas), config.tail_low, config.tail_high)
+        fs = filter_extremes(resolve_ppls(table), config.tail_low, config.tail_high)
         rows, population = fs.kept, "post-filter size"
         filtered_out = np.concatenate([fs.removed_low, fs.removed_high])
     if config.budget > rows.size:
@@ -507,6 +523,7 @@ def select(
         return _greedy_batch(store, clusters, config.candidate_size, config.sigma, rngs)
 
     records = [ClusterRecord(cid, budget, ()) for cid, budget in enumerate(budgets)]
+    chosen = [np.empty(0, dtype=np.int64)] * len(budgets)  # each cluster's selected rows
     order = sorted((cid for cid, budget in enumerate(budgets) if budget >= 1), key=lambda cid: (-sizes[cid], cid))
     batches = _batches(order, sizes, budgets)
     results: list[list[ClusterSampleResult] | None] = [None] * len(batches)
@@ -517,7 +534,8 @@ def select(
         while replayed < len(batches) and results[replayed] is not None:
             for cid, res in zip(batches[replayed], results[replayed]):
                 trace = res.entropy_trace.tolist()
-                records[cid] = ClusterRecord(cid, budgets[cid], tuple(ids[r] for r in res.selected), tuple(trace))
+                chosen[cid] = res.selected
+                records[cid] = ClusterRecord(cid, budgets[cid], table.ids_of(res.selected), tuple(trace))
                 if progress is not None:
                     for step, entropy in enumerate(trace):
                         progress(cid, step, entropy)
@@ -544,5 +562,5 @@ def select(
         for helper in helpers:
             helper.result()
     replay()
-    manifest = SelectionManifest(config, strategy, tuple(records), tuple(ids[r] for r in filtered_out))
-    return manifest, assignment
+    manifest = SelectionManifest(config, strategy, tuple(records), table.ids_of(filtered_out))
+    return manifest, assignment, np.concatenate(chosen)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file plumbing, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from egms import (
     write_embedding_store,
     write_sample_manifest,
 )
+from egms import cli
 from egms.cli import main
 
 
@@ -184,6 +187,43 @@ def test_diagnose(dataset, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "gain_ratio_pct" in out and "exp_entropy_mean" in out
+
+
+def test_diagnose_past_its_budget_limit_is_one_error_line(tmp_path):
+    # 12,001 rows of one value: a budget the data can fill but whose
+    # entropy would not fit in 4 GiB is refused before any run, with exit 1
+    # and one error line, not a MemoryError traceback
+    n = 12_001
+    emb, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+    write_embedding_store(emb, EmbeddingStore(np.arange(n, dtype=np.float32)[:, None]))
+    man.write_text("".join(f'{{"id":"s{i}","ppl":2.0}}\n' for i in range(n)))
+    proc = _console(
+        ["diagnose", "--strategy", "exam", "--seeds", "1", "--embeddings", str(emb), "--manifest", str(man),
+         "--budget", str(n), "--tails", "0,0"]
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: budget {n} is past diagnose's limit of 12000 samples: " \
+        "the entropy of a selection that large would not fit in 4 GiB\n"
+    assert proc.stdout == ""
+
+
+def test_the_cli_holds_the_sample_manifest_in_under_40_bytes_a_record(tmp_path):
+    # columns, not a SampleMeta a record (about 150 traced bytes each): the
+    # ids as one string with int64 offsets and a float64 ppl and score column
+    n = 20_000
+    emb, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+    write_embedding_store(emb, EmbeddingStore(np.zeros((n, 1), dtype=np.float32)))
+    man.write_text("".join(f'{{"id":"s{i:06d}","ppl":{1.0 + i / n!r}}}\n' for i in range(n)))
+    args = argparse.Namespace(embeddings=str(emb), manifest=str(man))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store, table = cli._load_inputs(args)
+        retained = tracemalloc.get_traced_memory()[0] - before - store.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    assert retained / n < 40
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -28,13 +28,15 @@ from egms import (
     mmd_sample_cluster,
     oracle_max_entropy_subset,
     parse_selection_manifest,
+    perplexity_from_nlls,
+    resolve_ppls,
     serialize_selection_manifest,
     write_embedding_store,
     write_sample_manifest,
     write_selection_manifest,
 )
-from egms.datamodel import _store_rows
-from egms.sampler import select
+from egms.datamodel import _load_sample_table, _store_rows
+from egms.sampler import _score_vector, select
 
 
 class TestEmbeddingFile:
@@ -96,6 +98,23 @@ class TestEmbeddingFile:
     def test_store_rejects_nonfinite(self):
         with pytest.raises(InputError, match="non-finite"):
             EmbeddingStore(np.array([[1.0, np.inf]]))
+
+    def test_load_peaks_under_6_bytes_a_value(self, tmp_path):
+        # the payload is read into the store's own float32 array, with no
+        # whole-file bytes copy: 4 bytes a value plus a 1-byte finiteness mask
+        n, d = 20_000, 64
+        path = tmp_path / "e.bin"
+        write_embedding_store(path, EmbeddingStore(np.full((n, d), 0.5, dtype=np.float32)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            store = load_embedding_store(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert store.data.dtype == np.float32 and not store.data.flags.writeable
+        assert (store.data == 0.5).all()
+        assert peak / (n * d) < 6
 
 
 class TestSampleManifest:
@@ -276,6 +295,144 @@ class TestSampleManifest:
             tracemalloc.stop()
         assert len(metas) == n and metas[-1].nlls == tuple(nlls)
         assert retained / (n * tokens) < 16
+
+
+def _reference_load(path) -> list[SampleMeta]:
+    """The sample manifest loader as one SampleMeta a line, the reference for the columnar table."""
+    metas, seen = [], {}
+    for lineno, line in enumerate(path.read_bytes().decode("utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise InputError(f"malformed line {lineno}: {exc}") from exc
+        if not isinstance(rec, dict) or "id" not in rec:
+            raise InputError(f"malformed line {lineno}: missing required id field")
+        sid, nlls, ppl, score = rec["id"], rec.get("nlls"), rec.get("ppl"), rec.get("score")
+        if type(sid) not in (str, int):
+            raise InputError(f"malformed line {lineno}: id must be a string or an integer, got {sid!r}")
+        if nlls is not None and not (type(nlls) is list and {int, float}.issuperset(map(type, nlls))):
+            raise InputError(f"malformed line {lineno}: nlls must be an array of numbers")
+        for name, v in (("ppl", ppl), ("score", score)):
+            if v is not None and type(v) not in (int, float):
+                raise InputError(f"malformed line {lineno}: {name} must be a number, got {v!r}")
+        try:
+            meta = SampleMeta(str(sid), nlls, ppl, score)
+        except (InputError, OverflowError) as exc:
+            raise InputError(f"malformed line {lineno}: {exc}") from exc
+        if meta.id in seen:
+            raise InputError(f"duplicate id {meta.id!r} on lines {seen[meta.id]} and {lineno}")
+        seen[meta.id] = lineno
+        metas.append(meta)
+    return metas
+
+
+def _reference_ppls(metas) -> np.ndarray:
+    """Per-record perplexities of the records, one record at a time."""
+    out = []
+    for i, meta in enumerate(metas):
+        if meta.ppl is not None:
+            out.append(meta.ppl)
+        elif meta.nlls is None:
+            raise InputError(f"sample {meta.id!r} (row {i}) has neither ppl nor nlls")
+        else:
+            try:
+                out.append(perplexity_from_nlls(list(meta.nlls)))
+            except InputError as exc:
+                raise InputError(f"sample {meta.id!r} (row {i}): {exc}") from None
+    return np.array(out, dtype=np.float64)
+
+
+def _reference_scores(metas) -> np.ndarray:
+    """The score baselines' input, one record at a time: every score when all are present, else the ppls."""
+    if all(meta.score is not None for meta in metas):
+        return np.array([meta.score for meta in metas], dtype=np.float64)
+    try:
+        return _reference_ppls(metas)
+    except InputError as exc:
+        raise InputError(f"strategy needs a score or ppl for every sample: {exc}") from exc
+
+
+def _outcome(fn):
+    """``fn()``'s result, or the text of the InputError it raises."""
+    try:
+        return fn()
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+_NLLS = st.one_of(
+    st.none(),
+    st.just([]),  # empty: loads, but has no perplexity
+    st.just([800.0, 800]),  # finite, but exp of the mean overflows
+    *[st.lists(st.one_of(st.floats(0.0, 4.0), st.integers(0, 3)), min_size=1, max_size=5)] * 3,
+)
+_RECORD = st.fixed_dictionaries(
+    {},
+    optional={
+        "nlls": _NLLS,
+        "ppl": st.one_of(st.none(), st.floats(0.5, 50.0), st.integers(1, 9)),
+        "score": st.one_of(st.none(), st.floats(-5.0, 5.0), st.integers(-2, 2)),
+    },
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    records=st.lists(st.one_of(*[_RECORD] * 4, st.sampled_from(["", "  "])), min_size=3, max_size=12),
+    integer_ids=st.booleans(),
+    duplicate=st.one_of(st.none(), st.none(), st.integers(1, 11)),
+    kind=st.sampled_from(["any", "ppl", "nlls", "both"]),
+    seed=st.integers(0, 2**16),
+)
+@example(records=[{"ppl": 2.0}, {"nlls": []}, {"ppl": 3}], integer_ids=False, duplicate=None, kind="any", seed=0)
+@example(records=[{"nlls": [800.0, 800]}, "", {"score": 1.5}], integer_ids=True, duplicate=None, kind="any", seed=1)
+@example(records=[{"ppl": 2}, "  ", {}, {"ppl": 3}], integer_ids=True, duplicate=3, kind="ppl", seed=2)
+@example(records=[{"score": 1.0}, {}, {"score": -1}], integer_ids=False, duplicate=None, kind="ppl", seed=3)
+def test_the_sample_table_and_the_records_agree(tmp_path_factory, records, integer_ids, duplicate, kind, seed):
+    # the CLI's columnar table and the records of load_sample_manifest give
+    # the same records, perplexity bits, score-baseline input and
+    # selections as the reference loader's records, or fail with the same
+    # error text. A record is a
+    # blank line or a JSON object whose id is its position, an integer or a
+    # string; record ``duplicate`` takes the id of record 0. Kinds other
+    # than "any" give every record a ppl, NLLs or both, and only those.
+    lines = []
+    for k, rec in enumerate(records):
+        if isinstance(rec, str):
+            lines.append(rec)
+            continue
+        sid = 0 if k == duplicate else k
+        rec = {"id": sid if integer_ids else f"s{sid}", **rec}
+        if kind in ("ppl", "both") and rec.get("ppl") is None:
+            rec["ppl"] = 2.5
+        if kind in ("nlls", "both") and rec.get("nlls") is None:
+            rec["nlls"] = [0.5]
+        rec.pop({"ppl": "nlls", "nlls": "ppl"}.get(kind, ""), None)
+        lines.append(json.dumps(rec))
+    path = tmp_path_factory.mktemp("table") / "m.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    reference = _outcome(lambda: _reference_load(path))
+    assert _outcome(lambda: load_sample_manifest(path)) == reference
+    table = _outcome(lambda: _load_sample_table(path))
+    if isinstance(reference, str):
+        assert table == reference
+        return
+    assert table.metas() == reference
+    assert repr(_outcome(lambda: resolve_ppls(table).tobytes())) == repr(
+        _outcome(lambda: _reference_ppls(reference).tobytes())
+    )
+    assert repr(_outcome(lambda: _score_vector(table).tobytes())) == repr(
+        _outcome(lambda: _reference_scores(reference).tobytes())
+    )
+    store = EmbeddingStore(np.random.default_rng(seed).normal(size=(max(len(reference), 1), 2)))
+    config = SelectionConfig(budget=2, clusters=2, candidate_size=3, tail_low=0.1, tail_high=0.1, seed=seed)
+    for strategy in ("exam",) + STRATEGIES:
+        def text(metas):
+            return lambda: serialize_selection_manifest(select(store, metas, strategy, config, bins=3)[0])
+
+        assert _outcome(text(table)) == _outcome(text(reference)), strategy
 
 
 # each caller of the shared store-row check: (call on a 10-row store, the argument it names)

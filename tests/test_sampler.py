@@ -31,6 +31,7 @@ from egms import (
 from egms.cli import main
 from egms.entropy import _best_bordered, _kernel_block
 from egms import clustering, entropy, sampler
+from egms.datamodel import _SampleTable
 from egms.sampler import _average_budgets, _ccs_rows, _greedy_batch
 
 
@@ -238,7 +239,7 @@ class TestRoundRobinFill:
             bin_of = np.minimum(((scores - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
         sizes = np.bincount(bin_of, minlength=bins)
         metas = [SampleMeta(id=f"r{i}", score=v) for i, v in enumerate(raw)]
-        rows = _ccs_rows(metas, SelectionConfig(budget=budget, seed=4), bins)
+        rows = _ccs_rows(_SampleTable.of(metas), SelectionConfig(budget=budget, seed=4), bins)
         got = np.bincount(bin_of[rows], minlength=bins).tolist()
         assert got == _reference_ccs_take(sizes, budget)
         take = np.minimum(budget // bins, sizes)
