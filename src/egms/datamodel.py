@@ -7,10 +7,11 @@ File formats owned by this module:
 * Sample manifest: UTF-8 JSON lines, one record per sample with fields
   ``id`` (required string or integer), ``nlls`` (optional array of
   nonnegative reals), ``ppl`` (optional positive real), ``score``
-  (optional real). One parser checks it line by line into columns
-  (:class:`_SampleTable`, a few bytes a record, which the CLI and
-  :func:`egms.sampler.select` run on); :func:`load_sample_manifest`
-  hands the same records out as one :class:`SampleMeta` each.
+  (optional real). One parser checks it line by line. Its records go
+  into columns (:class:`_SampleTable`, the one packed form, which the CLI
+  and :func:`egms.sampler.select` run on), or, through
+  :func:`load_sample_manifest`, into one plain :class:`SampleMeta` each,
+  whose ``nlls`` is a tuple of floats.
 * Selection manifest: line-structured text with a header block (config
   echo, seed, filtered-out ids, per-cluster summary) followed by one
   record per selected sample, ``id cluster step entropy``, grouped by
@@ -31,7 +32,7 @@ import numbers
 import os
 import struct
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,51 +155,6 @@ def _check_strategy(strategy: str) -> None:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {('exam',) + STRATEGIES}")
 
 
-class _PackedFloats(Sequence):
-    """An immutable sequence of float64 values packed in one ``bytes``: 8 bytes a value.
-
-    It reads as the tuple of its values: it compares equal to that tuple,
-    hashes and prints as it does, and a slice of it is a tuple. ``np.asarray``
-    views the buffer with no copy, read-only.
-    """
-
-    __slots__ = ("_raw",)
-
-    def __init__(self, raw: bytes):
-        self._raw = raw  # native-endian float64 values, as struct's "d" packs them
-
-    def _view(self) -> memoryview:
-        return memoryview(self._raw).cast("d")
-
-    def __len__(self) -> int:
-        return len(self._raw) // 8
-
-    def __getitem__(self, index):
-        item = self._view()[index]
-        return tuple(item) if isinstance(index, slice) else item
-
-    def __iter__(self):
-        return iter(self._view())
-
-    def __eq__(self, other):
-        if isinstance(other, _PackedFloats):
-            other = tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        view = np.frombuffer(self._raw, dtype=np.float64)
-        return view.astype(view.dtype if dtype is None else dtype, copy=bool(copy))
-
-    def __reduce__(self):
-        return type(self), (self._raw,)
-
-
 def _sample_fields(sid: str, nlls, ppl, score) -> tuple[list[float] | None, float | None, float | None]:
     """A sample's checked fields: ``nlls`` as a list of floats, ``ppl`` and ``score`` as floats.
 
@@ -227,25 +183,24 @@ def _sample_fields(sid: str, nlls, ppl, score) -> tuple[list[float] | None, floa
 
 @dataclass(frozen=True, slots=True)
 class SampleMeta:
-    """Per-sample identity plus optional difficulty signals.
+    """Per-sample identity plus optional difficulty signals, checked on construction.
 
-    ``nlls`` holds per-token negative log-likelihoods in nats, packed as
-    float64 at 8 bytes a token: an immutable sequence that equals, hashes
-    and prints as the tuple of its values, and that ``np.asarray`` reads
-    with no copy. ``ppl`` is a precomputed perplexity; ``score`` is a
-    generic difficulty score used by the score-based baseline strategies.
+    ``nlls`` holds per-token negative log-likelihoods in nats, as a tuple
+    of floats. ``ppl`` is a precomputed perplexity; ``score`` is a generic
+    difficulty score used by the score-based baseline strategies. A record
+    is a plain Python object, about 37 traced bytes a token; the packed
+    form of a whole manifest is :class:`_SampleTable`, which the CLI and
+    :func:`egms.sampler.select` run on.
     """
 
     id: str
-    nlls: Sequence[float] | None = None
+    nlls: tuple[float, ...] | None = None
     ppl: float | None = None
     score: float | None = None
 
     def __post_init__(self):
-        packed = isinstance(self.nlls, _PackedFloats)  # packed ones were checked
-        nlls, ppl, score = _sample_fields(self.id, None if packed else self.nlls, self.ppl, self.score)
-        if nlls is not None:
-            object.__setattr__(self, "nlls", _PackedFloats(struct.pack(f"{len(nlls)}d", *nlls)))
+        nlls, ppl, score = _sample_fields(self.id, self.nlls, self.ppl, self.score)
+        object.__setattr__(self, "nlls", None if nlls is None else tuple(nlls))
         object.__setattr__(self, "ppl", ppl)
         object.__setattr__(self, "score", score)
 
@@ -311,19 +266,6 @@ class _SampleTable:
         if self.has_nlls is None or not self.has_nlls[row]:
             return None
         return self.nlls[self.nll_offs[row] : self.nll_offs[row + 1]]
-
-    def metas(self) -> list[SampleMeta]:
-        """The table as one :class:`SampleMeta` a record."""
-        out = []
-        for i, (sid, ppl, score) in enumerate(zip(self.ids.split("\n"), self.ppl.tolist(), self.score.tolist())):
-            nlls = self.nlls_of(i)
-            out.append(SampleMeta(
-                sid,
-                None if nlls is None else _PackedFloats(nlls.tobytes()),
-                None if math.isnan(ppl) else ppl,
-                None if math.isnan(score) else score,
-            ))
-        return out
 
 
 @dataclass(frozen=True)
@@ -555,7 +497,7 @@ def load_sample_manifest(path) -> list[SampleMeta]:
     selection driver checks that the counts match. Ids are checked unique
     (the error names both offending lines).
     """
-    return _load_sample_table(path).metas()
+    return [SampleMeta(*fields) for fields in _manifest_fields(path)]
 
 
 def _load_sample_table(path) -> _SampleTable:
@@ -748,8 +690,12 @@ def gen_synthetic(n: int, dim: int, k_blobs: int, spread: float, seed: int):
     rounded through float32 so an on-disk round trip is a no-op. When a
     sample's lognormal ppl is >= 1, a consistent per-token NLL sequence
     with mean ln(ppl) is attached. Blob j's mean lies on the shell of
-    radius ``20 * max(spread, 1) * (j + 1)``.
+    radius ``20 * max(spread, 1) * (j + 1)``. ``n``, ``dim``, ``k_blobs``
+    and ``seed`` are integers, and ``seed`` is >= 0.
     """
+    n, dim, k_blobs, seed = _as_int(n, "n"), _as_int(dim, "dim"), _as_int(k_blobs, "k_blobs"), _as_int(seed, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if k_blobs < 1 or n < k_blobs:
         raise InputError("need n >= k_blobs >= 1")
     if dim < 1:

@@ -39,8 +39,8 @@ def _perplexity(nlls) -> float:
     """:func:`perplexity_from_nlls` for NLLs already known finite and >= 0.
 
     Call it with numpy's overflow warning off: an overflow is its InputError.
-    A ``SampleMeta.nlls`` sequence or a sample table's NLLs are read as a
-    view of their packed buffer, with no per-value conversion.
+    :func:`resolve_ppls` passes a sample table's NLLs, a view of its packed
+    float64 buffer, which is read with no copy.
     """
     arr = np.asarray(nlls, dtype=np.float64)
     if arr.size == 0:

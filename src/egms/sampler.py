@@ -459,15 +459,15 @@ def select(
     Clusters are ordered largest first (then lowest id) and cut into runs
     of consecutive clusters (:func:`_batches`), each sampled in lock step
     (for MMD, the traces of its clusters' selections). The calling thread
-    is one of the ``config.workers`` threads, and a pool of w - 1 threads
-    the others, so at w = 1 no thread starts. The calling thread samples
-    run 0, the largest, and pool thread j run j + 1; then each thread that
-    is done takes the next run not yet taken, so no thread waits on another
-    while runs are left. Results are replayed in run order by the calling
-    thread: each cluster's entropy trace goes to ``progress`` as
-    ``(cluster id, step, entropy)`` once its run and every run before it
-    are in, so the manifest and the progress stream depend neither on the
-    runs nor on scheduling.
+    is one of w = min(``config.workers``, runs) threads, and a pool of
+    w - 1 threads the others, so at w = 1 no thread starts. The calling
+    thread samples run 0, the largest, and pool thread j run j + 1; then
+    each thread that is done takes the next run not yet taken, so no
+    thread waits on another while runs are left. Results are replayed in
+    run order by the calling thread: each cluster's entropy trace goes to
+    ``progress`` as ``(cluster id, step, entropy)`` once its run and every
+    run before it are in, so the manifest and the progress stream depend
+    neither on the runs nor on scheduling.
 
     ``metas`` may also be the CLI's sample table, which the driver runs on;
     a list of records is converted to one first. Returns the manifest and
@@ -542,9 +542,10 @@ def _select(
             results[replayed] = None  # its records hold it now
             replayed += 1
 
-    # runs 1, 2, ... in order, then one end mark per thread
+    # no more threads than runs: runs 1, 2, ... in order, then one end mark per thread
+    threads = min(config.workers, len(batches))
     todo = queue.SimpleQueue()
-    for i in [*range(1, len(batches)), *[None] * config.workers]:
+    for i in [*range(1, len(batches)), *[None] * threads]:
         todo.put(i)
 
     def work(i: int | None, after_run: Callable[[], None]) -> None:
@@ -553,11 +554,11 @@ def _select(
             after_run()
             i = todo.get()
 
-    # the pool starts its threads on submit, so at one worker it starts none;
+    # the pool starts its threads on submit, so with one thread it starts none;
     # glibc gives pool threads malloc arenas of their own, while the calling
     # thread reuses the heap k-means freed, so its runs add less to the peak
-    with ThreadPoolExecutor(max(1, config.workers - 1)) as pool:
-        helpers = [pool.submit(work, todo.get(), lambda: None) for _ in range(config.workers - 1)]
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        helpers = [pool.submit(work, todo.get(), lambda: None) for _ in range(threads - 1)]
         work(0, replay)
         for helper in helpers:
             helper.result()

@@ -226,6 +226,46 @@ def test_the_cli_holds_the_sample_manifest_in_under_40_bytes_a_record(tmp_path):
     assert retained / n < 40
 
 
+def test_the_cli_holds_loaded_nlls_in_about_8_bytes_a_token(tmp_path):
+    # the table packs every record's NLLs into one float64 buffer: 8 bytes
+    # a token plus int64 offsets; a tuple of Python floats a record would
+    # take about 37 traced bytes a token
+    n, tokens = 2000, 32
+    emb, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+    write_embedding_store(emb, EmbeddingStore(np.zeros((n, 1), dtype=np.float32)))
+    nlls = [0.25 + j / 64 for j in range(tokens)]
+    man.write_text("".join(json.dumps({"id": f"s{i}", "nlls": nlls}) + "\n" for i in range(n)))
+    args = argparse.Namespace(embeddings=str(emb), manifest=str(man))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store, table = cli._load_inputs(args)
+        retained = tracemalloc.get_traced_memory()[0] - before - store.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n and table.nlls_of(n - 1).tolist() == nlls
+    assert retained / (n * tokens) < 16
+
+
+def test_the_cli_builds_no_sample_record(dataset, tmp_path, monkeypatch, capsys):
+    # the CLI runs on the columnar table from load to manifest: a SampleMeta
+    # built anywhere on the way would raise
+    emb, man = dataset
+
+    def refuse(self):
+        raise AssertionError(f"SampleMeta {self.id!r} built")
+
+    monkeypatch.setattr(SampleMeta, "__post_init__", refuse)
+    inputs = ["--embeddings", str(emb), "--manifest", str(man), "--budget", "24", "--clusters", "3", "--quiet"]
+    for argv in (
+        ["select", *inputs, "--out", str(tmp_path / "sel.txt"), "--dump-centroids", str(tmp_path / "c.bin")],
+        ["baseline", "--strategy", "mmd_minimize", *inputs, "--out", str(tmp_path / "mmd.txt")],
+        ["diagnose", "--strategy", "exam", "--seeds", "2", *inputs],
+    ):
+        assert main(argv) == 0, argv[0]
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(
         [
@@ -351,6 +391,15 @@ def test_empty_dataset_exits_1_without_a_traceback(tmp_path, argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert re.search(r"^error: ", proc.stderr, re.M), proc.stderr
+
+
+def test_negative_gen_seed_exits_1_with_one_error_line(tmp_path, capsys):
+    # as select's --seed -1 does: one error line, not numpy's ValueError
+    rc = main(["gen-synthetic", "--n", "10", "--dim", "2", "--seed", "-1",
+               "--out-embeddings", str(tmp_path / "e.bin"), "--out-manifest", str(tmp_path / "m.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "e.bin").exists()
 
 
 @pytest.mark.parametrize("command", [["select"], ["baseline", "--strategy", "mmd_minimize"]])

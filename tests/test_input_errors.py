@@ -116,6 +116,11 @@ _CASES = [
         r"dim must be >= 1 \(byte offset 14\)",
     ),
     ("gen-spread", lambda tmp: gen_synthetic(10, 2, 1, -1.0, seed=0), "spread must be finite and >= 0"),
+    ("gen-seed-negative", lambda tmp: gen_synthetic(10, 2, 1, 1.0, seed=-1), "seed must be >= 0, got -1"),
+    ("gen-seed-float", lambda tmp: gen_synthetic(10, 2, 1, 1.0, seed=1.5), "seed must be an integer"),
+    ("gen-n-float", lambda tmp: gen_synthetic(10.0, 2, 2, 1.0, seed=0), "n must be an integer"),
+    ("gen-dim-float", lambda tmp: gen_synthetic(10, 2.0, 2, 1.0, seed=0), "dim must be an integer"),
+    ("gen-blobs-bool", lambda tmp: gen_synthetic(10, 2, True, 1.0, seed=0), "k_blobs must be an integer"),
     ("pair-finite", lambda tmp: gaussian_similarity([0.0, np.nan], [0.0, 0.0], 0.5), "vectors must be finite"),
     ("pair-empty", lambda tmp: gaussian_similarity([], [], 0.5), "vectors must be non-empty"),
     (

@@ -1,6 +1,7 @@
 """Budget allocation, greedy cluster sampling, pipeline, and baselines."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -583,6 +584,34 @@ class TestRuns:
             # the calling thread samples run 0 and pool thread j run j + 1, then each takes the next run left
             assert len(threads) == 12 and caller in threads
             assert len(set(threads)) == workers
+
+    def test_no_pool_thread_starts_without_a_run(self, pipeline_data, monkeypatch):
+        store, metas = pipeline_data
+        pools = []
+
+        class Counting(ThreadPoolExecutor):
+            """A pool that records its size, its submits and the threads it started."""
+
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.submits = 0
+                pools.append(self)
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", Counting)
+        for cap, runs in ((sampler._BATCH_ELEMENTS, 1), (1, 3)):  # cap 1: one run per cluster
+            monkeypatch.setattr(sampler, "_BATCH_ELEMENTS", cap)
+            for workers in (1, 2, 3, 8):
+                pools.clear()
+                cfg = SelectionConfig(budget=30, clusters=3, candidate_size=10, seed=4, workers=workers)
+                select(store, metas, "exam", cfg)
+                # the calling thread takes run 0; a helper is submitted for each other run, up to w - 1
+                helpers = min(workers, runs) - 1
+                assert len(pools) == 1 and pools[0].submits == helpers
+                assert pools[0]._max_workers == max(1, helpers) and len(pools[0]._threads) <= helpers
 
 
 class TestBoundTiers:
